@@ -59,21 +59,7 @@ def _estimate_with_samples(command, cfg, chain_seed):
     if command == "hs":
         est = hsfield.estimate_xi_rel(params, geom, grid, v,
                                       n_samples=mc["samples"], seed=chain_seed)
-        # regenerate the weight stream for mergeable moments
-        if params.lam == 0.0:
-            samples = np.ones(mc["samples"], dtype=complex)
-        else:
-            rng = np.random.default_rng(chain_seed)
-            rho = hsfield.resolve_rho(params, geom)
-            sigma = hsfield.sample_sigma(params, geom, grid, v, mc["samples"], rng)
-            from .propagators import monodromy_batch
-
-            gamma = monodromy_batch(geom, grid, sigma)
-            dvals = hsfield._log_det_ratio(geom, params.nu, params.kappa0, gamma)
-            thetas = rho / params.nu * grid.eps * sigma.sum(axis=(1, 2))
-            samples = np.exp(1j * params.n_species * thetas
-                             - params.n_species * dvals)
-        return est, samples
+        return est, est.extra["weights"]
     if command == "loopgas":
         est = loopgas.xi_rel_series(params, geom, grid, v, trunc["n_max"],
                                     trunc["l_max"], mc["samples"],

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import ModelParams, TimeGrid, TorusGeometry
-from .propagators import free_green, monodromy_batch
+from .propagators import _spectral_data, free_green, monodromy_batch
 from .stats import ComplexEstimate, mean_estimate, ratio_estimate
 
 __all__ = [
@@ -112,7 +112,7 @@ def _log_det_ratio(geom: TorusGeometry, nu: float, kappa0: float,
     fugacity = np.exp(-nu * kappa0)
     eye = np.eye(geom.n_sites)
     sign, logabs = np.linalg.slogdet(eye - fugacity * gamma_stack)
-    occ_free = fugacity * np.exp(0.5 * nu * np.linalg.eigvalsh(geom.laplacian_matrix()))
+    occ_free = fugacity * np.exp(0.5 * nu * _spectral_data(geom)[0])
     log_free = np.sum(np.log1p(-occ_free))
     return np.log(sign) + logabs - log_free
 
@@ -146,22 +146,34 @@ def winding_exponent(geom: TorusGeometry, nu: float, kappa0: float,
     return total, float(tail)
 
 
-def estimate_xi_rel(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
-                    n_samples: int, seed: int = 0) -> ComplexEstimate:
-    """Relative partition function Xi / Xi_free as the mean field weight."""
-    if params.lam == 0.0:
-        est = ComplexEstimate(value=1.0 + 0.0j, stderr_re=0.0, stderr_im=0.0,
-                              n_samples=n_samples, seed=seed, ess=float(n_samples))
-        return est
-    rng = np.random.default_rng(seed)
-    rho = resolve_rho(params, geom)
-    sigma = sample_sigma(params, geom, grid, v, n_samples, rng)
-    gamma = monodromy_batch(geom, grid, sigma)
+def _field_weights(params: ModelParams, geom: TorusGeometry, grid: TimeGrid,
+                   sigma: np.ndarray, gamma: np.ndarray, rho: float) -> np.ndarray:
+    """Weights exp(i N theta - N D) of a field stack and its monodromies."""
     dvals = _log_det_ratio(geom, params.nu, params.kappa0, gamma)
     thetas = rho / params.nu * grid.eps * sigma.sum(axis=(1, 2))
-    weights = np.exp(1j * params.n_species * thetas - params.n_species * dvals)
+    return np.exp(1j * params.n_species * thetas - params.n_species * dvals)
+
+
+def estimate_xi_rel(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
+                    n_samples: int, seed: int = 0) -> ComplexEstimate:
+    """Relative partition function Xi / Xi_free as the mean field weight.
+
+    extra carries the weight stream itself ("weights", one complex weight per
+    field; all ones at lam = 0), its mean modulus ("mean_abs_weight") and the
+    average sign |<w>| / <|w|> ("avg_sign").
+    """
+    if params.lam == 0.0:
+        weights = np.ones(n_samples, dtype=complex)
+    else:
+        rng = np.random.default_rng(seed)
+        sigma = sample_sigma(params, geom, grid, v, n_samples, rng)
+        weights = _field_weights(params, geom, grid, sigma,
+                                 monodromy_batch(geom, grid, sigma),
+                                 resolve_rho(params, geom))
     est = mean_estimate(weights, seed=seed)
-    est.extra["mean_abs_weight"] = float(np.mean(np.abs(weights)))
+    mean_abs = float(np.mean(np.abs(weights)))
+    est.extra.update(weights=weights, mean_abs_weight=mean_abs,
+                     avg_sign=abs(est.value) / mean_abs)
     return est
 
 
@@ -221,7 +233,5 @@ def estimate_duhamel(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v
         val = complex(kernels[0])
         return ComplexEstimate(value=val, stderr_re=0.0, stderr_im=0.0,
                                n_samples=n_samples, seed=seed, ess=float(n_samples))
-    dvals = _log_det_ratio(geom, nu, kappa0, gamma)
-    thetas = rho / nu * grid.eps * sigma.sum(axis=(1, 2))
-    weights = np.exp(1j * params.n_species * thetas - params.n_species * dvals)
+    weights = _field_weights(params, geom, grid, sigma, gamma, rho)
     return ratio_estimate(kernels * weights, weights, seed=seed)

@@ -104,25 +104,57 @@ def monodromy_batch(geom: TorusGeometry, grid: TimeGrid, sigma: np.ndarray,
                     keep_prefixes=None) -> np.ndarray:
     """Vectorized monodromy for a stack of fields, shape (S, n_slices, n_sites).
 
+    Returns the same (S, n_sites, n_sites) products as `monodromy`, with the
+    adjacent Strang halves fused: with H = exp(eps Lap/4), K = H^2 and D_j the
+    slice phases,
+
+        Gamma = H D_n K D_{n-1} ... K D_1 H,
+
+    which is n_slices + 1 kinetic products instead of 2 n_slices.  The running
+    product R_j = D_j K ... K D_1 H of the whole stack is held as one
+    (n_sites, S, n_sites) complex array, so that viewed as real
+    (n_sites, 2 S n_sites) each kinetic step is a single real GEMM for all S
+    fields, and each phase step is a broadcast multiply.
+
     keep_prefixes, when given, is a sorted list of slice counts; the return is
     then (result, {j: product over the first j slices}) for reuse by unequal-
-    time estimators.
+    time estimators.  The prefix over j >= 1 slices is H R_j, over 0 slices
+    the identity.
     """
     sigma = np.asarray(sigma)
     S = sigma.shape[0]
     if sigma.shape[1:] != (grid.n_slices, geom.n_sites):
         raise ValueError("sigma stack has the wrong slice/site shape")
-    half = _half_step(geom, grid.eps)
     n = geom.n_sites
-    gam = np.broadcast_to(np.eye(n, dtype=complex), (S, n, n)).copy()
+    half = _half_step(geom, grid.eps)
+    full = heat_propagator(geom, grid.eps)
+
+    def flat(stack):
+        return stack.view(float).reshape(n, 2 * S * n)
+
+    def leading_half(stack):
+        prod = (half @ flat(stack)).view(complex).reshape(n, S, n)
+        return prod.transpose(1, 0, 2).copy()
+
+    def phases(j):
+        return np.exp(-1j * grid.eps * sigma[:, j, :]).T[:, :, None]
+
+    keep = set(keep_prefixes or ())
     prefixes = {}
-    if keep_prefixes and 0 in keep_prefixes:
-        prefixes[0] = gam.copy()
-    for j in range(grid.n_slices):
-        phases = np.exp(-1j * grid.eps * sigma[:, j, :])
-        gam = half @ (phases[:, :, None] * (half @ gam))
-        if keep_prefixes and (j + 1) in keep_prefixes:
-            prefixes[j + 1] = gam.copy()
+    if 0 in keep:
+        prefixes[0] = np.broadcast_to(np.eye(n, dtype=complex), (S, n, n)).copy()
+    run = np.empty((n, S, n), dtype=complex)
+    np.multiply(phases(0), half[:, None, :], out=run)
+    spare = np.empty_like(run)
+    for j in range(1, grid.n_slices):
+        if j in keep:
+            prefixes[j] = leading_half(run)
+        np.matmul(full, flat(run), out=flat(spare))
+        run, spare = spare, run
+        run *= phases(j)
+    gam = leading_half(run)
+    if grid.n_slices in keep:
+        prefixes[grid.n_slices] = gam.copy()
     if keep_prefixes is not None:
         return gam, prefixes
     return gam

@@ -56,6 +56,41 @@ def test_hs_chains_merge_and_records(tmp_path, capsys):
     assert printed["estimate"][0] == pytest.approx(0.8486, abs=0.02)
 
 
+def test_hs_records_reuse_the_estimate_weights(tmp_path, monkeypatch):
+    from bosegas import hsfield
+    from bosegas.records import ExperimentConfig
+
+    cfg = tmp_path / "hs.ini"
+    cfg.write_text("[geometry]\nsites_per_side = 2\n"
+                   "[model]\nlambda0 = 0.5\n"
+                   "[mc]\nsamples = 500\nseed = 21\n")
+    draws = []
+    original = hsfield.sample_sigma
+
+    def counting(*args, **kwargs):
+        draws.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hsfield, "sample_sigma", counting)
+    out_path = tmp_path / "recs.jsonl"
+    assert main(["hs", "--config", str(cfg), "--out", str(out_path),
+                 "--chains", "2"]) == 0
+    # one field draw per chain: the records reuse the estimator's weights
+    assert len(draws) == 2
+    monkeypatch.undo()
+
+    conf = ExperimentConfig.from_file(str(cfg))
+    geom = conf.geometry()
+    recs = [ExperimentRecord.from_json(t)
+            for t in out_path.read_text().strip().splitlines()[:2]]
+    for rec in recs:
+        est = hsfield.estimate_xi_rel(conf.model(), geom, conf.grid(),
+                                      conf.potential(geom), 500, seed=rec.seed)
+        assert rec.moments["mean"] == pytest.approx(
+            [est.value.real, est.value.imag], rel=1e-12, abs=1e-15)
+        assert rec.extra["avg_sign"] == est.extra["avg_sign"]
+
+
 def test_cli_flag_overrides(capsys):
     assert main(["oracle", "--nmax", "5"]) == 0
     out = json.loads(capsys.readouterr().out)

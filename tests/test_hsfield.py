@@ -95,6 +95,22 @@ def test_xi_rel_matches_oracle():
     assert abs(est.value.imag) < 5 * max(est.stderr_im, 1e-4)
 
 
+def test_xi_rel_reports_avg_sign():
+    v = delta_potential(G2)
+    est = estimate_xi_rel(BENCH, G2, GRID, v, 2000, seed=4)
+    w = est.extra["weights"]
+    assert len(w) == 2000
+    assert est.value == pytest.approx(np.mean(w), rel=1e-12)
+    assert est.extra["mean_abs_weight"] == pytest.approx(np.mean(np.abs(w)),
+                                                         rel=1e-12)
+    sign = est.extra["avg_sign"]
+    assert 0.0 < sign <= 1.0
+    assert sign == pytest.approx(abs(est.value) / est.extra["mean_abs_weight"],
+                                 rel=1e-12)
+    free = estimate_xi_rel(FREE, G2, GRID, v, 100)
+    assert free.extra["avg_sign"] == 1.0
+
+
 def test_duhamel_free_is_exact():
     v = delta_potential(G2)
     fg = free_green(G2, 1.0, 1.0)

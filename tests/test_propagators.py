@@ -63,16 +63,26 @@ def test_monodromy_contraction():
 
 
 def test_monodromy_batch_matches_loop():
-    g = TorusGeometry(dimension=1, sites_per_side=2)
+    # the fused, stacked kernel against the scalar reference: 2 sites, the 3^3
+    # torus, one site, and a stack of one field (the shape hs_log_weight uses)
     grid = TimeGrid(nu=1.0, n_slices=8)
     rng = np.random.default_rng(1)
-    sig = rng.standard_normal((3, 8, 2))
-    batch = monodromy_batch(g, grid, sig)
-    for s in range(3):
-        assert np.allclose(batch[s], monodromy(g, grid, sig[s]), atol=1e-13)
-    full, pref = monodromy_batch(g, grid, sig, keep_prefixes=[0, 3, 8])
-    assert np.allclose(pref[0][0], np.eye(2))
-    assert np.allclose(pref[8], full)
+    for dim, m, S in [(1, 2, 3), (3, 3, 2), (1, 1, 4), (1, 4, 1)]:
+        g = TorusGeometry(dimension=dim, sites_per_side=m)
+        sig = 2.0 * rng.standard_normal((S, 8, g.n_sites))
+        batch = monodromy_batch(g, grid, sig)
+        assert batch.shape == (S, g.n_sites, g.n_sites)
+        full, pref = monodromy_batch(g, grid, sig, keep_prefixes=[0, 1, 5, 8])
+        assert sorted(pref) == [0, 1, 5, 8]
+        assert np.array_equal(full, batch)
+        for s in range(S):
+            assert np.allclose(batch[s], monodromy(g, grid, sig[s]),
+                               rtol=0, atol=1e-13)
+            assert np.array_equal(pref[0][s], np.eye(g.n_sites))
+            for j in (1, 5, 8):
+                # eps = 1/8 is exact, so the j-slice grid has the same step
+                head = monodromy(g, TimeGrid(nu=j / 8, n_slices=j), sig[s, :j])
+                assert np.allclose(pref[j][s], head, rtol=0, atol=1e-13)
 
 
 def test_free_green_single_site():
