@@ -105,12 +105,11 @@ def _run_limit(cfg: ExperimentConfig, out_path):
     if out_path:
         with open(out_path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["parameter", "estimate_re", "estimate_im",
-                             "stderr_re", "stderr_im", "n", "ess"])
+            writer.writerow(["parameter", "discrepancy", "discrepancy_stderr",
+                             "n_samples"])
             for p, d, e in zip(sweep.parameters, sweep.discrepancies,
                                sweep.errors):
-                writer.writerow([p, d, 0.0, e, 0.0, mc["samples"],
-                                 mc["samples"]])
+                writer.writerow([p, d, e, mc["samples"]])
     print(f"{kind} sweep: discrepancies "
           + ", ".join(f"{d:.5f}" for d in sweep.discrepancies)
           + f" | monotone={sweep.monotone_decreasing} final_ok={sweep.final_ok}")

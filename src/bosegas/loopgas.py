@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1
+from scipy.special import exp1, gammaln
 
 from .lattice import ModelParams, TimeGrid, TorusGeometry, UnsupportedModeError
 from .propagators import circle_heat_kernel, heat_propagator, _spectral_data
@@ -72,9 +72,18 @@ def _rho_constant(params: ModelParams, geom: TorusGeometry, v) -> float:
     """Constant factor exp(-(lam/2)(N rho / nu)^2 |volume| vbar) from the shift."""
     if params.rho == 0.0:
         return 1.0
-    vol = geom.n_sites if geom.mode == "lattice" else geom.circumference
     shift = params.n_species * params.rho / params.nu
-    return float(np.exp(-0.5 * params.lam * shift**2 * vol * v.total()))
+    return float(np.exp(-0.5 * params.lam * shift**2 * _volume(geom) * v.total()))
+
+
+# ---------------------------------------------------------------------------
+# geometry: the only place the loop ensemble tells lattice from circle
+
+_MODE_CUTOFF = 1e-17  # circle modes with v_k below this fraction of v_0 are dropped
+
+
+def _volume(geom: TorusGeometry) -> float:
+    return geom.n_sites if geom.mode == "lattice" else geom.circumference
 
 
 def _diag_heat(geom: TorusGeometry, t: float) -> float:
@@ -85,8 +94,58 @@ def _diag_heat(geom: TorusGeometry, t: float) -> float:
     return circle_heat_kernel(geom.circumference, t, 0.0, 0.0)
 
 
-def _volume(geom: TorusGeometry) -> float:
-    return geom.n_sites if geom.mode == "lattice" else geom.circumference
+def _transition(geom: TorusGeometry, t: float, x, y) -> float:
+    """Transition density p_t(x, y)."""
+    if geom.mode == "lattice":
+        return heat_propagator(geom, t)[x, y]
+    return circle_heat_kernel(geom.circumference, t, float(x), float(y))
+
+
+def _base_points(geom: TorusGeometry, size: int, rng) -> np.ndarray:
+    """Uniform base points: sites on the lattice, positions on the circle."""
+    if geom.mode == "lattice":
+        return rng.integers(geom.n_sites, size=size)
+    return rng.random(size) * geom.circumference
+
+
+def _bridges(geom: TorusGeometry, grid: TimeGrid, starts, ends, T: float,
+             n_steps: int, rng) -> np.ndarray:
+    """(S, n_steps + 1) paths pinned at both ends over duration T."""
+    if geom.mode == "lattice":
+        return _lattice_bridges(geom, starts, ends, n_steps, grid.eps, rng)
+    return _circle_bridges(geom.circumference, starts, ends, T, n_steps, rng)
+
+
+def _pair_form(geom: TorusGeometry, v):
+    """Feature map f and matrix M with sum_{a in A, b in B} v(a - b) = f(A).M.f(B).
+
+    f(A) sums one feature vector per position.  Lattice: the site indicator,
+    so f counts visits per site and M is v(x - y).  Circle: the count and
+    cos / sin (2 pi k x / L) for k = 1..K, M = diag(v_0, 2 v_k, 2 v_k), with K
+    taken where the Fourier coefficients fall below _MODE_CUTOFF * v_0.
+    """
+    if geom.mode == "lattice":
+        sites = np.arange(geom.n_sites)
+        return (lambda pos: (pos[..., None] == sites).astype(float)), v.matrix()
+    k_max = 32
+    vhat = v.fourier_coefficients(k_max)
+    while abs(vhat[-1]) > _MODE_CUTOFF * abs(vhat[0]):
+        k_max *= 2
+        vhat = v.fourier_coefficients(k_max)
+    K = int(np.flatnonzero(np.abs(vhat) > _MODE_CUTOFF * abs(vhat[0])).max(initial=0))
+    waves = 2.0 * np.pi / geom.circumference * np.arange(1, K + 1)
+
+    def features(pos):
+        arg = pos[..., None] * waves
+        return np.concatenate([np.ones(arg.shape[:-1] + (1,)), np.cos(arg), np.sin(arg)],
+                              axis=-1)
+
+    return features, np.diag(np.concatenate([vhat[:1], 2.0 * vhat[1:K + 1],
+                                             2.0 * vhat[1:K + 1]]))
+
+
+# ---------------------------------------------------------------------------
+# free loop sums
 
 
 def free_loop_sum(geom: TorusGeometry, nu: float, kappa0: float, l_max: int) -> float:
@@ -167,21 +226,12 @@ def sample_bridge(geom: TorusGeometry, x, y, T: float, grid: TimeGrid,
     n_steps = int(round(T / grid.eps))
     if abs(n_steps * grid.eps - T) > 1e-9 * max(T, 1.0):
         raise ValueError("duration must be a multiple of the grid step")
-    if geom.mode == "lattice":
-        pos = _lattice_bridges(geom, np.array([x]), np.array([y]),
-                               n_steps, grid.eps, rng)[0]
-    else:
-        pos = _circle_bridges(geom.circumference, np.array([float(x)]),
-                              np.array([float(y)]), T, n_steps, rng)[0]
+    pos = _bridges(geom, grid, np.array([x]), np.array([y]), T, n_steps, rng)[0]
     return GridPath(positions=pos, eps=grid.eps, start_slice=start_slice)
 
 
 # ---------------------------------------------------------------------------
 # pair interaction
-
-
-def _v_circle(vpot, d: np.ndarray) -> np.ndarray:
-    return vpot(d)
 
 
 def loop_interaction_Vnu(path1: GridPath, path2: GridPath, n_tau: int, v,
@@ -190,7 +240,8 @@ def loop_interaction_Vnu(path1: GridPath, path2: GridPath, n_tau: int, v,
 
     Left-endpoint quadrature: the final (repeated) position of each path is
     excluded.  Self-pairing path1 is path2 is allowed and includes the
-    diagonal terms.
+    diagonal terms.  This direct sum is the reference for the batched slice
+    densities of the loop ensemble.
     """
     if abs(path1.eps - path2.eps) > 1e-12:
         raise ValueError("paths live on different grids")
@@ -210,12 +261,13 @@ def loop_interaction_Vnu(path1: GridPath, path2: GridPath, n_tau: int, v,
         if geom.mode == "lattice":
             total += vmat[np.ix_(a, b)].sum()
         else:
-            total += _v_circle(v, a[:, None] - b[None, :]).sum()
+            total += v(a[:, None] - b[None, :]).sum()
     return 0.5 * eps * total
 
 
 # ---------------------------------------------------------------------------
-# loop-ensemble machinery (batched)
+# loop ensemble (batched): paths become slice densities phi of shape
+# (..., n_tau, F), and a pair sum is (eps/2) sum_t phi_t . M . phi'_t
 
 
 def _sample_windings(act: np.ndarray, shape, rng) -> np.ndarray:
@@ -224,84 +276,39 @@ def _sample_windings(act: np.ndarray, shape, rng) -> np.ndarray:
     return rng.choice(np.arange(1, len(act) + 1), size=shape, p=probs)
 
 
-def _loops_lattice_counts(geom, grid, n, act, samples, rng):
-    """Per-sample occupation counts (S, n_tau, n_sites) of n i.i.d. loops."""
-    n_tau = grid.n_slices
-    C = np.zeros((samples, n_tau, geom.n_sites))
-    if n == 0:
-        return C
-    W = _sample_windings(act, (samples, n), rng)
-    tt = np.arange(n_tau)
-    for ell in range(1, len(act) + 1):
-        si, _ = np.nonzero(W == ell)
-        m = len(si)
-        if m == 0:
-            continue
-        starts = rng.integers(geom.n_sites, size=m)
-        pos = _lattice_bridges(geom, starts, starts, ell * n_tau, grid.eps, rng)
-        body = pos[:, :-1].reshape(m, ell, n_tau)
-        np.add.at(C, (si[:, None, None], tt[None, None, :], body), 1.0)
-    return C
+def _slice_density(features, pos: np.ndarray, start: int, n_tau: int) -> np.ndarray:
+    """(S, n_tau, F) feature sums per phase of paths pos (S, K) begun on phase start."""
+    phases = (start + np.arange(pos.shape[1])) % n_tau
+    return (np.arange(n_tau)[:, None] == phases).astype(float) @ features(pos)
 
 
-def _loops_circle_positions(geom, grid, n, act, samples, rng):
-    """Padded positions (S, R, n_tau) and entry mask of the same shape.
+def _loop_densities(geom, grid, form, act, shape, rng) -> np.ndarray:
+    """Slice densities (*shape, n_tau, F) of i.i.d. activity-sampled loops.
 
-    Each winding-l loop contributes l rows (one per traversed period); padded
-    entries are masked out of the pair sums.
+    Draws the windings, then per winding the base points and the bridges.
     """
+    features, M = form
     n_tau = grid.n_slices
-    if n == 0:
-        return np.zeros((samples, 0, n_tau)), np.zeros((samples, 0, n_tau), dtype=bool)
-    W = _sample_windings(act, (samples, n), rng)
-    rows_per_sample = W.sum(axis=1)
-    R = int(rows_per_sample.max())
-    pos_pad = np.zeros((samples, R, n_tau))
-    mask = np.zeros((samples, R, n_tau), dtype=bool)
-    next_row = np.zeros(samples, dtype=np.int64)
-    L = geom.circumference
+    W = _sample_windings(act, shape, rng)
+    phi = np.zeros(shape + (n_tau, len(M)))
     for ell in range(1, len(act) + 1):
-        si, _ = np.nonzero(W == ell)
-        m = len(si)
+        idx = np.nonzero(W == ell)
+        m = len(idx[0])
         if m == 0:
             continue
-        starts = rng.random(m) * L
-        pos = _circle_bridges(L, starts, starts, ell * grid.nu,
-                              ell * n_tau, rng)
-        body = pos[:, :-1].reshape(m, ell, n_tau)
-        for j, s in enumerate(si):
-            r0 = next_row[s]
-            pos_pad[s, r0:r0 + ell, :] = body[j]
-            mask[s, r0:r0 + ell, :] = True
-            next_row[s] += ell
-    return pos_pad, mask
+        starts = _base_points(geom, m, rng)
+        pos = _bridges(geom, grid, starts, starts, ell * grid.nu, ell * n_tau, rng)
+        phi[idx] = _slice_density(features, pos[:, :-1], 0, n_tau)
+    return phi
 
 
-def _lattice_pair_sum(C: np.ndarray, vmat: np.ndarray, eps: float) -> np.ndarray:
-    """(eps/2) sum_t c_t . v . c_t per sample, all ordered visit pairs."""
-    return 0.5 * eps * np.einsum("stx,xy,sty->s", C, vmat, C)
-
-
-def _circle_pair_sum(pos: np.ndarray, mask: np.ndarray, v, eps: float,
-                     block: int = 512) -> np.ndarray:
-    """Masked all-pairs interaction per sample; mask has shape (S, R, n_tau)."""
-    S, R, n_tau = pos.shape
-    if R == 0:
-        return np.zeros(S)
-    out = np.empty(S)
-    for lo in range(0, S, block):
-        hi = min(lo + block, S)
-        d = pos[lo:hi, :, None, :] - pos[lo:hi, None, :, :]
-        vv = _v_circle(v, d)
-        vv *= mask[lo:hi, :, None, :] & mask[lo:hi, None, :, :]
-        out[lo:hi] = vv.sum(axis=(1, 2, 3))
-    return 0.5 * eps * out
+def _pair_sum(phi: np.ndarray, M: np.ndarray, eps: float) -> np.ndarray:
+    """(eps/2) sum_t phi_t . M . phi_t per sample, all ordered visit pairs."""
+    return 0.5 * eps * np.einsum("stx,xy,sty->s", phi, M, phi)
 
 
 def _series_coefficients(n_species: float, A: float, n_max: int) -> np.ndarray:
     """(N A)^n / n! for n = 1..n_max."""
-    from scipy.special import gammaln
-
     n = np.arange(1, n_max + 1)
     if n_species * A <= 0:
         return np.zeros(n_max)
@@ -319,55 +326,35 @@ class LoopSeries:
 
 
 def _raw_series_samples(params, geom, grid, v, n_max, l_max, samples, rng,
-                        extra_counts=None, extra_positions=None):
+                        open_density=None):
     """Per-sample values of sum_n (N^n/n!) A^n W_n, optionally with an open path.
 
-    extra_counts / extra_positions hold the open path's visits; when given, the
-    returned pair is (with-open, loops-only) so ratio estimators stay aligned.
+    open_density holds the open path's slice densities; when given, the
+    returned pair is (loops-only, with-open) so ratio estimators stay aligned.
     """
     kappa = kappa_eff(params, v)
     act = activity_table(geom, grid.nu, kappa, l_max)
     A = float(act.sum())
     coef = _series_coefficients(params.n_species, A, n_max)
+    form = _pair_form(geom, v)
+    M = form[1]
     lam_over_nu = params.lam / params.nu
-    with_open = extra_counts is not None or extra_positions is not None
-    base = np.ones(samples, dtype=float)
-    series = base.copy()
-    series_open = np.zeros(samples)
+    with_open = open_density is not None
+    series = np.ones(samples)
     if with_open:
-        if geom.mode == "lattice":
-            vmat = v.matrix()
-            v00 = _lattice_pair_sum(extra_counts, vmat, grid.eps)
-        else:
-            pos0, mask0 = extra_positions
-            v00 = _circle_pair_sum(pos0, mask0, v, grid.eps)
-        series_open = np.exp(-lam_over_nu * v00)  # n = 0 term with self-energy
-    if geom.mode == "lattice":
-        vmat = v.matrix()
-        for n in range(1, n_max + 1):
-            C = _loops_lattice_counts(geom, grid, n, act, samples, rng)
-            w_loops = np.exp(-lam_over_nu * _lattice_pair_sum(C, vmat, grid.eps))
-            series += coef[n - 1] * w_loops
-            if with_open:
-                w_full = np.exp(-lam_over_nu * _lattice_pair_sum(
-                    C + extra_counts, vmat, grid.eps))
-                series_open += coef[n - 1] * w_full
-    else:
-        for n in range(1, n_max + 1):
-            pos, mask = _loops_circle_positions(geom, grid, n, act, samples, rng)
-            w_loops = np.exp(-lam_over_nu * _circle_pair_sum(pos, mask, v, grid.eps))
-            series += coef[n - 1] * w_loops
-            if with_open:
-                pos0, mask0 = extra_positions
-                pos_j = np.concatenate([pos, pos0], axis=1)
-                mask_j = np.concatenate([mask, mask0], axis=1)
-                w_full = np.exp(-lam_over_nu * _circle_pair_sum(pos_j, mask_j, v, grid.eps))
-                series_open += coef[n - 1] * w_full
+        # n = 0 term with self-energy
+        series_open = np.exp(-lam_over_nu * _pair_sum(open_density, M, grid.eps))
+    for n in range(1, n_max + 1):
+        phi = _loop_densities(geom, grid, form, act, (samples, n), rng).sum(axis=1)
+        series += coef[n - 1] * np.exp(-lam_over_nu * _pair_sum(phi, M, grid.eps))
+        if with_open:
+            series_open += coef[n - 1] * np.exp(
+                -lam_over_nu * _pair_sum(phi + open_density, M, grid.eps))
     q0 = free_loop_sum(geom, grid.nu, params.kappa0, l_max)
     na = params.n_species * A
     if na > 0:
         tail = 1.0 - np.exp(-na) * sum(
-            np.exp(k * np.log(na) - _lgamma(k)) if k else 1.0 for k in range(n_max + 1))
+            np.exp(k * np.log(na) - gammaln(k + 1)) if k else 1.0 for k in range(n_max + 1))
     else:
         tail = 0.0
     ls = LoopSeries(series_samples=series, activity=A, q_free=q0,
@@ -375,12 +362,6 @@ def _raw_series_samples(params, geom, grid, v, n_max, l_max, samples, rng,
     if with_open:
         return ls, series_open
     return ls
-
-
-def _lgamma(k):
-    from scipy.special import gammaln
-
-    return gammaln(k + 1)
 
 
 def xi_rel_series(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
@@ -425,11 +406,7 @@ def _open_weights(params, geom, grid, v, s: float, x, x_p, l_max: int):
         if T <= 0:
             out.append(0.0)
             continue
-        if geom.mode == "lattice":
-            p = heat_propagator(geom, T)[x, x_p]
-        else:
-            p = circle_heat_kernel(geom.circumference, T, float(x), float(x_p))
-        out.append(np.exp(-kappa * T) * p)
+        out.append(np.exp(-kappa * T) * _transition(geom, T, x, x_p))
     return np.asarray(out)
 
 
@@ -458,11 +435,7 @@ def duhamel_loopgas(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
         while True:
             T = s + l0 * nu
             if T > 0:
-                if geom.mode == "lattice":
-                    p = heat_propagator(geom, T)[x, x_p]
-                else:
-                    p = circle_heat_kernel(geom.circumference, T, float(x), float(x_p))
-                term = np.exp(-params.kappa0 * T) * p
+                term = np.exp(-params.kappa0 * T) * _transition(geom, T, x, x_p)
                 total += term
                 if term < 1e-16 and l0 > 1:
                     break
@@ -476,44 +449,18 @@ def duhamel_loopgas(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
     probs = bvec / B
     l0s = rng.choice(np.arange(l_max + 1), size=samples, p=probs)
     n_tau = grid.n_slices
-    if geom.mode == "lattice":
-        C0 = np.zeros((samples, n_tau, geom.n_sites))
-        for l0 in np.unique(l0s):
-            si = np.nonzero(l0s == l0)[0]
-            K = int(round(s / grid.eps)) + l0 * n_tau
-            if K == 0:
-                continue
-            pos = _lattice_bridges(geom, np.full(len(si), x_p),
-                                   np.full(len(si), x), K, grid.eps, rng)
-            body = pos[:, :-1]
-            phases = (j_lo + np.arange(K)) % n_tau
-            np.add.at(C0, (si[:, None], phases[None, :], body), 1.0)
-        ls, series_open = _raw_series_samples(params, geom, grid, v, n_max,
-                                              l_max, samples, rng,
-                                              extra_counts=C0)
-    else:
-        Kmax = int(round(s / grid.eps)) + l_max * n_tau
-        Rmax = (j_lo + Kmax - 1) // n_tau + 1
-        pos0 = np.zeros((samples, Rmax, n_tau))
-        mask0 = np.zeros((samples, Rmax, n_tau), dtype=bool)
-        # circle open paths stored row-per-period with per-entry masks
-        for l0 in np.unique(l0s):
-            si = np.nonzero(l0s == l0)[0]
-            K = int(round(s / grid.eps)) + l0 * n_tau
-            if K == 0:
-                continue
-            T = s + l0 * nu
-            pos = _circle_bridges(geom.circumference,
-                                  np.full(len(si), float(x_p)),
-                                  np.full(len(si), float(x)), T, K, rng)
-            body = pos[:, :-1]
-            phases = (j_lo + np.arange(K)) % n_tau
-            rows = (j_lo + np.arange(K)) // n_tau
-            pos0[si[:, None], rows[None, :], phases[None, :]] = body
-            mask0[si[:, None], rows[None, :], phases[None, :]] = True
-        ls, series_open = _raw_series_samples(params, geom, grid, v, n_max,
-                                              l_max, samples, rng,
-                                              extra_positions=(pos0, mask0))
+    features, M = _pair_form(geom, v)
+    phi0 = np.zeros((samples, n_tau, len(M)))
+    for l0 in np.unique(l0s):
+        si = np.nonzero(l0s == l0)[0]
+        K = int(round(s / grid.eps)) + l0 * n_tau
+        if K == 0:
+            continue
+        pos = _bridges(geom, grid, np.full(len(si), x_p), np.full(len(si), x),
+                       s + l0 * nu, K, rng)
+        phi0[si] = _slice_density(features, pos[:, :-1], j_lo, n_tau)
+    ls, series_open = _raw_series_samples(params, geom, grid, v, n_max, l_max,
+                                          samples, rng, open_density=phi0)
     est = ratio_estimate(B * series_open, ls.series_samples, seed=seed)
     est.extra.update(species_diagonal=True, open_weight=B, tail_rel=ls.tail_rel)
     return est
@@ -603,7 +550,7 @@ def symanzik_series(params: ModelParams, geom: TorusGeometry, v,
             np.add.at(qvec, (np.arange(samples)[:, None].repeat(nq, 1), pos), wq)
             act_w *= geom.n_sites * norm_t * _diag_heat_vec(geom, Ti)
         pair = 0.5 * np.einsum("sx,xy,sy->s", qvec, vmat, qvec)
-        series += N**n / np.exp(_lgamma(n)) * act_w * np.exp(-lam_cl * pair)
+        series += N**n / np.exp(gammaln(n + 1)) * act_w * np.exp(-lam_cl * pair)
     est = mean_estimate(const * np.exp(-N * q0) * series, seed=seed)
     est.extra.update(q0=q0, activity=a_delta, kappa_delta=sym.kappa_delta)
     return est

@@ -13,16 +13,13 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from .lattice import CapacityError, ModelParams, TimeGrid, TorusGeometry
 from .loopgas import (
     GridPath,
-    _circle_bridges,
-    _circle_pair_sum,
-    _lattice_bridges,
-    _lattice_pair_sum,
-    _lgamma,
-    _sample_windings,
+    _loop_densities,
+    _pair_form,
     activity_table,
     free_loop_sum,
     kappa_eff,
@@ -116,57 +113,11 @@ def mayer_factor(path1: GridPath, path2: GridPath, params: ModelParams,
     return float(np.expm1(-params.lam / params.nu * vval))
 
 
-def _pair_matrix(params, geom, grid, v, n, act, samples, rng):
+def _pair_matrix(geom, grid, v, n, act, samples, rng):
     """(samples, n, n) matrix of V_nu(w_i, w_j) for n i.i.d. activity loops."""
-    n_tau = grid.n_slices
-    vmat_out = np.zeros((samples, n, n))
-    W = _sample_windings(act, (samples, n), rng)
-    if geom.mode == "lattice":
-        vmat = v.matrix()
-        counts = np.zeros((samples, n, n_tau, geom.n_sites))
-        tt = np.arange(n_tau)
-        for ell in range(1, len(act) + 1):
-            si, li = np.nonzero(W == ell)
-            m = len(si)
-            if m == 0:
-                continue
-            starts = rng.integers(geom.n_sites, size=m)
-            pos = _lattice_bridges(geom, starts, starts, ell * n_tau, grid.eps, rng)
-            body = pos[:, :-1].reshape(m, ell, n_tau)
-            np.add.at(counts, (si[:, None, None], li[:, None, None],
-                               tt[None, None, :], body), 1.0)
-        vmat_out = 0.5 * grid.eps * np.einsum(
-            "sitx,xy,sjty->sij", counts, vmat, counts)
-    else:
-        L = geom.circumference
-        lmax_rows = int(W.max())
-        pos_pad = np.zeros((samples, n, lmax_rows, n_tau))
-        mask = np.zeros((samples, n, lmax_rows, n_tau), dtype=bool)
-        for ell in range(1, len(act) + 1):
-            si, li = np.nonzero(W == ell)
-            m = len(si)
-            if m == 0:
-                continue
-            starts = rng.random(m) * L
-            pos = _circle_bridges(L, starts, starts, ell * grid.nu,
-                                  ell * n_tau, rng)
-            body = pos[:, :-1].reshape(m, ell, n_tau)
-            pos_pad[si, li, :ell, :] = body
-            mask[si, li, :ell, :] = True
-        for i in range(n):
-            for j in range(i, n):
-                pi = np.concatenate([pos_pad[:, i], pos_pad[:, j]], axis=1)
-                mi = np.concatenate([mask[:, i], mask[:, j]], axis=1)
-                both = _circle_pair_sum(pi, mi, v, grid.eps)
-                vii = _circle_pair_sum(pos_pad[:, i], mask[:, i], v, grid.eps)
-                vjj = _circle_pair_sum(pos_pad[:, j], mask[:, j], v, grid.eps)
-                if i == j:
-                    vmat_out[:, i, i] = vii
-                else:
-                    cross = 0.5 * (both - vii - vjj)
-                    vmat_out[:, i, j] = cross
-                    vmat_out[:, j, i] = cross
-    return vmat_out
+    form = _pair_form(geom, v)
+    phi = _loop_densities(geom, grid, form, act, (samples, n), rng)
+    return 0.5 * grid.eps * np.einsum("sitx,xy,sjty->sij", phi, form[1], phi)
 
 
 @dataclass
@@ -191,7 +142,7 @@ def ursell_coefficient(n: int, params: ModelParams, geom: TorusGeometry,
     kappa = kappa_eff(params, v)
     act = activity_table(geom, grid.nu, kappa, l_max)
     A = float(act.sum())
-    prefac = params.n_species**n * A**n / float(np.exp(_lgamma(n)))
+    prefac = params.n_species**n * A**n / float(np.exp(gammaln(n + 1)))
     if n == 1:
         if params.lam == 0.0:
             return UrsellResult(value=prefac, stderr=0.0, tree_bound_max=0.0,
@@ -200,7 +151,7 @@ def ursell_coefficient(n: int, params: ModelParams, geom: TorusGeometry,
         return UrsellResult(value=0.0, stderr=0.0, tree_bound_max=0.0,
                             n_samples=samples)
     rng = np.random.default_rng(seed)
-    vpair = _pair_matrix(params, geom, grid, v, n, act, samples, rng)
+    vpair = _pair_matrix(geom, grid, v, n, act, samples, rng)
     lam_over_nu = params.lam / params.nu
     selfs = np.exp(-lam_over_nu * np.einsum("sii->si", vpair)).prod(axis=1)
     gfac = np.expm1(-2.0 * lam_over_nu * vpair)  # doubled: ordered pair sum

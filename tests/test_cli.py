@@ -120,8 +120,8 @@ def test_limit_command_csv(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     assert main(["limit", "--config", str(cfg), "--out", str(out_path)]) == 0
     lines = out_path.read_text().strip().splitlines()
-    assert lines[0].split(",") == ["parameter", "estimate_re", "estimate_im",
-                                   "stderr_re", "stderr_im", "n", "ess"]
+    assert lines[0].split(",") == ["parameter", "discrepancy",
+                                   "discrepancy_stderr", "n_samples"]
     assert len(lines) == 3
     assert float(lines[1].split(",")[0]) == 0.5
 

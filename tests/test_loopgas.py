@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from bosegas.fock import duhamel_exact, xi_exact
-from bosegas.lattice import (ModelParams, TimeGrid, TorusGeometry,
-                             UnsupportedModeError, delta_potential)
+from bosegas.lattice import (CirclePotential, ModelParams, TimeGrid,
+                             TorusGeometry, UnsupportedModeError,
+                             delta_potential, wrapped_gaussian_potential)
 from bosegas.loopgas import (GridPath, SymanzikParams, _lattice_bridges,
-                             activity_table, duhamel_loopgas, free_loop_sum,
-                             kappa_eff, loop_interaction_Vnu, make_symanzik,
-                             sample_bridge, symanzik_series, xi_rel_series)
+                             _pair_form, _slice_density, activity_table,
+                             duhamel_loopgas, free_loop_sum, kappa_eff,
+                             loop_interaction_Vnu, make_symanzik, sample_bridge,
+                             symanzik_series, xi_rel_series)
 from bosegas.propagators import free_green, heat_propagator
 
 G1 = TorusGeometry(dimension=1, sites_per_side=1)
@@ -81,6 +83,31 @@ def test_loop_interaction_phase_alignment():
     p1 = GridPath(positions=np.zeros(2, dtype=int), eps=GRID.eps, start_slice=0)
     p2 = GridPath(positions=np.zeros(2, dtype=int), eps=GRID.eps, start_slice=5)
     assert loop_interaction_Vnu(p1, p2, 32, v, G1) == 0.0
+
+
+@pytest.mark.parametrize("geom, v, grid, ends, duration", [
+    (G2, wrapped_gaussian_potential(G2, width=0.7), GRID, (0, 1), 1.375),
+    (TorusGeometry(dimension=1, mode="circle", circumference=4.0),
+     CirclePotential(4.0, strength=1.0, width=0.5), TimeGrid(nu=0.4, n_slices=16),
+     (0.3, 2.9), 0.55),
+])
+def test_slice_densities_reproduce_pair_interaction(geom, v, grid, ends, duration):
+    # phi_i . M . phi_j summed over phases equals the direct pair sum V_nu,
+    # self-pairs included; on the circle the tolerance pins the Fourier
+    # cutoff at double precision (dropping modes below 1e-13 v_0 misses it)
+    n_tau = grid.n_slices
+    x, y = ends
+    paths = [sample_bridge(geom, x, x, grid.nu, grid, seed=1),
+             sample_bridge(geom, y, y, 2 * grid.nu, grid, seed=2),
+             sample_bridge(geom, x, y, duration, grid, seed=3, start_slice=5)]
+    features, M = _pair_form(geom, v)
+    phi = [_slice_density(features, p.positions[None, :-1], p.start_slice, n_tau)[0]
+           for p in paths]
+    for i, pi in enumerate(paths):
+        for j, pj in enumerate(paths):
+            want = loop_interaction_Vnu(pi, pj, n_tau, v, geom)
+            got = 0.5 * grid.eps * np.einsum("tx,xy,ty->", phi[i], M, phi[j])
+            assert abs(got - want) <= 1e-14 * abs(want)
 
 
 def test_xi_rel_series_free():

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from bosegas.fock import xi_exact
-from bosegas.lattice import (CapacityError, ModelParams, TimeGrid,
-                             TorusGeometry, delta_potential)
-from bosegas.loopgas import GridPath, free_loop_sum
+from bosegas.lattice import (CapacityError, CirclePotential, ModelParams,
+                             TimeGrid, TorusGeometry, delta_potential)
+from bosegas.limits import activity_to_kappa
+from bosegas.loopgas import GridPath, free_loop_sum, xi_rel_series
 from bosegas.mayer import (enumerate_connected, log_xi_rel_partial,
                            mayer_factor, n_polynomial, ursell_coefficient)
 
@@ -75,6 +76,21 @@ def test_partial_sum_matches_oracle():
     diff = abs(est.value.real - want)
     assert diff < max(0.01 * abs(want), 4 * est.stderr_re)
     assert set(est.extra["orders"]) == {1, 2, 3}
+
+
+def test_partial_sum_matches_series_on_circle():
+    # same rule as the lattice oracle test; the reference here is the loop
+    # series itself, so its error enters sigma
+    circle = TorusGeometry(dimension=1, mode="circle", circumference=4.0)
+    v = CirclePotential(4.0, strength=1.0, width=0.5)
+    grid = TimeGrid(nu=0.4, n_slices=16)
+    p = ModelParams(nu=0.4, kappa0=activity_to_kappa(0.5, 0.4, 1), lambda0=0.25)
+    series = xi_rel_series(p, circle, grid, v, 6, 5, 2000, seed=2)
+    want = np.log(series.value.real)
+    est = log_xi_rel_partial(p, circle, grid, v, 3, 5, 500, seed=2)
+    sigma = np.hypot(est.stderr_re, series.stderr_re / series.value.real)
+    assert abs(est.value.real - want) < 4 * sigma + 0.01 * abs(want)
+    assert not series.extra["truncation_flag"]
 
 
 def test_alternating_order_magnitudes():
