@@ -184,11 +184,6 @@ def xi_exact(params: ModelParams, geom: TorusGeometry, v: TwoBodyPotential,
     )
 
 
-def _eig_cache(H: np.ndarray):
-    evals, evecs = np.linalg.eigh(H)
-    return evals, evecs
-
-
 def duhamel_exact(params: ModelParams, geom: TorusGeometry, v: TwoBodyPotential,
                   n_max: int, tau: float, x: int, tau_p: float, x_p: int,
                   n_species_int: int | None = None) -> float:
@@ -204,7 +199,7 @@ def duhamel_exact(params: ModelParams, geom: TorusGeometry, v: TwoBodyPotential,
     if n_species_int is None:
         n_species_int = int(round(params.n_species))
     op = build_hamiltonian(params, geom, v, n_max, n_species_int)
-    evals, evecs = _eig_cache(op.matrix)
+    evals, evecs = np.linalg.eigh(op.matrix)
     # evolution over tau in [0, nu) is generated by H / nu
     e_hat = evals / nu
     e_hat = e_hat - e_hat.min()  # common shift cancels in the ratio
@@ -227,7 +222,7 @@ def gamma1_exact(params: ModelParams, geom: TorusGeometry, v: TwoBodyPotential,
     if n_species_int is None:
         n_species_int = int(round(params.n_species))
     op = build_hamiltonian(params, geom, v, n_max, n_species_int)
-    evals, evecs = _eig_cache(op.matrix)
+    evals, evecs = np.linalg.eigh(op.matrix)
     w = np.exp(-(evals - evals.min()))
     xi = w.sum()
     n = geom.n_sites

@@ -133,16 +133,19 @@ def _classical_integral_circle(L, v, lambda0, n, gl_points, max_panels, tol):
             weights.append(0.5 * (b - a) * weights0)
         nodes = np.concatenate(nodes)
         weights = np.concatenate(weights)
-        # first position fixed at 0 by translation invariance
-        grids = np.meshgrid(*([nodes] * (n - 1)), indexing="ij")
-        wgrids = np.meshgrid(*([weights] * (n - 1)), indexing="ij")
-        pts = np.stack([np.zeros_like(grids[0].ravel())]
-                       + [g.ravel() for g in grids], axis=1)
-        wts = np.prod([w.ravel() for w in wgrids], axis=0)
-        energy = np.zeros(len(pts))
-        for i in range(n):
+        # first position fixed at 0 by translation invariance; v is taken
+        # once on the node differences and gathered for every pair
+        idx = [g.ravel() for g in np.meshgrid(*([np.arange(len(nodes))] * (n - 1)),
+                                              indexing="ij")]
+        wts = np.prod([weights[i] for i in idx], axis=0)
+        v_origin = v(0.0 - nodes)
+        v_nodes = v(nodes[:, None] - nodes[None, :])
+        energy = np.zeros(len(idx[0]))
+        for j in range(1, n):
+            energy += v_origin[idx[j - 1]]
+        for i in range(1, n):
             for j in range(i + 1, n):
-                energy += v(pts[:, i] - pts[:, j])
+                energy += v_nodes[idx[i - 1], idx[j - 1]]
         val = L * self_part * float(np.sum(wts * np.exp(-lambda0 * energy)))
         if prev is not None and abs(val - prev) <= tol * max(abs(val), 1.0):
             return val, True

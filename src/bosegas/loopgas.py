@@ -108,40 +108,100 @@ def _base_points(geom: TorusGeometry, size: int, rng) -> np.ndarray:
     return rng.random(size) * geom.circumference
 
 
-def _bridges(geom: TorusGeometry, grid: TimeGrid, starts, ends, T: float,
-             n_steps: int, rng) -> np.ndarray:
-    """(S, n_steps + 1) paths pinned at both ends over duration T."""
+def _bridges(geom: TorusGeometry, grid: TimeGrid, starts, ends, steps,
+             rng) -> np.ndarray:
+    """Paths of steps[i] grid steps pinned at starts[i] and ends[i], end-aligned.
+
+    Returns (S, k_max + 1) positions with k_max = max(steps): path i fills
+    columns k_max - steps[i] .. k_max and holds its start point in the columns
+    before, so every path ends on the last column.  Lattice paths are drawn in
+    one forward pass over the whole batch (`_lattice_bridges`); circle paths
+    are Gaussian bridges, one vectorized group per step count.
+    """
+    steps = np.asarray(steps)
+    starts = np.asarray(starts)
+    ends = np.asarray(ends)
     if geom.mode == "lattice":
-        return _lattice_bridges(geom, starts, ends, n_steps, grid.eps, rng)
-    return _circle_bridges(geom.circumference, starts, ends, T, n_steps, rng)
+        return _lattice_bridges(geom, starts, ends, steps, grid.eps, rng)
+    k_max = int(steps.max())
+    pos = np.repeat(starts.astype(float)[:, None], k_max + 1, axis=1)
+    for K in np.unique(steps):
+        rows = np.nonzero(steps == K)[0]
+        pos[rows, k_max - K:] = _circle_bridges(geom.circumference, starts[rows],
+                                                ends[rows], K * grid.eps, K, rng)
+    return pos
+
+
+def _path_densities(geom: TorusGeometry, grid: TimeGrid, form, starts, ends,
+                    steps, start: int, rng) -> np.ndarray:
+    """(S, n_tau, F) slice densities of pinned paths begun on phase start.
+
+    One bridge pass for all paths; the density of each step count's
+    end-aligned block leaves out its final (pinned) position.
+    """
+    density, M = form
+    pos = _bridges(geom, grid, starts, ends, steps, rng)
+    k_end = pos.shape[1] - 1
+    phi = np.empty((len(steps), grid.n_slices, len(M)))
+    for K in np.unique(steps):
+        rows = np.nonzero(steps == K)[0]
+        phi[rows] = density(pos[rows, k_end - K:k_end], start, grid.n_slices)
+    return phi
 
 
 def _pair_form(geom: TorusGeometry, v):
-    """Feature map f and matrix M with sum_{a in A, b in B} v(a - b) = f(A).M.f(B).
+    """Slice-density map and matrix M with sum_{a in A, b in B} v(a - b) = phi(A).M.phi(B).
 
-    f(A) sums one feature vector per position.  Lattice: the site indicator,
-    so f counts visits per site and M is v(x - y).  Circle: the count and
-    cos / sin (2 pi k x / L) for k = 1..K, M = diag(v_0, 2 v_k, 2 v_k), with K
-    taken where the Fourier coefficients fall below _MODE_CUTOFF * v_0.
+    density(pos, start, n_tau) maps paths pos (S, P), whose first position
+    sits on phase start, to their (S, n_tau, F) feature sums per phase.
+    Lattice: visit counts per site (one `bincount`), M = v(x - y).  Circle:
+    the count and the cos / sin (2 pi k x / L) sums for k = 1..K,
+    M = diag(v_0, 2 v_k, 2 v_k), with K taken where the Fourier coefficients
+    fall below _MODE_CUTOFF * v_0; mode k is the k-th power of one
+    exp(2 pi i x / L) per position, summed per phase by folding the
+    zero-padded positions into (blocks, n_tau), which is the product with the
+    (positions x n_tau) phase one-hot without its multiplications by zero.
     """
     if geom.mode == "lattice":
-        sites = np.arange(geom.n_sites)
-        return (lambda pos: (pos[..., None] == sites).astype(float)), v.matrix()
+        n = geom.n_sites
+
+        def counts(pos, start, n_tau):
+            S, P = pos.shape
+            phases = (start + np.arange(P)) % n_tau
+            cell = (np.arange(S)[:, None] * n_tau + phases) * n + pos
+            return np.bincount(cell.ravel(), minlength=S * n_tau * n).reshape(
+                S, n_tau, n).astype(float)
+
+        return counts, v.matrix()
     k_max = 32
     vhat = v.fourier_coefficients(k_max)
     while abs(vhat[-1]) > _MODE_CUTOFF * abs(vhat[0]):
         k_max *= 2
         vhat = v.fourier_coefficients(k_max)
     K = int(np.flatnonzero(np.abs(vhat) > _MODE_CUTOFF * abs(vhat[0])).max(initial=0))
-    waves = 2.0 * np.pi / geom.circumference * np.arange(1, K + 1)
+    wave = 2.0 * np.pi / geom.circumference
 
-    def features(pos):
-        arg = pos[..., None] * waves
-        return np.concatenate([np.ones(arg.shape[:-1] + (1,)), np.cos(arg), np.sin(arg)],
-                              axis=-1)
+    def mode_sums(pos, start, n_tau):
+        S, P = pos.shape
+        lead = start % n_tau
+        blocks = -(-(lead + P) // n_tau)
+        z = np.zeros((S, blocks * n_tau), dtype=complex)  # zero outside the path
+        arg = wave * pos
+        np.cos(arg, out=z[:, lead:lead + P].real)
+        np.sin(arg, out=z[:, lead:lead + P].imag)
+        phi = np.empty((S, 2 * K + 1, n_tau))  # phase-last: each mode is written in runs
+        phi[:, 0] = np.bincount((lead + np.arange(P)) % n_tau, minlength=n_tau)
+        zk = z
+        for k in range(1, K + 1):
+            if k > 1:
+                zk = zk * z
+            sums = zk.reshape(S, blocks, n_tau).sum(axis=1)
+            phi[:, k] = sums.real
+            phi[:, K + k] = sums.imag
+        return phi.transpose(0, 2, 1)
 
-    return features, np.diag(np.concatenate([vhat[:1], 2.0 * vhat[1:K + 1],
-                                             2.0 * vhat[1:K + 1]]))
+    return mode_sums, np.diag(np.concatenate([vhat[:1], 2.0 * vhat[1:K + 1],
+                                              2.0 * vhat[1:K + 1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -174,23 +234,40 @@ def activity_table(geom: TorusGeometry, nu: float, kappa: float, l_max: int) -> 
 
 
 def _lattice_bridges(geom: TorusGeometry, starts: np.ndarray, ends: np.ndarray,
-                     n_steps: int, eps: float, rng: np.random.Generator) -> np.ndarray:
-    """(S, n_steps + 1) site paths pinned at both ends, exact conditional law."""
-    kernels = [None] + [heat_propagator(geom, k * eps) for k in range(1, n_steps + 1)]
-    if np.any(kernels[n_steps][starts, ends] < UNDERFLOW):
+                     steps: np.ndarray, eps: float, rng: np.random.Generator) -> np.ndarray:
+    """Site paths pinned at both ends, exact conditional law, one pass for all.
+
+    Path i takes steps[i] steps from starts[i] to ends[i].  The paths are
+    sorted by length and aligned at their end: at global step g every live
+    path has k_max - g steps left, so all of them draw the next site from
+    p_eps(cur, .) p_{(k_max - g) eps}(., end) with the same kernel power, and
+    they are the leading rows [:m] of the sorted batch.  The powers
+    p_{k eps}, k = 0..k_max, come from one spectral stack.  Returns the
+    end-aligned (S, k_max + 1) layout of `_bridges`, rows in input order.
+    """
+    k_max = int(steps.max())
+    evals, evecs = _spectral_data(geom)
+    decay = np.exp(0.5 * eps * np.arange(k_max + 1)[:, None] * evals)
+    ker = (evecs * decay[:, None, :]) @ evecs.T
+    order = np.argsort(-steps, kind="stable")
+    longest = -steps[order]
+    starts, ends = starts[order], ends[order]
+    if np.any(ker[-longest, starts, ends] < UNDERFLOW):
         raise ValueError("endpoint unreachable: p_T(x, y) underflows")
-    S = len(starts)
-    pos = np.empty((S, n_steps + 1), dtype=np.int64)
-    pos[:, 0] = starts
-    pos[:, -1] = ends
-    cur = np.asarray(starts)
-    for k in range(1, n_steps):
-        probs = kernels[1][cur, :] * kernels[n_steps - k][:, ends].T
-        cdf = np.cumsum(probs, axis=1)
-        u = rng.random((S, 1)) * cdf[:, -1:]
-        cur = (cdf < u).sum(axis=1)
-        pos[:, k] = cur
-    return pos
+    live = np.searchsorted(longest, np.arange(k_max + 1) - k_max)
+    hop = ker[1].T.copy()  # hop[x, u] = p_eps(u, x)
+    lower = np.tril(np.ones((geom.n_sites, geom.n_sites)))  # cdf by GEMM: np.cumsum is slower
+    # sites at global step g in row g; rows not yet started hold their start
+    pos = np.tile(starts.astype(np.int64), (k_max + 1, 1))
+    pos[-1] = ends
+    for g in range(1, k_max):
+        m = live[g]
+        probs = hop.take(pos[g - 1, :m], axis=1) * ker[k_max - g].take(ends[:m], axis=1)
+        cdf = lower @ probs
+        pos[g, :m] = (cdf < rng.random(m) * cdf[-1]).sum(axis=0)
+    out = np.empty((len(steps), k_max + 1), dtype=np.int64)
+    out[order] = pos.T
+    return out
 
 
 def _circle_bridges(L: float, starts: np.ndarray, ends: np.ndarray, T: float,
@@ -226,7 +303,7 @@ def sample_bridge(geom: TorusGeometry, x, y, T: float, grid: TimeGrid,
     n_steps = int(round(T / grid.eps))
     if abs(n_steps * grid.eps - T) > 1e-9 * max(T, 1.0):
         raise ValueError("duration must be a multiple of the grid step")
-    pos = _bridges(geom, grid, np.array([x]), np.array([y]), T, n_steps, rng)[0]
+    pos = _bridges(geom, grid, np.array([x]), np.array([y]), np.array([n_steps]), rng)[0]
     return GridPath(positions=pos, eps=grid.eps, start_slice=start_slice)
 
 
@@ -276,35 +353,21 @@ def _sample_windings(act: np.ndarray, shape, rng) -> np.ndarray:
     return rng.choice(np.arange(1, len(act) + 1), size=shape, p=probs)
 
 
-def _slice_density(features, pos: np.ndarray, start: int, n_tau: int) -> np.ndarray:
-    """(S, n_tau, F) feature sums per phase of paths pos (S, K) begun on phase start."""
-    phases = (start + np.arange(pos.shape[1])) % n_tau
-    return (np.arange(n_tau)[:, None] == phases).astype(float) @ features(pos)
-
-
 def _loop_densities(geom, grid, form, act, shape, rng) -> np.ndarray:
     """Slice densities (*shape, n_tau, F) of i.i.d. activity-sampled loops.
 
-    Draws the windings, then per winding the base points and the bridges.
+    Draws the windings and the base points, then all loops in one bridge pass.
     """
-    features, M = form
     n_tau = grid.n_slices
-    W = _sample_windings(act, shape, rng)
-    phi = np.zeros(shape + (n_tau, len(M)))
-    for ell in range(1, len(act) + 1):
-        idx = np.nonzero(W == ell)
-        m = len(idx[0])
-        if m == 0:
-            continue
-        starts = _base_points(geom, m, rng)
-        pos = _bridges(geom, grid, starts, starts, ell * grid.nu, ell * n_tau, rng)
-        phi[idx] = _slice_density(features, pos[:, :-1], 0, n_tau)
-    return phi
+    W = _sample_windings(act, shape, rng).ravel()
+    starts = _base_points(geom, W.size, rng)
+    phi = _path_densities(geom, grid, form, starts, starts, W * n_tau, 0, rng)
+    return phi.reshape(shape + phi.shape[1:])
 
 
 def _pair_sum(phi: np.ndarray, M: np.ndarray, eps: float) -> np.ndarray:
     """(eps/2) sum_t phi_t . M . phi_t per sample, all ordered visit pairs."""
-    return 0.5 * eps * np.einsum("stx,xy,sty->s", phi, M, phi)
+    return 0.5 * eps * np.einsum("stx,stx->s", phi @ M, phi)
 
 
 def _series_coefficients(n_species: float, A: float, n_max: int) -> np.ndarray:
@@ -445,20 +508,17 @@ def duhamel_loopgas(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
                                extra={"species_diagonal": True})
 
     rng = np.random.default_rng(seed)
-    # sample the open winding l0, then the pinned path, grouped by l0
+    # sample the open winding l0, then all pinned paths in one bridge pass
     probs = bvec / B
     l0s = rng.choice(np.arange(l_max + 1), size=samples, p=probs)
     n_tau = grid.n_slices
-    features, M = _pair_form(geom, v)
-    phi0 = np.zeros((samples, n_tau, len(M)))
-    for l0 in np.unique(l0s):
-        si = np.nonzero(l0s == l0)[0]
-        K = int(round(s / grid.eps)) + l0 * n_tau
-        if K == 0:
-            continue
-        pos = _bridges(geom, grid, np.full(len(si), x_p), np.full(len(si), x),
-                       s + l0 * nu, K, rng)
-        phi0[si] = _slice_density(features, pos[:, :-1], j_lo, n_tau)
+    form = _pair_form(geom, v)
+    phi0 = np.zeros((samples, n_tau, len(form[1])))
+    steps = int(round(s / grid.eps)) + l0s * n_tau
+    moving = np.nonzero(steps > 0)[0]
+    if len(moving):
+        phi0[moving] = _path_densities(geom, grid, form, np.full(len(moving), x_p),
+                                       np.full(len(moving), x), steps[moving], j_lo, rng)
     ls, series_open = _raw_series_samples(params, geom, grid, v, n_max, l_max,
                                           samples, rng, open_density=phi0)
     est = ratio_estimate(B * series_open, ls.series_samples, seed=seed)

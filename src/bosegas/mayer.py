@@ -117,7 +117,7 @@ def _pair_matrix(geom, grid, v, n, act, samples, rng):
     """(samples, n, n) matrix of V_nu(w_i, w_j) for n i.i.d. activity loops."""
     form = _pair_form(geom, v)
     phi = _loop_densities(geom, grid, form, act, (samples, n), rng)
-    return 0.5 * grid.eps * np.einsum("sitx,xy,sjty->sij", phi, form[1], phi)
+    return 0.5 * grid.eps * np.einsum("sitx,sjtx->sij", phi @ form[1], phi)
 
 
 @dataclass

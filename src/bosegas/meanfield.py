@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .lattice import ModelParams, TorusGeometry
-from .propagators import _spectral_data
+from .propagators import _laplacian, _spectral_data
 from .stats import ComplexEstimate, batch_means, mean_estimate
 
 __all__ = [
@@ -36,7 +36,7 @@ __all__ = [
 
 
 def _one_body(geom: TorusGeometry, kappa0: float) -> np.ndarray:
-    return -0.5 * geom.laplacian_matrix() + kappa0 * np.eye(geom.n_sites)
+    return -0.5 * _laplacian(geom) + kappa0 * np.eye(geom.n_sites)
 
 
 def wick_constant(geom: TorusGeometry, kappa0: float) -> float:
@@ -47,21 +47,31 @@ def wick_constant(geom: TorusGeometry, kappa0: float) -> float:
     return float(np.mean(1.0 / (kappa0 - 0.5 * evals)))
 
 
+def _action_terms(params: ModelParams, geom: TorusGeometry, v):
+    """The matrices of h: one-body matrix, Wick constant and v (None if free)."""
+    hmat = _one_body(geom, params.kappa0)
+    if params.lambda0 == 0.0:
+        return hmat, None, None
+    return hmat, wick_constant(geom, params.kappa0), v.matrix()
+
+
+def _action(phi: np.ndarray, params: ModelParams, terms) -> float:
+    """h(phi) for complex phi of shape (N, n_sites) on precomputed `_action_terms`."""
+    hmat, c, vmat = terms
+    kinetic = float(np.real(np.einsum("ax,xy,ay->", phi.conj(), hmat, phi)))
+    if params.lambda0 == 0.0:
+        return kinetic
+    dens = np.sum(np.abs(phi)**2, axis=0) - phi.shape[0] * c - params.rho
+    quartic = 0.5 * params.lambda0 / (params.n_species + 1.0) * float(
+        dens @ vmat @ dens)
+    return kinetic + quartic
+
+
 def field_action(phi: np.ndarray, params: ModelParams, geom: TorusGeometry,
                  v) -> float:
     """Energy functional h(phi); phi has shape (N, n_sites), complex."""
     phi = np.atleast_2d(np.asarray(phi, dtype=complex))
-    n_int = phi.shape[0]
-    hmat = _one_body(geom, params.kappa0)
-    kinetic = float(np.real(np.einsum("ax,xy,ay->", phi.conj(), hmat, phi)))
-    if params.lambda0 == 0.0:
-        return kinetic
-    c = wick_constant(geom, params.kappa0)
-    dens = np.sum(np.abs(phi)**2, axis=0) - n_int * c - params.rho
-    vmat = v.matrix()
-    quartic = 0.5 * params.lambda0 / (params.n_species + 1.0) * float(
-        dens @ vmat @ dens)
-    return kinetic + quartic
+    return _action(phi, params, _action_terms(params, geom, v))
 
 
 @dataclass
@@ -120,7 +130,8 @@ def sample_gibbs_field(params: ModelParams, geom: TorusGeometry, v,
     rng = np.random.default_rng(seed)
     n = geom.n_sites
     phi = np.zeros((n_species_int, n), dtype=complex)
-    energy = field_action(phi, params, geom, v)
+    terms = _action_terms(params, geom, v)
+    energy = _action(phi, params, terms)
     step = 1.0 / np.sqrt(params.kappa0)
     burn = max(200, steps // 5)
     accepted = 0
@@ -131,7 +142,7 @@ def sample_gibbs_field(params: ModelParams, geom: TorusGeometry, v,
     for it in range(burn + steps):
         prop = phi + step * (rng.standard_normal(phi.shape)
                              + 1j * rng.standard_normal(phi.shape))
-        e_new = field_action(prop, params, geom, v)
+        e_new = _action(prop, params, terms)
         if np.log(rng.random()) < energy - e_new:
             phi, energy = prop, e_new
             accepted += 1

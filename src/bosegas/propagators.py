@@ -19,9 +19,16 @@ __all__ = [
 
 
 @lru_cache(maxsize=64)
-def _spectral_data(geom: TorusGeometry):
+def _laplacian(geom: TorusGeometry) -> np.ndarray:
+    """The lattice Laplacian, built once per geometry; read-only."""
     lap = geom.laplacian_matrix()
-    evals, evecs = np.linalg.eigh(lap)
+    lap.flags.writeable = False
+    return lap
+
+
+@lru_cache(maxsize=64)
+def _spectral_data(geom: TorusGeometry):
+    evals, evecs = np.linalg.eigh(_laplacian(geom))
     return evals, evecs
 
 

@@ -6,7 +6,7 @@ from bosegas.lattice import (CirclePotential, ModelParams, TimeGrid,
                              TorusGeometry, UnsupportedModeError,
                              delta_potential, wrapped_gaussian_potential)
 from bosegas.loopgas import (GridPath, SymanzikParams, _lattice_bridges,
-                             _pair_form, _slice_density, activity_table,
+                             _pair_form, activity_table,
                              duhamel_loopgas, free_loop_sum, kappa_eff,
                              loop_interaction_Vnu, make_symanzik, sample_bridge,
                              symanzik_series, xi_rel_series)
@@ -54,18 +54,46 @@ def test_sample_bridge_endpoints():
 
 
 def test_bridge_midpoint_marginal():
-    # conditional law: P(mid = x) ~ p_{T/2}(0, x) p_{T/2}(x, 0)
+    # one end-aligned pass over mixed lengths, loops and x != y paths: every
+    # group keeps its pinned ends, and its midpoint follows the conditional
+    # law P(mid = u) ~ p_{T/2}(x, u) p_{T/2}(u, y)
     rng = np.random.default_rng(4)
-    n_steps, T = 16, 16 * GRID.eps
+    groups = [(16, 0, 0), (16, 0, 1), (32, 1, 1), (32, 1, 0), (48, 0, 0), (48, 0, 1)]
     S = 20000
-    pos = _lattice_bridges(G2, np.zeros(S, dtype=int), np.zeros(S, dtype=int),
-                           n_steps, GRID.eps, rng)
-    half = heat_propagator(G2, T / 2)
-    probs = half[0, :] * half[:, 0]
-    probs /= probs.sum()
-    frac = np.mean(pos[:, n_steps // 2] == 0)
-    se = np.sqrt(probs[0] * (1 - probs[0]) / S)
-    assert abs(frac - probs[0]) < 5 * se
+    label = rng.permutation(np.repeat(np.arange(len(groups)), S))
+    steps = np.array([groups[i][0] for i in label])
+    starts = np.array([groups[i][1] for i in label])
+    ends = np.array([groups[i][2] for i in label])
+    pos = _lattice_bridges(G2, starts, ends, steps, GRID.eps, rng)
+    k_max = 48
+    assert pos.shape == (len(label), k_max + 1)
+    for i, (n_steps, x, y) in enumerate(groups):
+        rows = pos[label == i]
+        assert np.all(rows[:, k_max - n_steps] == x) and np.all(rows[:, -1] == y)
+        half = heat_propagator(G2, n_steps * GRID.eps / 2)
+        probs = half[x, :] * half[:, y]
+        probs /= probs.sum()
+        frac = np.mean(rows[:, k_max - n_steps // 2] == 0)
+        se = np.sqrt(probs[0] * (1 - probs[0]) / S)
+        assert abs(frac - probs[0]) < 5 * se
+
+
+def test_circle_mode_sums_match_direct_features():
+    # the power recurrence of exp(2 pi i x / L) against direct cos / sin at
+    # unwrapped positions up to +-5L, summed per phase from start slice 5
+    L, n_tau, start = 4.0, 16, 5
+    geom = TorusGeometry(dimension=1, mode="circle", circumference=L)
+    density, M = _pair_form(geom, CirclePotential(L, strength=1.0, width=0.5))
+    K = (len(M) - 1) // 2
+    pos = np.random.default_rng(7).uniform(-5 * L, 5 * L, (6, 37))
+    pos[0, :2] = -5 * L, 5 * L
+    arg = 2.0 * np.pi / L * pos[..., None] * np.arange(1, K + 1)
+    feats = np.concatenate([np.ones(pos.shape + (1,)), np.cos(arg), np.sin(arg)], axis=-1)
+    phases = (start + np.arange(pos.shape[1])) % n_tau
+    want = np.stack([feats[:, phases == t].sum(axis=1) for t in range(n_tau)], axis=1)
+    got = density(pos, start, n_tau)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_loop_interaction_single_site():
@@ -100,9 +128,8 @@ def test_slice_densities_reproduce_pair_interaction(geom, v, grid, ends, duratio
     paths = [sample_bridge(geom, x, x, grid.nu, grid, seed=1),
              sample_bridge(geom, y, y, 2 * grid.nu, grid, seed=2),
              sample_bridge(geom, x, y, duration, grid, seed=3, start_slice=5)]
-    features, M = _pair_form(geom, v)
-    phi = [_slice_density(features, p.positions[None, :-1], p.start_slice, n_tau)[0]
-           for p in paths]
+    density, M = _pair_form(geom, v)
+    phi = [density(p.positions[None, :-1], p.start_slice, n_tau)[0] for p in paths]
     for i, pi in enumerate(paths):
         for j, pj in enumerate(paths):
             want = loop_interaction_Vnu(pi, pj, n_tau, v, geom)

@@ -51,6 +51,18 @@ def test_gibbs_free_moment():
     assert mean.shape == (1, 1, 1, 1)
 
 
+def test_gibbs_chain_builds_laplacian_once(monkeypatch):
+    # the action's matrices are built before the Metropolis loop, not per step
+    calls = []
+    build = TorusGeometry.laplacian_matrix
+    monkeypatch.setattr(TorusGeometry, "laplacian_matrix",
+                        lambda self: calls.append(1) or build(self))
+    geom = TorusGeometry(dimension=1, sites_per_side=5)
+    p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5)
+    sample_gibbs_field(p, geom, delta_potential(geom), steps=400, seed=1)
+    assert len(calls) <= 1
+
+
 def test_eta_action_zero_field():
     assert action_S_eta_closed(np.zeros(2), G2, 1.0) == pytest.approx(0.0)
 
