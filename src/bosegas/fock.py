@@ -11,6 +11,11 @@ matrices real:
 with n_x the occupation summed over species.  The rho shift sits inside each
 species factor of the quartic term, so N species contribute N rho / nu to the
 shifted density.
+
+H conserves each species' particle number.  The basis is ordered by sector:
+total number N = 0..n_max first, then n_0 (the species-0 number).  H is then
+block-diagonal in contiguous sectors, every spectrum is taken block by block,
+and the trace at cutoff n_max - 1 is the sum over the sectors with N < n_max.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ HERMITICITY_TOL = 1e-12
 
 
 class OccupationBasis:
-    """Deterministic (lexicographic) enumeration of occupation vectors.
+    """Occupation vectors in sector order, one slice of `states` per sector.
 
     Modes are ordered species-major: mode index = a * n_sites + x.
     """
@@ -55,29 +60,38 @@ class OccupationBasis:
         dim = math.comb(n_max + self.n_modes, self.n_modes)
         if dim > MAX_BASIS:
             raise CapacityError(f"basis of {dim} states exceeds {MAX_BASIS}")
-        states = [
-            s
-            for s in itertools.product(range(n_max + 1), repeat=self.n_modes)
-            if sum(s) <= n_max
-        ]
-        states.sort()
-        self.states = np.asarray(states, dtype=np.int64)
-        self.index = {tuple(s): i for i, s in enumerate(states)}
+        # stars and bars: the gaps before n_modes bars placed among n_max +
+        # n_modes slots are the occupations; the slots after the last are unused
+        bars = itertools.combinations(range(n_max + self.n_modes), self.n_modes)
+        states = np.diff(np.array(list(bars)), axis=1, prepend=-1) - 1
+        codes = self._codes(states)
+        order = np.argsort(codes)
+        self.states, self._sorted_codes = states[order], codes[order]
+        _, cuts = np.unique(self._sorted_codes // (n_max + 1) ** self.n_modes,
+                            return_index=True)
+        self.sectors = [slice(lo, hi) for lo, hi in zip(cuts, [*cuts[1:], len(states)])]
 
     def __len__(self) -> int:
         return len(self.states)
 
+    def _codes(self, states: np.ndarray) -> np.ndarray:
+        """Integer codes that sort by sector (N, n_0), then by occupations."""
+        counts = states.reshape(len(states), self.n_species, -1).sum(axis=2)
+        digits = np.column_stack([counts.sum(axis=1), counts[:, 0], states])
+        return np.ravel_multi_index(digits.T, (self.n_max + 1,) * (self.n_modes + 2))
+
+    def _locate(self, states: np.ndarray) -> np.ndarray:
+        """Basis indices of occupation vectors that lie in the basis."""
+        return np.searchsorted(self._sorted_codes, self._codes(states))
+
     def annihilator(self, site: int, species: int = 0) -> np.ndarray:
         """Dense matrix of b_{site, species} in this truncated basis."""
         mode = species * self.geom.n_sites + site
+        src = np.flatnonzero(self.states[:, mode])
+        lower = self.states[src]
+        lower[:, mode] -= 1
         b = np.zeros((len(self), len(self)))
-        for i, s in enumerate(self.states):
-            n = s[mode]
-            if n == 0:
-                continue
-            t = s.copy()
-            t[mode] -= 1
-            b[self.index[tuple(t)], i] = np.sqrt(n)
+        b[self._locate(lower), src] = np.sqrt(self.states[src, mode])
         return b
 
     def site_occupations(self) -> np.ndarray:
@@ -96,6 +110,13 @@ class TruncatedOperator:
         return float(np.max(np.abs(self.matrix - self.matrix.T.conj())))
 
 
+def _interaction(basis, params, v) -> np.ndarray:
+    """Diagonal of the quartic term, one entry per basis state."""
+    shift = basis.n_species * params.rho / params.nu
+    dens = basis.site_occupations() - shift
+    return 0.5 * params.lam * np.einsum("bx,xy,by->b", dens, v.matrix(), dens)
+
+
 def build_hamiltonian(params: ModelParams, geom: TorusGeometry,
                       v: TwoBodyPotential, n_max: int,
                       n_species_int: int | None = None) -> TruncatedOperator:
@@ -105,41 +126,32 @@ def build_hamiltonian(params: ModelParams, geom: TorusGeometry,
     basis = OccupationBasis(geom, n_species_int, n_max)
     n_sites = geom.n_sites
     h1 = -0.5 * geom.laplacian_matrix() + params.kappa0 * np.eye(n_sites)
+    states = basis.states
 
     H = np.zeros((len(basis), len(basis)))
+    # kinetic + chemical-potential part nu * sum_a b^dag h1 b: every state
+    # with a particle at y hops it to x at once
+    for a in range(n_species_int):
+        for x, y in zip(*np.nonzero(h1)):
+            mx, my = a * n_sites + x, a * n_sites + y
+            src = np.flatnonzero(states[:, my])
+            hop = states[src]
+            hop[:, my] -= 1
+            hop[:, mx] += 1
+            amp = np.sqrt(states[src, my] * hop[:, mx])
+            H[basis._locate(hop), src] += params.nu * h1[x, y] * amp
 
-    # kinetic + chemical-potential part: nu * sum_a b^dag h1 b, built by hopping
-    for i, s in enumerate(basis.states):
-        occ = s.reshape(n_species_int, n_sites)
-        for a in range(n_species_int):
-            for y in range(n_sites):
-                ny = occ[a, y]
-                if ny == 0:
-                    continue
-                for x in range(n_sites):
-                    if h1[x, y] == 0.0:
-                        continue
-                    t = occ.copy()
-                    t[a, y] -= 1
-                    amp = np.sqrt(ny * (t[a, x] + 1))
-                    t[a, x] += 1
-                    j = basis.index[tuple(t.ravel())]
-                    H[j, i] += params.nu * h1[x, y] * amp
-
-    # quartic part: diagonal in the occupation basis
-    lam = params.lam
-    if lam != 0.0:
-        vmat = v.matrix()
-        shift = n_species_int * params.rho / params.nu
-        dens = basis.site_occupations() - shift
-        H[np.diag_indices_from(H)] += 0.5 * lam * np.einsum(
-            "bx,xy,by->b", dens, vmat, dens
-        )
+    H[np.diag_indices_from(H)] += _interaction(basis, params, v)
 
     op = TruncatedOperator(matrix=H, label="hamiltonian", basis=basis)
     if op.hermiticity_residual() > HERMITICITY_TOL:
         raise AssertionError("Hamiltonian lost Hermiticity during assembly")
     return op
+
+
+def _block_spectra(matrix, basis, eig=np.linalg.eigvalsh) -> list:
+    """`eig` of each sector block of a sector-block-diagonal matrix."""
+    return [eig(matrix[s, s]) for s in basis.sectors]
 
 
 @dataclass
@@ -156,25 +168,20 @@ def xi_exact(params: ModelParams, geom: TorusGeometry, v: TwoBodyPotential,
              drift_tol: float = 1e-6) -> XiResult:
     """Grand partition function, its free counterpart, and their ratio.
 
-    The truncation drift compares the cutoffs n_max and n_max - 1 and flags
-    the result when it exceeds drift_tol.
+    The truncation drift compares the cutoffs n_max and n_max - 1, which is
+    the share of the top sector N = n_max in Xi, and flags the result when it
+    exceeds drift_tol.
     """
-    if n_species_int is None:
-        n_species_int = int(round(params.n_species))
-
-    def trace_exp(nm, interacting):
-        if interacting:
-            p = params
-        else:
-            p = ModelParams(nu=params.nu, kappa0=params.kappa0, lambda0=0.0,
-                            n_species=params.n_species)
-        H = build_hamiltonian(p, geom, v, nm, n_species_int).matrix
-        return float(np.sum(np.exp(-np.linalg.eigvalsh(H))))
-
-    xi = trace_exp(n_max, True)
-    xi_prev = trace_exp(n_max - 1, True) if n_max >= 1 else xi
-    xi_free = trace_exp(n_max, False)
-    drift = abs(xi - xi_prev) / xi
+    op = build_hamiltonian(params, geom, v, n_max, n_species_int)
+    weights = np.exp(-np.concatenate(_block_spectra(op.matrix, op.basis)))
+    xi = float(weights.sum())
+    top = weights[op.basis.states.sum(axis=1) == n_max].sum() if n_max >= 1 else 0.0
+    xi_free = xi
+    if params.lam != 0.0:
+        kinetic = op.matrix.copy()
+        kinetic[np.diag_indices_from(kinetic)] -= _interaction(op.basis, params, v)
+        xi_free = float(np.exp(-np.concatenate(_block_spectra(kinetic, op.basis))).sum())
+    drift = float(top / xi)
     return XiResult(
         xi=xi,
         xi_free=xi_free,
@@ -182,6 +189,16 @@ def xi_exact(params: ModelParams, geom: TorusGeometry, v: TwoBodyPotential,
         truncation_drift=drift,
         drift_warning=drift > drift_tol,
     )
+
+
+def _eigen_annihilators(params, geom, v, n_max, n_species_int, sites):
+    """Block eigenvalues of H and b_x (species 0) in its eigenbasis, per site."""
+    from scipy.linalg import block_diag
+    op = build_hamiltonian(params, geom, v, n_max, n_species_int)
+    evals, evecs = zip(*_block_spectra(op.matrix, op.basis, np.linalg.eigh))
+    evals, evecs = np.concatenate(evals), block_diag(*evecs)
+    return evals, np.stack([evecs.T @ op.basis.annihilator(x) @ evecs
+                            for x in sites])
 
 
 def duhamel_exact(params: ModelParams, geom: TorusGeometry, v: TwoBodyPotential,
@@ -196,42 +213,23 @@ def duhamel_exact(params: ModelParams, geom: TorusGeometry, v: TwoBodyPotential,
     nu = params.nu
     if not (0.0 <= tau_p <= tau < nu):
         raise ValueError("need 0 <= tau' <= tau < nu")
-    if n_species_int is None:
-        n_species_int = int(round(params.n_species))
-    op = build_hamiltonian(params, geom, v, n_max, n_species_int)
-    evals, evecs = np.linalg.eigh(op.matrix)
-    # evolution over tau in [0, nu) is generated by H / nu
-    e_hat = evals / nu
-    e_hat = e_hat - e_hat.min()  # common shift cancels in the ratio
-    s = tau - tau_p
-    bx = evecs.T @ op.basis.annihilator(x) @ evecs
-    bxp = evecs.T @ op.basis.annihilator(x_p) @ evecs
-    xi = np.sum(np.exp(-nu * e_hat))
-    if s == 0.0:
-        val = np.einsum("i,ji,ji->", np.exp(-nu * e_hat), bx, bxp)
-    else:
-        w_out = np.exp(-(nu - s) * e_hat)
-        w_in = np.exp(-s * e_hat)
-        val = np.einsum("i,ij,j,ij->", w_out, bx, w_in, bxp)
-    return float(val / xi)
+    evals, (bx, bxp) = _eigen_annihilators(params, geom, v, n_max,
+                                           n_species_int, (x, x_p))
+    e = evals - evals.min()  # common shift cancels in the ratio
+    s = (tau - tau_p) / nu   # evolution over [0, nu) is generated by H / nu
+    if s == 0.0:  # equal times: the other operator order, <b_x^dag b_x'>
+        bx, bxp = bx.T, bxp.T
+    val = np.einsum("i,ij,j,ij->", np.exp(-(1 - s) * e), bx, np.exp(-s * e), bxp)
+    return float(val / np.exp(-e).sum())
 
 
 def gamma1_exact(params: ModelParams, geom: TorusGeometry, v: TwoBodyPotential,
                  n_max: int, n_species_int: int | None = None) -> np.ndarray:
     """Full one-body matrix gamma_1(x, x') = <b_x^dag b_x'>."""
-    if n_species_int is None:
-        n_species_int = int(round(params.n_species))
-    op = build_hamiltonian(params, geom, v, n_max, n_species_int)
-    evals, evecs = np.linalg.eigh(op.matrix)
+    evals, bs = _eigen_annihilators(params, geom, v, n_max, n_species_int,
+                                    range(geom.n_sites))
     w = np.exp(-(evals - evals.min()))
-    xi = w.sum()
-    n = geom.n_sites
-    gamma = np.zeros((n, n))
-    bs = [evecs.T @ op.basis.annihilator(x) @ evecs for x in range(n)]
-    for x in range(n):
-        for xp in range(n):
-            gamma[x, xp] = np.einsum("i,ji,ji->", w, bs[x], bs[xp]) / xi
-    return gamma
+    return np.einsum("xji,yji->xy", bs * w, bs) / w.sum()
 
 
 @dataclass

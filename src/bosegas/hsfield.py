@@ -190,13 +190,16 @@ def estimate_duhamel(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v
                      n_samples: int = 10_000, seed: int = 0) -> ComplexEstimate:
     """Two-point function G(tau, x; tau', x') as a reweighted ratio.
 
-    Times must lie on the slice grid with 0 <= tau' <= tau < nu.  For each
-    field the conditional kernel is assembled from the prefix propagators
+    Times must lie on the slice grid with 0 <= tau' <= tau < nu.  Each field
+    is rolled to start at slice tau', so its monodromy Gamma' = P_tau' Gamma
+    P_tau'^-1 and the propagator U from tau' to tau are products of the field
+    itself; the conditional kernel
 
-        k(s) = e^{-kappa0 s} [P_tau (1 - M)^-1 P_tau'^-1]_{x x'},
+        k(s) = e^{-kappa0 s} [U (1 - M)^-1]_{x x'},   M = e^{-nu kappa0} Gamma',
 
-    with M = e^{-nu kappa0} Gamma; at equal times the identity winding is
-    dropped, leaving P M (1 - M)^-1 P^-1.
+    equals P_tau (1 - e^{-nu kappa0} Gamma)^-1 P_tau'^-1 without inverting
+    the prefix P_tau' (push-through).  At equal times the identity winding is
+    dropped, leaving M (1 - M)^-1.  det(1 - M) is the weight's determinant.
     """
     nu, kappa0 = params.nu, params.kappa0
     if not (0.0 <= tau_p <= tau < nu):
@@ -214,20 +217,17 @@ def estimate_duhamel(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v
         # exact free evaluation, zero variance
         sigma = np.zeros((1, grid.n_slices, n))
     else:
-        sigma = sample_sigma(params, geom, grid, v, n_samples, rng)
+        sigma = np.roll(sample_sigma(params, geom, grid, v, n_samples, rng),
+                        -j_lo, axis=1)
     gamma, prefixes = monodromy_batch(geom, grid, sigma,
-                                      keep_prefixes=sorted({j_lo, j_hi}))
+                                      keep_prefixes=[j_hi - j_lo])
     resolvent = np.linalg.solve(eye - fug * gamma, np.broadcast_to(
         np.eye(n, dtype=complex), gamma.shape).copy())
     if s == 0.0:
         core = fug * gamma @ resolvent
     else:
         core = np.exp(-kappa0 * s) * resolvent
-    p_hi = prefixes[j_hi]
-    p_lo = prefixes[j_lo]
-    # kernel = P_hi core P_lo^-1, evaluated at the (x, x') entry
-    full = p_hi @ core @ np.linalg.inv(p_lo)
-    kernels = full[:, x, x_p]
+    kernels = (prefixes[j_hi - j_lo] @ core)[:, x, x_p]
 
     if params.lam == 0.0:
         val = complex(kernels[0])

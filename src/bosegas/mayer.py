@@ -9,6 +9,7 @@ single-loop activity times its self-energy e^{-(lam/nu) V_nu(w, w)}.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -87,10 +88,11 @@ def _kruskal_tree(n: int, edges) -> tuple:
     return tuple(tree)
 
 
-def enumerate_connected(n: int) -> list:
+@functools.lru_cache(maxsize=None)
+def enumerate_connected(n: int) -> tuple:
     """All connected labelled graphs on n vertices, deterministic order.
 
-    Counts for n = 1..5: 1, 1, 4, 38, 728.
+    Counts for n = 1..5: 1, 1, 4, 38, 728.  Built once per n and shared.
     """
     if n > MAX_CLUSTER:
         raise CapacityError(f"cluster order {n} exceeds {MAX_CLUSTER}")
@@ -103,7 +105,7 @@ def enumerate_connected(n: int) -> list:
             if _connected(n, subset):
                 graphs.append(ClusterGraph(n=n, edges=tuple(subset),
                                            spanning_tree=_kruskal_tree(n, subset)))
-    return graphs
+    return tuple(graphs)
 
 
 def mayer_factor(path1: GridPath, path2: GridPath, params: ModelParams,

@@ -88,16 +88,8 @@ class FieldChain:
     def two_point(self):
         """<phibar_a(x) phi_b(y)> with batch-means errors on the diagonal."""
         outer = np.einsum("sax,sby->saxby", self.samples.conj(), self.samples)
-        mean = outer.mean(axis=0)
-        m, n_int, n_sites = self.samples.shape
-        se = np.zeros((n_int, n_sites, n_int, n_sites))
-        for a in range(n_int):
-            for x in range(n_sites):
-                for b in range(n_int):
-                    for y in range(n_sites):
-                        _, s_re, s_im = batch_means(outer[:, a, x, b, y])
-                        se[a, x, b, y] = np.hypot(s_re, s_im)
-        return mean, se
+        mean, s_re, s_im = batch_means(outer)
+        return mean, np.hypot(s_re, s_im)
 
     def autocorrelation_time(self) -> float:
         """Integrated autocorrelation of the total field magnitude."""

@@ -41,20 +41,25 @@ class ComplexEstimate:
 
 
 def batch_means(samples: np.ndarray, n_batches: int = MIN_BATCHES):
-    """Mean and batch-means standard error (per complex component)."""
+    """Mean and batch-means standard error (per complex component) along axis 0.
+
+    A stack of shape (n, ...) gets the errors of every trailing entry at once.
+    """
     samples = np.asarray(samples)
     n = len(samples)
     n_batches = min(n_batches, n) if n else 1
     if n == 0:
         raise ValueError("no samples")
     usable = n - n % n_batches
-    mean = samples.mean()
+    mean = samples.mean(axis=0)
+    zero = np.zeros(samples.shape[1:])[()]  # a scalar for a 1-D series
     if n_batches < 2 or usable < n_batches:
-        return mean, 0.0, 0.0
-    bm = samples[:usable].reshape(n_batches, -1).mean(axis=1)
-    se_re = np.std(bm.real, ddof=1) / np.sqrt(n_batches)
-    se_im = np.std(bm.imag, ddof=1) / np.sqrt(n_batches) if np.iscomplexobj(samples) else 0.0
-    return mean, float(se_re), float(se_im)
+        return mean, zero, zero
+    bm = samples[:usable].reshape(n_batches, -1, *samples.shape[1:]).mean(axis=1)
+    se_re = np.std(bm.real, axis=0, ddof=1) / np.sqrt(n_batches)
+    se_im = (np.std(bm.imag, axis=0, ddof=1) / np.sqrt(n_batches)
+             if np.iscomplexobj(samples) else zero)
+    return mean, se_re, se_im
 
 
 def weight_ess(weights: np.ndarray) -> float:
@@ -73,8 +78,8 @@ def mean_estimate(samples: np.ndarray, seed=None) -> ComplexEstimate:
     ess = weight_ess(samples) if np.any(samples != 0) else 0.0
     return ComplexEstimate(
         value=complex(mean),
-        stderr_re=se_re,
-        stderr_im=se_im,
+        stderr_re=float(se_re),
+        stderr_im=float(se_im),
         n_samples=len(samples),
         seed=seed,
         ess=ess,

@@ -126,3 +126,56 @@ def test_ccr_report():
 
 def test_capacity_cap_value():
     assert MAX_BASIS <= 10_000  # dense diagonalization stays desk-scale
+
+
+G22 = TorusGeometry(dimension=2, sites_per_side=2)
+
+
+def _truncated_free_trace(geom, kappa0, n_species, n_max):
+    """Sum over N <= n_max of h_N over the one-particle levels, once per species."""
+    levels = np.tile(kappa0 - 0.5 * np.linalg.eigvalsh(geom.laplacian_matrix()),
+                     n_species)
+    coeffs = np.zeros(n_max + 1)
+    coeffs[0] = 1.0
+    for e in levels:  # multiply by 1 / (1 - e^-e t), truncated at t^n_max
+        for n in range(1, n_max + 1):
+            coeffs[n] += np.exp(-e) * coeffs[n - 1]
+    return coeffs.sum()
+
+
+@pytest.mark.parametrize("n_species, n_max", [(1, 10), (2, 5)])
+def test_xi_free_torus_is_truncated_closed_form(n_species, n_max):
+    # 2 species at n_max = 10 would need 43 758 states, past MAX_BASIS
+    p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.0, n_species=float(n_species))
+    res = xi_exact(p, G22, delta_potential(G22), n_max=n_max)
+    want = _truncated_free_trace(G22, 1.0, n_species, n_max)
+    assert res.xi == pytest.approx(want, rel=1e-12)
+    assert res.xi_free == res.xi
+
+
+def test_kinetic_part_is_one_body_operator():
+    p = ModelParams(nu=0.7, kappa0=1.3, lambda0=0.0, n_species=2.0)
+    op = build_hamiltonian(p, G22, delta_potential(G22), 3, 2)
+    basis = op.basis
+    h1 = -0.5 * G22.laplacian_matrix() + p.kappa0 * np.eye(4)
+    want = np.zeros_like(op.matrix)
+    for a in range(2):
+        b = [basis.annihilator(x, a) for x in range(4)]
+        for x in range(4):
+            for y in range(4):
+                want += p.nu * h1[x, y] * b[x].T @ b[y]
+    assert np.allclose(op.matrix, want, rtol=0, atol=1e-13)
+    # the number-conserving H has no entries outside its sector blocks
+    blocks = np.zeros(op.matrix.shape, dtype=bool)
+    for s in basis.sectors:
+        blocks[s, s] = True
+    assert not np.any(op.matrix[~blocks])
+
+
+def test_truncation_drift_is_top_sector_share():
+    p = ModelParams(nu=1.0, kappa0=0.5, lambda0=0.5)
+    v = delta_potential(G22)
+    top = xi_exact(p, G22, v, n_max=6)
+    below = xi_exact(p, G22, v, n_max=5)
+    assert top.truncation_drift > 1e-3
+    assert top.truncation_drift == pytest.approx(1 - below.xi / top.xi, abs=1e-13)

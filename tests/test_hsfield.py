@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from bosegas.fock import duhamel_exact, gamma1_exact, xi_exact
-from bosegas.hsfield import (det_identity_residual, estimate_duhamel,
-                             estimate_xi_rel, hs_log_weight, resolve_rho,
-                             sample_sigma, wick_rho, winding_exponent)
+from bosegas.hsfield import (_field_weights, det_identity_residual,
+                             estimate_duhamel, estimate_xi_rel, hs_log_weight,
+                             resolve_rho, sample_sigma, wick_rho,
+                             winding_exponent)
 from bosegas.lattice import (ModelParams, TimeGrid, TorusGeometry,
                              delta_potential)
 from bosegas.propagators import free_green, monodromy_batch
@@ -122,6 +123,43 @@ def test_duhamel_free_is_exact():
     est = estimate_duhamel(FREE, G1, GRID, v1, 0, 0, tau=0.5, n_samples=10)
     assert est.value == pytest.approx(np.exp(-0.5) / (1 - np.exp(-1)),
                                       abs=1e-10)
+
+
+def test_duhamel_free_long_time_is_exact():
+    # 3^3 torus at nu = 8: the prefix propagator to tau' = 7/8 nu is so badly
+    # conditioned that inverting it missed the closed form by 5e-3 to 8e-3
+    g = TorusGeometry(dimension=3, sites_per_side=3)
+    p = ModelParams(nu=8.0, kappa0=1.0, lambda0=0.0)
+    grid = TimeGrid(nu=8.0, n_slices=64)
+    lap_e, lap_v = np.linalg.eigh(g.laplacian_matrix())
+    fug = np.exp(-8.0 * p.kappa0)
+    for tau in (7.0, 7.5):
+        s = tau - 7.0
+        occ = np.exp(0.5 * s * lap_e) / (1.0 - fug * np.exp(4.0 * lap_e))
+        if s == 0.0:
+            occ = occ * fug * np.exp(4.0 * lap_e)  # the one-body matrix
+        want = np.exp(-p.kappa0 * s) * ((lap_v * occ) @ lap_v.T)[0, 1]
+        est = estimate_duhamel(p, g, grid, delta_potential(g), 0, 1, tau=tau,
+                               tau_p=7.0, n_samples=1)
+        assert est.value == pytest.approx(want, rel=1e-12)
+
+
+def test_duhamel_push_through_matches_prefix_inverse():
+    # at nu = 1 the prefixes are well conditioned, so P_tau core P_tau'^-1
+    # built with the inverse is a sharp per-field reference
+    v = delta_potential(G2)
+    sigma = sample_sigma(BENCH, G2, GRID, v, 200, np.random.default_rng(3))
+    gamma, pre = monodromy_batch(G2, GRID, sigma, keep_prefixes=[8, 24])
+    m = np.exp(-1.0) * gamma
+    resolvent = np.linalg.inv(np.eye(2) - m)
+    weights = _field_weights(BENCH, G2, GRID, sigma, gamma, 0.0)
+    for tau, j_hi, core in [(0.75, 24, np.exp(-0.5) * resolvent),
+                            (0.25, 8, m @ resolvent)]:
+        kernels = (pre[j_hi] @ core @ np.linalg.inv(pre[8]))[:, 0, 1]
+        want = np.sum(kernels * weights) / np.sum(weights)
+        est = estimate_duhamel(BENCH, G2, GRID, v, 0, 1, tau=tau, tau_p=0.25,
+                               n_samples=200, seed=3)
+        assert est.value == pytest.approx(want, rel=1e-10)
 
 
 def test_duhamel_matches_oracle():

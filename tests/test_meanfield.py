@@ -5,6 +5,7 @@ from bosegas.lattice import ModelParams, TorusGeometry, delta_potential
 from bosegas.meanfield import (action_S_eta, action_S_eta_closed, field_action,
                                field_quadrature_1site, sample_gibbs_field,
                                wick_constant, z_via_eta)
+from bosegas.stats import batch_means
 
 G1 = TorusGeometry(dimension=1, sites_per_side=1)
 G2 = TorusGeometry(dimension=1, sites_per_side=2)
@@ -49,6 +50,20 @@ def test_gibbs_free_moment():
     assert abs(mom - 1.0) < 5 * se
     mean, _ = chain.two_point()
     assert mean.shape == (1, 1, 1, 1)
+
+
+def test_two_point_errors_match_per_entry_batch_means():
+    p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, n_species=2.0)
+    chain = sample_gibbs_field(p, G2, delta_potential(G2), steps=400, seed=2,
+                               n_species_int=2)
+    mean, se = chain.two_point()
+    assert se.shape == (2, 2, 2, 2)
+    for a, x, b, y in np.ndindex(se.shape):
+        series = chain.samples[:, a, x].conj() * chain.samples[:, b, y]
+        want_mean, s_re, s_im = batch_means(series)
+        assert mean[a, x, b, y] == pytest.approx(want_mean, rel=1e-12)
+        assert se[a, x, b, y] == pytest.approx(np.hypot(s_re, s_im), rel=1e-12)
+        assert se[a, x, b, y] > 0
 
 
 def test_gibbs_chain_builds_laplacian_once(monkeypatch):
