@@ -1,16 +1,19 @@
-"""Cluster expansion of the loop gas: connected graphs, Ursell coefficients.
+"""Cluster expansion of the loop gas: Ursell coefficients by subset recursion.
 
 ln of the grand series is expanded in the number of loops; the order-n term
 b_n sums over connected graphs on n labelled vertices, each edge carrying a
 pair factor e^{-2(lam/nu) V_nu} - 1 (the 2 because the exponent's ordered
 double sum counts every unordered pair twice) and each vertex carrying the
-single-loop activity times its self-energy e^{-(lam/nu) V_nu(w, w)}.
+single-loop activity times its self-energy e^{-(lam/nu) V_nu(w, w)}.  No graph
+is listed: the connected sum, and the spanning-tree sum of Penrose's
+tree-graph bound, come from one recursion over vertex subsets rooted at their
+top vertex (Brydges, "A short course on cluster expansions", Les Houches
+1984; Penrose, "Convergence of fugacity expansions for classical systems",
+1967), vectorized over samples.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +32,7 @@ from .loopgas import (
 from .stats import ComplexEstimate, mean_estimate
 
 __all__ = [
-    "ClusterGraph",
     "mayer_factor",
-    "enumerate_connected",
     "ursell_coefficient",
     "n_polynomial",
     "log_xi_rel_partial",
@@ -40,72 +41,32 @@ __all__ = [
 MAX_CLUSTER = 5
 
 
-@dataclass(frozen=True)
-class ClusterGraph:
-    """Connected labelled graph with its canonical spanning tree."""
+def _rooted_sum(x: np.ndarray, link) -> np.ndarray:
+    """Sum over connected structures on all n vertices, per sample.
 
-    n: int
-    edges: tuple
-    spanning_tree: tuple
-
-    def __post_init__(self):
-        assert len(self.spanning_tree) == self.n - 1
-        assert set(self.spanning_tree) <= set(self.edges)
-
-
-def _connected(n: int, edges) -> bool:
-    seen = {0}
-    frontier = [0]
-    adj = {i: [] for i in range(n)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    while frontier:
-        u = frontier.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == n
-
-
-def _kruskal_tree(n: int, edges) -> tuple:
-    """Lexicographically minimal spanning tree (Kruskal over sorted edges)."""
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    tree = []
-    for a, b in sorted(edges):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            tree.append((a, b))
-    return tuple(tree)
-
-
-@functools.lru_cache(maxsize=None)
-def enumerate_connected(n: int) -> tuple:
-    """All connected labelled graphs on n vertices, deterministic order.
-
-    Counts for n = 1..5: 1, 1, 4, 38, 728.  Built once per n and shared.
+    x is a (samples, n, n) symmetric edge table.  Each structure on a vertex
+    set S is rooted at its top vertex v: removing v leaves blocks B of
+    U = S - {v}, each a structure of its own, joined to v by the factor
+    L_v(B) = link(sum_{i in B} x[:, i, v]).  Over bitmasks, C({v}) = 1 and
+    C(S) = sum_{B ∋ min U, B ⊆ U} C(B) L_v(B) C(S - B).
     """
-    if n > MAX_CLUSTER:
-        raise CapacityError(f"cluster order {n} exceeds {MAX_CLUSTER}")
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    all_edges = list(itertools.combinations(range(n), 2))
-    graphs = []
-    for k in range(len(all_edges) + 1):
-        for subset in itertools.combinations(all_edges, k):
-            if _connected(n, subset):
-                graphs.append(ClusterGraph(n=n, edges=tuple(subset),
-                                           spanning_tree=_kruskal_tree(n, subset)))
-    return tuple(graphs)
+    samples, n, _ = x.shape
+    bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+    links = link(np.moveaxis(bits @ x, 0, -1))  # (2^n, v, samples)
+    c = np.ones((1 << n, samples))
+    for s in range(3, 1 << n):
+        v = s.bit_length() - 1
+        u = s ^ (1 << v)
+        if u == 0:
+            continue
+        low = u & -u
+        rest = u ^ low
+        subs = [rest]  # every submask of the rest of U, down to 0
+        while subs[-1]:
+            subs.append((subs[-1] - 1) & rest)
+        blocks = np.array(subs) | low
+        c[s] = np.sum(c[blocks] * links[blocks, v] * c[s ^ blocks], axis=0)
+    return c[-1]
 
 
 def mayer_factor(path1: GridPath, path2: GridPath, params: ModelParams,
@@ -133,11 +94,16 @@ class UrsellResult:
 def ursell_coefficient(n: int, params: ModelParams, geom: TorusGeometry,
                        grid: TimeGrid, v, l_max: int, samples: int,
                        seed: int = 0) -> UrsellResult:
-    """b_n = (N^n/n!) A^n sum_{connected G} E[prod_edges G * prod_i self_i].
+    """b_n = (N^n/n!) A^n E[C_n * prod_i self_i], C_n the connected-graph sum.
 
-    The tree-bound diagnostic is the largest sampled ratio of |graph product|
-    to |spanning-tree product| (non-tree factors majorized by 1), which the
-    cluster-convergence argument requires to stay <= 1.
+    C_n = sum over connected graphs on n loops of prod_edges f, with
+    f = e^{-2 (lam/nu) V_nu} - 1, comes from `_rooted_sum` with the link
+    factor prod_{i in B} (1 + f_iv) - 1 = expm1(-2 (lam/nu) sum_{i in B} V_iv).
+    The same recursion with link sum_{i in B} |f_iv| gives the spanning-tree
+    sum T_n = sum_trees prod |f|.  tree_bound_max is the Penrose tree-graph
+    ratio max |C_n| / T_n over the samples with T_n > 0 (0 for n = 1); it is
+    <= 1 whenever every f lies in [-1, 0], and an attractive f can push it
+    above 1.
     """
     if n > MAX_CLUSTER:
         raise CapacityError(f"cluster order {n} exceeds {MAX_CLUSTER}")
@@ -156,25 +122,16 @@ def ursell_coefficient(n: int, params: ModelParams, geom: TorusGeometry,
     vpair = _pair_matrix(geom, grid, v, n, act, samples, rng)
     lam_over_nu = params.lam / params.nu
     selfs = np.exp(-lam_over_nu * np.einsum("sii->si", vpair)).prod(axis=1)
-    gfac = np.expm1(-2.0 * lam_over_nu * vpair)  # doubled: ordered pair sum
-    graph_sum = np.zeros(samples)
-    tree_bound = 0.0
-    for graph in enumerate_connected(n):
-        term = np.ones(samples)
-        for a, b in graph.edges:
-            term = term * gfac[:, a, b]
-        graph_sum += term
-        if graph.n >= 2 and len(graph.edges) > len(graph.spanning_tree):
-            tree_term = np.ones(samples)
-            for a, b in graph.spanning_tree:
-                tree_term = tree_term * gfac[:, a, b]
-            nz = np.abs(tree_term) > 0
-            if np.any(nz):
-                tree_bound = max(tree_bound, float(
-                    np.max(np.abs(term[nz]) / np.abs(tree_term[nz]))))
-    est = mean_estimate(prefac * graph_sum * selfs, seed=seed)
+    x = -2.0 * lam_over_nu * vpair  # doubled: ordered pair sum
+    connected = _rooted_sum(x, np.expm1)
+    tree_ratio = 0.0
+    if n >= 2:
+        trees = _rooted_sum(np.abs(np.expm1(x)), np.positive)
+        pos = trees > 0
+        tree_ratio = float(np.max(np.abs(connected[pos]) / trees[pos], initial=0.0))
+    est = mean_estimate(prefac * connected * selfs, seed=seed)
     return UrsellResult(value=est.value.real, stderr=est.stderr_re,
-                        tree_bound_max=tree_bound, n_samples=samples)
+                        tree_bound_max=tree_ratio, n_samples=samples)
 
 
 def log_xi_rel_partial(params: ModelParams, geom: TorusGeometry, grid: TimeGrid,

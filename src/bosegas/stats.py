@@ -94,6 +94,8 @@ def ratio_estimate(numerator: np.ndarray, weights: np.ndarray, seed=None) -> Com
     if numerator.shape != weights.shape:
         raise ValueError("numerator/weight length mismatch")
     n = len(weights)
+    if n == 0:
+        raise ValueError("no samples")
     n_batches = min(MIN_BATCHES, n)
     usable = n - n % n_batches
     value = numerator.mean() / weights.mean()

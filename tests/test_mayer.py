@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,9 @@ from bosegas.fock import xi_exact
 from bosegas.lattice import (CapacityError, CirclePotential, ModelParams,
                              TimeGrid, TorusGeometry, delta_potential)
 from bosegas.limits import activity_to_kappa
-from bosegas.loopgas import GridPath, free_loop_sum, xi_rel_series
-from bosegas.mayer import (enumerate_connected, log_xi_rel_partial,
+from bosegas.loopgas import (GridPath, activity_table, free_loop_sum,
+                             kappa_eff, xi_rel_series)
+from bosegas.mayer import (_pair_matrix, _rooted_sum, log_xi_rel_partial,
                            mayer_factor, n_polynomial, ursell_coefficient)
 
 G1 = TorusGeometry(dimension=1, sites_per_side=1)
@@ -16,25 +19,69 @@ FREE = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.0)
 BENCH = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.25)
 
 
+def _connected(n, edges):
+    reach = {0}
+    for _ in range(n):
+        reach |= {b for a, b in edges if a in reach} | {a for a, b in edges if b in reach}
+    return len(reach) == n
+
+
+def _brute_connected_sum(f):
+    """Reference: sum over connected graphs of prod_edges f, by listing them."""
+    samples, n, _ = f.shape
+    pairs = list(itertools.combinations(range(n), 2))
+    total = np.zeros(samples)
+    for k in range(n - 1, len(pairs) + 1):
+        for edges in itertools.combinations(pairs, k):
+            if _connected(n, edges):
+                total += np.prod([f[:, a, b] for a, b in edges], axis=0)
+    return total
+
+
+def _unit_weights(n):
+    return np.ones((1, n, n))
+
+
 def test_connected_graph_counts():
-    assert [len(enumerate_connected(n)) for n in (1, 2, 3, 4)] == [1, 1, 4, 38]
+    # unit f: prod_{i in B} (1 + f) - 1 = 2^|B| - 1, so C_n counts graphs
+    got = [_rooted_sum(np.log(2.0) * _unit_weights(n), np.expm1)[0]
+           for n in (1, 2, 3, 4)]
+    assert got == pytest.approx([1, 1, 4, 38], rel=1e-12)
 
 
 def test_connected_graph_count_order_five():
-    assert len(enumerate_connected(5)) == 728
+    got = _rooted_sum(np.log(2.0) * _unit_weights(5), np.expm1)[0]
+    assert got == pytest.approx(728, rel=1e-12)
+
+
+def test_spanning_tree_counts_are_cayley():
+    got = [_rooted_sum(_unit_weights(n), np.positive)[0] for n in range(1, 6)]
+    assert got == pytest.approx([1, 1, 3, 16, 125], rel=1e-12)
+
+
+def test_rooted_sum_matches_graph_listing():
+    # sampled f at the bench point, which has exact zeros of its own ...
+    v = delta_potential(G2)
+    act = activity_table(G2, GRID.nu, kappa_eff(BENCH, v), 6)
+    rng = np.random.default_rng(5)
+    # ... and a synthetic f in (-1, 0] with exact zeros planted
+    synth = -rng.uniform(0.0, 1.0, (400, 4, 4))
+    synth = np.triu(synth * (rng.uniform(size=synth.shape) < 0.6), 1)
+    synth = synth + np.swapaxes(synth, 1, 2)
+    for n in (2, 3, 4):
+        vpair = _pair_matrix(G2, GRID, v, n, act, 500, rng)
+        x = -2.0 * BENCH.lam / BENCH.nu * vpair
+        for f, got in ((np.expm1(x), _rooted_sum(x, np.expm1)),
+                       (synth[:, :n, :n],
+                        _rooted_sum(np.log1p(synth[:, :n, :n]), np.expm1))):
+            want = _brute_connected_sum(f)
+            assert np.any(want == 0.0)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_cluster_order_capacity():
     with pytest.raises(CapacityError):
-        enumerate_connected(6)
-    with pytest.raises(CapacityError):
         ursell_coefficient(6, BENCH, G2, GRID, delta_potential(G2), 6, 10)
-
-
-def test_spanning_trees_valid():
-    for g in enumerate_connected(4):
-        assert len(g.spanning_tree) == 3
-        assert set(g.spanning_tree) <= set(g.edges)
 
 
 def test_mayer_factor_single_site():
@@ -67,6 +114,14 @@ def test_tree_bound_diagnostic():
     v = delta_potential(G2)
     b3 = ursell_coefficient(3, BENCH, G2, GRID, v, 6, 400, seed=1)
     assert b3.tree_bound_max <= 1.0 + 1e-12
+
+
+def test_tree_bound_exceeds_one_when_attractive():
+    # f = e^{+2 (lam/nu) |V|} - 1 > 0 breaks Penrose's bound: on three loops
+    # that all meet, C_3 = f01 f02 + f01 f12 + f02 f12 + f01 f02 f12 > T_3
+    attractive = delta_potential(G2, strength=-1.0)
+    b3 = ursell_coefficient(3, BENCH, G2, GRID, attractive, 6, 400, seed=1)
+    assert b3.tree_bound_max > 1.0
 
 
 def test_partial_sum_matches_oracle():

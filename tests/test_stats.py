@@ -55,6 +55,14 @@ def test_ratio_estimate_flags_low_ess():
     assert est.unreliable
 
 
+def test_empty_input_raises_no_samples():
+    for call in (lambda: batch_means(np.array([])),
+                 lambda: mean_estimate(np.array([])),
+                 lambda: ratio_estimate(np.array([]), np.array([]))):
+        with pytest.raises(ValueError, match="no samples"):
+            call()
+
+
 def test_complex_estimate_helpers():
     est = ComplexEstimate(value=1.0, stderr_re=3.0, stderr_im=4.0, n_samples=10)
     assert est.stderr == pytest.approx(5.0)
