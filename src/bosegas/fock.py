@@ -14,8 +14,12 @@ shifted density.
 
 H conserves each species' particle number.  The basis is ordered by sector:
 total number N = 0..n_max first, then n_0 (the species-0 number).  H is then
-block-diagonal in contiguous sectors, every spectrum is taken block by block,
-and the trace at cutoff n_max - 1 is the sum over the sectors with N < n_max.
+block-diagonal in contiguous sectors, and the trace at cutoff n_max - 1 is the
+sum over the sectors with N < n_max.  Every operator is a sparse CSR array
+built from one move primitive, `OccupationBasis.hop`; a dense array exists
+only for one sector block at a time, when its spectrum is taken.  The one-body
+functions use the block-diagonal Boltzmann operators e^{-p (H - E_0)}, so an
+annihilator only ever couples the block pair (N, n_0) -> (N - 1, n_0 - 1).
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .lattice import CapacityError, ModelParams, TorusGeometry, TwoBodyPotential
 
@@ -84,15 +89,21 @@ class OccupationBasis:
         """Basis indices of occupation vectors that lie in the basis."""
         return np.searchsorted(self._sorted_codes, self._codes(states))
 
-    def annihilator(self, site: int, species: int = 0) -> np.ndarray:
-        """Dense matrix of b_{site, species} in this truncated basis."""
-        mode = species * self.geom.n_sites + site
-        src = np.flatnonzero(self.states[:, mode])
-        lower = self.states[src]
-        lower[:, mode] -= 1
-        b = np.zeros((len(self), len(self)))
-        b[self._locate(lower), src] = np.sqrt(self.states[src, mode])
-        return b
+    def hop(self, dst: int | None, src: int) -> sparse.csr_array:
+        """Sparse b_dst^dag b_src between two modes, or b_src alone if dst is None."""
+        rows = np.flatnonzero(self.states[:, src])
+        moved = self.states[rows]
+        amp = moved[:, src].astype(float)
+        moved[:, src] -= 1
+        if dst is not None:
+            moved[:, dst] += 1
+            amp *= moved[:, dst]
+        return sparse.csr_array((np.sqrt(amp), (self._locate(moved), rows)),
+                                shape=(len(self), len(self)))
+
+    def annihilator(self, site: int, species: int = 0) -> sparse.csr_array:
+        """Sparse b_{site, species} in this truncated basis."""
+        return self.hop(None, species * self.geom.n_sites + site)
 
     def site_occupations(self) -> np.ndarray:
         """(B, n_sites) total occupation per site, summed over species."""
@@ -102,56 +113,40 @@ class OccupationBasis:
 
 @dataclass
 class TruncatedOperator:
-    matrix: np.ndarray
-    label: str
+    matrix: sparse.csr_array
     basis: OccupationBasis
 
     def hermiticity_residual(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.T.conj())))
+        return float(abs(self.matrix - self.matrix.T.conj()).max())
 
 
-def _interaction(basis, params, v) -> np.ndarray:
-    """Diagonal of the quartic term, one entry per basis state."""
+def _interaction(basis, params, v) -> sparse.csr_array:
+    """Quartic term, diagonal in the occupation basis."""
     shift = basis.n_species * params.rho / params.nu
     dens = basis.site_occupations() - shift
-    return 0.5 * params.lam * np.einsum("bx,xy,by->b", dens, v.matrix(), dens)
+    w = 0.5 * params.lam * np.einsum("bx,xy,by->b", dens, v.matrix(), dens)
+    idx = np.arange(len(basis))
+    return sparse.csr_array((w, (idx, idx)), shape=(len(basis), len(basis)))
 
 
 def build_hamiltonian(params: ModelParams, geom: TorusGeometry,
                       v: TwoBodyPotential, n_max: int,
                       n_species_int: int | None = None) -> TruncatedOperator:
-    """Dense symmetric Hamiltonian in the occupation basis."""
+    """Sparse symmetric Hamiltonian diag(W) + nu sum_a sum_xy h1[x, y] b_x^dag b_y."""
     if n_species_int is None:
         n_species_int = int(round(params.n_species))
     basis = OccupationBasis(geom, n_species_int, n_max)
     n_sites = geom.n_sites
     h1 = -0.5 * geom.laplacian_matrix() + params.kappa0 * np.eye(n_sites)
-    states = basis.states
-
-    H = np.zeros((len(basis), len(basis)))
-    # kinetic + chemical-potential part nu * sum_a b^dag h1 b: every state
-    # with a particle at y hops it to x at once
+    H = _interaction(basis, params, v)
     for a in range(n_species_int):
         for x, y in zip(*np.nonzero(h1)):
-            mx, my = a * n_sites + x, a * n_sites + y
-            src = np.flatnonzero(states[:, my])
-            hop = states[src]
-            hop[:, my] -= 1
-            hop[:, mx] += 1
-            amp = np.sqrt(states[src, my] * hop[:, mx])
-            H[basis._locate(hop), src] += params.nu * h1[x, y] * amp
+            H = H + params.nu * h1[x, y] * basis.hop(a * n_sites + x, a * n_sites + y)
 
-    H[np.diag_indices_from(H)] += _interaction(basis, params, v)
-
-    op = TruncatedOperator(matrix=H, label="hamiltonian", basis=basis)
+    op = TruncatedOperator(matrix=H, basis=basis)
     if op.hermiticity_residual() > HERMITICITY_TOL:
         raise AssertionError("Hamiltonian lost Hermiticity during assembly")
     return op
-
-
-def _block_spectra(matrix, basis, eig=np.linalg.eigvalsh) -> list:
-    """`eig` of each sector block of a sector-block-diagonal matrix."""
-    return [eig(matrix[s, s]) for s in basis.sectors]
 
 
 @dataclass
@@ -173,15 +168,15 @@ def xi_exact(params: ModelParams, geom: TorusGeometry, v: TwoBodyPotential,
     exceeds drift_tol.
     """
     op = build_hamiltonian(params, geom, v, n_max, n_species_int)
-    weights = np.exp(-np.concatenate(_block_spectra(op.matrix, op.basis)))
-    xi = float(weights.sum())
-    top = weights[op.basis.states.sum(axis=1) == n_max].sum() if n_max >= 1 else 0.0
-    xi_free = xi
-    if params.lam != 0.0:
-        kinetic = op.matrix.copy()
-        kinetic[np.diag_indices_from(kinetic)] -= _interaction(op.basis, params, v)
-        xi_free = float(np.exp(-np.concatenate(_block_spectra(kinetic, op.basis))).sum())
-    drift = float(top / xi)
+    hams = [op.matrix]
+    if params.lam != 0.0:  # the free H drops the diagonal quartic term
+        hams.append(op.matrix - _interaction(op.basis, params, v))
+    # Tr e^{-h} restricted to each sector block, one row per Hamiltonian
+    traces = np.array([[np.exp(-np.linalg.eigvalsh(h[s, s].toarray())).sum()
+                        for s in op.basis.sectors] for h in hams])
+    xi, xi_free = float(traces[0].sum()), float(traces[-1].sum())
+    top = [op.basis.states[s.start].sum() == n_max for s in op.basis.sectors]
+    drift = float(traces[0, top].sum() / xi) if n_max >= 1 else 0.0
     return XiResult(
         xi=xi,
         xi_free=xi_free,
@@ -191,14 +186,15 @@ def xi_exact(params: ModelParams, geom: TorusGeometry, v: TwoBodyPotential,
     )
 
 
-def _eigen_annihilators(params, geom, v, n_max, n_species_int, sites):
-    """Block eigenvalues of H and b_x (species 0) in its eigenbasis, per site."""
-    from scipy.linalg import block_diag
+def _boltzmann(params, geom, v, n_max, n_species_int, powers):
+    """Basis, Tr e^{-(H - E0)} and the sparse block-diagonal e^{-p (H - E0)} per p."""
     op = build_hamiltonian(params, geom, v, n_max, n_species_int)
-    evals, evecs = zip(*_block_spectra(op.matrix, op.basis, np.linalg.eigh))
-    evals, evecs = np.concatenate(evals), block_diag(*evecs)
-    return evals, np.stack([evecs.T @ op.basis.annihilator(x) @ evecs
-                            for x in sites])
+    pairs = [np.linalg.eigh(op.matrix[s, s].toarray()) for s in op.basis.sectors]
+    evals = np.concatenate([w for w, _ in pairs])
+    e0 = evals.min()  # common shift cancels in every ratio
+    ops = [sparse.csr_array(sparse.block_diag(
+        [(u * np.exp(-p * (w - e0))) @ u.T for w, u in pairs])) for p in powers]
+    return op.basis, float(np.exp(-(evals - e0)).sum()), ops
 
 
 def duhamel_exact(params: ModelParams, geom: TorusGeometry, v: TwoBodyPotential,
@@ -213,23 +209,24 @@ def duhamel_exact(params: ModelParams, geom: TorusGeometry, v: TwoBodyPotential,
     nu = params.nu
     if not (0.0 <= tau_p <= tau < nu):
         raise ValueError("need 0 <= tau' <= tau < nu")
-    evals, (bx, bxp) = _eigen_annihilators(params, geom, v, n_max,
-                                           n_species_int, (x, x_p))
-    e = evals - evals.min()  # common shift cancels in the ratio
-    s = (tau - tau_p) / nu   # evolution over [0, nu) is generated by H / nu
+    s = (tau - tau_p) / nu  # evolution over [0, nu) is generated by H / nu
     if s == 0.0:  # equal times: the other operator order, <b_x^dag b_x'>
-        bx, bxp = bx.T, bxp.T
-    val = np.einsum("i,ij,j,ij->", np.exp(-(1 - s) * e), bx, np.exp(-s * e), bxp)
-    return float(val / np.exp(-e).sum())
+        return float(gamma1_exact(params, geom, v, n_max, n_species_int)[x, x_p])
+    basis, z, (late, early) = _boltzmann(params, geom, v, n_max, n_species_int,
+                                         (1 - s, s))
+    # Tr(e^{-(1-s)H} b_x e^{-sH} b_x'^dag): b_x only links (N, n_0) to (N-1, n_0-1)
+    kernel = late @ basis.annihilator(x) @ early
+    return float(kernel.multiply(basis.annihilator(x_p)).sum() / z)
 
 
 def gamma1_exact(params: ModelParams, geom: TorusGeometry, v: TwoBodyPotential,
                  n_max: int, n_species_int: int | None = None) -> np.ndarray:
     """Full one-body matrix gamma_1(x, x') = <b_x^dag b_x'>."""
-    evals, bs = _eigen_annihilators(params, geom, v, n_max, n_species_int,
-                                    range(geom.n_sites))
-    w = np.exp(-(evals - evals.min()))
-    return np.einsum("xji,yji->xy", bs * w, bs) / w.sum()
+    basis, z, (rho,) = _boltzmann(params, geom, v, n_max, n_species_int, (1.0,))
+    sites = range(geom.n_sites)
+    # Tr(rho b_x^dag b_x') for species 0, with rho symmetric
+    return np.array([[rho.multiply(basis.hop(x, y)).sum() for y in sites]
+                     for x in sites]) / z
 
 
 @dataclass

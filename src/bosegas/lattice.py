@@ -306,10 +306,6 @@ class ModelParams:
             return self.lambda0 * self.nu**2 / (self.n_species + 1.0)
         return self.lambda0
 
-    def kappa_rho(self, v) -> float:
-        """Effective single-loop death rate kappa0 - lam * rho * nu^-2 * Σ_x v(x)."""
-        return self.kappa0 - self.lam * self.rho * self.nu**-2 * v.total()
-
     def with_rho(self, rho: float) -> "ModelParams":
         return ModelParams(
             nu=self.nu,

@@ -213,11 +213,7 @@ def free_loop_sum(geom: TorusGeometry, nu: float, kappa0: float, l_max: int) -> 
 
     As l_max grows this tends to log Xi_free per species.
     """
-    vol = _volume(geom)
-    return float(sum(
-        np.exp(-kappa0 * ell * nu) / ell * vol * _diag_heat(geom, ell * nu)
-        for ell in range(1, l_max + 1)
-    ))
+    return float(activity_table(geom, nu, kappa0, l_max).sum())
 
 
 def activity_table(geom: TorusGeometry, nu: float, kappa: float, l_max: int) -> np.ndarray:

@@ -159,10 +159,8 @@ def log_xi_rel_partial(params: ModelParams, geom: TorusGeometry, grid: TimeGrid,
 def n_polynomial(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
                  n_orders: int, l_max: int, samples: int, seed: int = 0) -> dict:
     """Coefficients c_n = b_n / N^n of the species polynomial of ln Xi_rel."""
-    coeffs = {}
-    for n in range(1, n_orders + 1):
-        b = ursell_coefficient(n, params, geom, grid, v, l_max, samples,
-                               seed=seed + n)
-        coeffs[n] = (b.value / params.n_species**n,
-                     b.stderr / params.n_species**n)
+    orders = log_xi_rel_partial(params, geom, grid, v, n_orders, l_max, samples,
+                                seed=seed).extra["orders"]
+    coeffs = {n: (value / params.n_species**n, stderr / params.n_species**n)
+              for n, (value, stderr) in orders.items()}
     return {"coefficients": coeffs, "coupling_mode": params.coupling_mode}

@@ -26,7 +26,7 @@ def test_basis_counting():
 
 def test_annihilator_ccr_below_cutoff():
     basis = OccupationBasis(G1, 1, 6)
-    b = basis.annihilator(0)
+    b = basis.annihilator(0).toarray()
     comm = b @ b.T - b.T @ b
     # exact canonical commutator except on the top (truncated) state
     assert np.allclose(np.diag(comm)[:-1], 1.0)
@@ -158,18 +158,18 @@ def test_kinetic_part_is_one_body_operator():
     op = build_hamiltonian(p, G22, delta_potential(G22), 3, 2)
     basis = op.basis
     h1 = -0.5 * G22.laplacian_matrix() + p.kappa0 * np.eye(4)
-    want = np.zeros_like(op.matrix)
+    want = np.zeros_like(op.matrix.toarray())
     for a in range(2):
-        b = [basis.annihilator(x, a) for x in range(4)]
+        b = [basis.annihilator(x, a).toarray() for x in range(4)]
         for x in range(4):
             for y in range(4):
                 want += p.nu * h1[x, y] * b[x].T @ b[y]
-    assert np.allclose(op.matrix, want, rtol=0, atol=1e-13)
+    assert np.allclose(op.matrix.toarray(), want, rtol=0, atol=1e-13)
     # the number-conserving H has no entries outside its sector blocks
     blocks = np.zeros(op.matrix.shape, dtype=bool)
     for s in basis.sectors:
         blocks[s, s] = True
-    assert not np.any(op.matrix[~blocks])
+    assert not np.any(op.matrix.toarray()[~blocks])
 
 
 def test_truncation_drift_is_top_sector_share():
@@ -179,3 +179,19 @@ def test_truncation_drift_is_top_sector_share():
     below = xi_exact(p, G22, v, n_max=5)
     assert top.truncation_drift > 1e-3
     assert top.truncation_drift == pytest.approx(1 - below.xi / top.xi, abs=1e-13)
+
+
+@pytest.mark.parametrize("geom, params, n_max, n_species", [
+    (G2, ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5), 20, 1),
+    (G22, ModelParams(nu=1.0, kappa0=2.0, lambda0=0.5, n_species=2.0), 4, 2),
+])
+def test_duhamel_kms_boundary_is_gamma1(geom, params, n_max, n_species):
+    # as tau -> nu the kernel ordering Tr(e^{-(nu-tau)H/nu} b_x e^{-tau H/nu} b_x'^dag)
+    # becomes <b_x'^dag b_x>: the cross-sector path meets the in-sector one
+    v = delta_potential(geom)
+    gam = gamma1_exact(params, geom, v, n_max, n_species)
+    tau = params.nu * (1 - 1e-9)
+    for x in range(geom.n_sites):
+        for xp in range(geom.n_sites):
+            got = duhamel_exact(params, geom, v, n_max, tau, x, 0.0, xp, n_species)
+            assert got == pytest.approx(gam[xp, x], abs=1e-8)
