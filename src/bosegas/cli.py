@@ -36,7 +36,10 @@ EXIT_CAPACITY = 4
 
 
 def _resolved_parameters(cfg: ExperimentConfig) -> dict:
-    return {sec: dict(vals) for sec, vals in cfg.raw.items()}
+    """The config's sections, with model.rho the number every route reads."""
+    resolved = {sec: dict(vals) for sec, vals in cfg.raw.items()}
+    resolved["model"]["rho"] = repr(cfg.model().rho)
+    return resolved
 
 
 def _estimate_with_samples(command, cfg, chain_seed):

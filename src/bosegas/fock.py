@@ -45,6 +45,7 @@ __all__ = [
 
 MAX_BASIS = 4000
 HERMITICITY_TOL = 1e-12
+DRIFT_TOL = 1e-6  # truncation drift above which xi_exact flags its result
 
 
 class OccupationBasis:
@@ -53,15 +54,15 @@ class OccupationBasis:
     Modes are ordered species-major: mode index = a * n_sites + x.
     """
 
-    def __init__(self, geom: TorusGeometry, n_species_int: int, n_max: int):
+    def __init__(self, geom: TorusGeometry, n_species: float, n_max: int):
         if geom.n_sites > 4:
             raise CapacityError("oracle restricted to at most 4 sites")
-        if n_species_int not in (1, 2):
-            raise CapacityError("oracle supports 1 or 2 integer species")
+        if n_species not in (1, 2):
+            raise CapacityError(f"oracle supports 1 or 2 species, not {n_species}")
         self.geom = geom
-        self.n_species = n_species_int
+        self.n_species = int(n_species)
         self.n_max = n_max
-        self.n_modes = geom.n_sites * n_species_int
+        self.n_modes = geom.n_sites * self.n_species
         dim = math.comb(n_max + self.n_modes, self.n_modes)
         if dim > MAX_BASIS:
             raise CapacityError(f"basis of {dim} states exceeds {MAX_BASIS}")
@@ -130,16 +131,13 @@ def _interaction(basis, params, v) -> sparse.csr_array:
 
 
 def build_hamiltonian(params: ModelParams, geom: TorusGeometry,
-                      v: TwoBodyPotential, n_max: int,
-                      n_species_int: int | None = None) -> TruncatedOperator:
+                      v: TwoBodyPotential, n_max: int) -> TruncatedOperator:
     """Sparse symmetric Hamiltonian diag(W) + nu sum_a sum_xy h1[x, y] b_x^dag b_y."""
-    if n_species_int is None:
-        n_species_int = int(round(params.n_species))
-    basis = OccupationBasis(geom, n_species_int, n_max)
+    basis = OccupationBasis(geom, params.n_species, n_max)
     n_sites = geom.n_sites
     h1 = -0.5 * geom.laplacian_matrix() + params.kappa0 * np.eye(n_sites)
     H = _interaction(basis, params, v)
-    for a in range(n_species_int):
+    for a in range(basis.n_species):
         for x, y in zip(*np.nonzero(h1)):
             H = H + params.nu * h1[x, y] * basis.hop(a * n_sites + x, a * n_sites + y)
 
@@ -159,15 +157,14 @@ class XiResult:
 
 
 def xi_exact(params: ModelParams, geom: TorusGeometry, v: TwoBodyPotential,
-             n_max: int, n_species_int: int | None = None,
-             drift_tol: float = 1e-6) -> XiResult:
+             n_max: int) -> XiResult:
     """Grand partition function, its free counterpart, and their ratio.
 
     The truncation drift compares the cutoffs n_max and n_max - 1, which is
     the share of the top sector N = n_max in Xi, and flags the result when it
-    exceeds drift_tol.
+    exceeds DRIFT_TOL.
     """
-    op = build_hamiltonian(params, geom, v, n_max, n_species_int)
+    op = build_hamiltonian(params, geom, v, n_max)
     hams = [op.matrix]
     if params.lam != 0.0:  # the free H drops the diagonal quartic term
         hams.append(op.matrix - _interaction(op.basis, params, v))
@@ -182,13 +179,13 @@ def xi_exact(params: ModelParams, geom: TorusGeometry, v: TwoBodyPotential,
         xi_free=xi_free,
         xi_rel=xi / xi_free,
         truncation_drift=drift,
-        drift_warning=drift > drift_tol,
+        drift_warning=drift > DRIFT_TOL,
     )
 
 
-def _boltzmann(params, geom, v, n_max, n_species_int, powers):
+def _boltzmann(params, geom, v, n_max, powers):
     """Basis, Tr e^{-(H - E0)} and the sparse block-diagonal e^{-p (H - E0)} per p."""
-    op = build_hamiltonian(params, geom, v, n_max, n_species_int)
+    op = build_hamiltonian(params, geom, v, n_max)
     pairs = [np.linalg.eigh(op.matrix[s, s].toarray()) for s in op.basis.sectors]
     evals = np.concatenate([w for w, _ in pairs])
     e0 = evals.min()  # common shift cancels in every ratio
@@ -198,8 +195,7 @@ def _boltzmann(params, geom, v, n_max, n_species_int, powers):
 
 
 def duhamel_exact(params: ModelParams, geom: TorusGeometry, v: TwoBodyPotential,
-                  n_max: int, tau: float, x: int, tau_p: float, x_p: int,
-                  n_species_int: int | None = None) -> float:
+                  n_max: int, tau: float, x: int, tau_p: float, x_p: int) -> float:
     """Imaginary-time-ordered two-point function G(tau, x; tau', x').
 
     For tau > tau' this is the kernel ordering (annihilator at the later
@@ -211,18 +207,17 @@ def duhamel_exact(params: ModelParams, geom: TorusGeometry, v: TwoBodyPotential,
         raise ValueError("need 0 <= tau' <= tau < nu")
     s = (tau - tau_p) / nu  # evolution over [0, nu) is generated by H / nu
     if s == 0.0:  # equal times: the other operator order, <b_x^dag b_x'>
-        return float(gamma1_exact(params, geom, v, n_max, n_species_int)[x, x_p])
-    basis, z, (late, early) = _boltzmann(params, geom, v, n_max, n_species_int,
-                                         (1 - s, s))
+        return float(gamma1_exact(params, geom, v, n_max)[x, x_p])
+    basis, z, (late, early) = _boltzmann(params, geom, v, n_max, (1 - s, s))
     # Tr(e^{-(1-s)H} b_x e^{-sH} b_x'^dag): b_x only links (N, n_0) to (N-1, n_0-1)
     kernel = late @ basis.annihilator(x) @ early
     return float(kernel.multiply(basis.annihilator(x_p)).sum() / z)
 
 
 def gamma1_exact(params: ModelParams, geom: TorusGeometry, v: TwoBodyPotential,
-                 n_max: int, n_species_int: int | None = None) -> np.ndarray:
+                 n_max: int) -> np.ndarray:
     """Full one-body matrix gamma_1(x, x') = <b_x^dag b_x'>."""
-    basis, z, (rho,) = _boltzmann(params, geom, v, n_max, n_species_int, (1.0,))
+    basis, z, (rho,) = _boltzmann(params, geom, v, n_max, (1.0,))
     sites = range(geom.n_sites)
     # Tr(rho b_x^dag b_x') for species 0, with rho symmetric
     return np.array([[rho.multiply(basis.hop(x, y)).sum() for y in sites]

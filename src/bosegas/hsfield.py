@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import ModelParams, TimeGrid, TorusGeometry
-from .propagators import _spectral_data, free_green, monodromy_batch
+from .propagators import _spectral_data, ideal_occupation, monodromy_batch
 from .stats import ComplexEstimate, mean_estimate, ratio_estimate
 
 __all__ = [
@@ -68,15 +68,10 @@ def det_identity_residual(a: np.ndarray) -> float:
 def wick_rho(geom: TorusGeometry, nu: float, kappa0: float) -> float:
     """Density shift nu * gamma1_free(x, x) that cancels the tadpole term.
 
-    Site independent by translation invariance.
+    Site independent by translation invariance, so it is nu times the
+    per-site ideal occupation.
     """
-    return float(nu * free_green(geom, nu, kappa0)[0, 0])
-
-
-def resolve_rho(params: ModelParams, geom: TorusGeometry) -> float:
-    if params.rho_mode == "wick":
-        return wick_rho(geom, params.nu, params.kappa0)
-    return params.rho
+    return nu * ideal_occupation(geom, nu, kappa0)
 
 
 def _cov_factor(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v) -> np.ndarray:
@@ -118,13 +113,11 @@ def _log_det_ratio(geom: TorusGeometry, nu: float, kappa0: float,
 
 
 def hs_log_weight(params: ModelParams, geom: TorusGeometry, grid: TimeGrid,
-                  sigma: np.ndarray, rho: float | None = None) -> HSWeight:
+                  sigma: np.ndarray) -> HSWeight:
     """Weight exponent pieces for a single field configuration."""
-    if rho is None:
-        rho = resolve_rho(params, geom)
     gamma = monodromy_batch(geom, grid, sigma[None])
     dval = complex(_log_det_ratio(geom, params.nu, params.kappa0, gamma)[0])
-    theta = float(rho / params.nu * grid.eps * sigma.sum())
+    theta = float(params.rho / params.nu * grid.eps * sigma.sum())
     return HSWeight(theta=theta, log_det_ratio=dval)
 
 
@@ -147,10 +140,10 @@ def winding_exponent(geom: TorusGeometry, nu: float, kappa0: float,
 
 
 def _field_weights(params: ModelParams, geom: TorusGeometry, grid: TimeGrid,
-                   sigma: np.ndarray, gamma: np.ndarray, rho: float) -> np.ndarray:
+                   sigma: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Weights exp(i N theta - N D) of a field stack and its monodromies."""
     dvals = _log_det_ratio(geom, params.nu, params.kappa0, gamma)
-    thetas = rho / params.nu * grid.eps * sigma.sum(axis=(1, 2))
+    thetas = params.rho / params.nu * grid.eps * sigma.sum(axis=(1, 2))
     return np.exp(1j * params.n_species * thetas - params.n_species * dvals)
 
 
@@ -168,8 +161,7 @@ def estimate_xi_rel(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
         rng = np.random.default_rng(seed)
         sigma = sample_sigma(params, geom, grid, v, n_samples, rng)
         weights = _field_weights(params, geom, grid, sigma,
-                                 monodromy_batch(geom, grid, sigma),
-                                 resolve_rho(params, geom))
+                                 monodromy_batch(geom, grid, sigma))
     est = mean_estimate(weights, seed=seed)
     mean_abs = float(np.mean(np.abs(weights)))
     est.extra.update(weights=weights, mean_abs_weight=mean_abs,
@@ -208,7 +200,6 @@ def estimate_duhamel(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v
     j_lo = _grid_slice(grid, tau_p)
     s = tau - tau_p
     rng = np.random.default_rng(seed)
-    rho = resolve_rho(params, geom)
     n = geom.n_sites
     eye = np.eye(n)
     fug = np.exp(-nu * kappa0)
@@ -233,5 +224,5 @@ def estimate_duhamel(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v
         val = complex(kernels[0])
         return ComplexEstimate(value=val, stderr_re=0.0, stderr_im=0.0,
                                n_samples=n_samples, seed=seed, ess=float(n_samples))
-    weights = _field_weights(params, geom, grid, sigma, gamma, rho)
+    weights = _field_weights(params, geom, grid, sigma, gamma)
     return ratio_estimate(kernels * weights, weights, seed=seed)

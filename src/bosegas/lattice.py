@@ -274,8 +274,8 @@ class ModelParams:
 
     coupling_mode "fixed" keeps lam = lambda0; "meanfield" rescales it to
     lambda0 * nu^2 / (N + 1) so the classical field theory is the nu -> 0 limit.
-    rho_mode "explicit" uses the given rho; "wick" defers to the ideal-gas
-    occupation (resolved by the auxiliary-field module, which owns that rule).
+    Every route reads rho as given; a config's rho_mode = wick is resolved to
+    a number before the model is built.
     """
 
     nu: float
@@ -283,7 +283,6 @@ class ModelParams:
     lambda0: float = 0.0
     n_species: float = 1.0
     coupling_mode: str = "fixed"
-    rho_mode: str = "explicit"
     rho: float = 0.0
 
     def __post_init__(self):
@@ -297,22 +296,9 @@ class ModelParams:
             raise ValueError("species number must be nonnegative")
         if self.coupling_mode not in ("fixed", "meanfield"):
             raise ValueError("coupling_mode must be 'fixed' or 'meanfield'")
-        if self.rho_mode not in ("explicit", "wick"):
-            raise ValueError("rho_mode must be 'explicit' or 'wick'")
 
     @property
     def lam(self) -> float:
         if self.coupling_mode == "meanfield":
             return self.lambda0 * self.nu**2 / (self.n_species + 1.0)
         return self.lambda0
-
-    def with_rho(self, rho: float) -> "ModelParams":
-        return ModelParams(
-            nu=self.nu,
-            kappa0=self.kappa0,
-            lambda0=self.lambda0,
-            n_species=self.n_species,
-            coupling_mode=self.coupling_mode,
-            rho_mode="explicit",
-            rho=rho,
-        )

@@ -9,10 +9,11 @@ monotonicity verdict.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import gammainc, gammaln
 
 from .hsfield import estimate_duhamel, wick_rho
 from .lattice import ModelParams, TimeGrid, TorusGeometry
@@ -30,6 +31,12 @@ __all__ = [
     "largeN_check",
     "meanfield_sweep",
 ]
+
+GL_POINTS = 8          # Gauss-Legendre nodes per panel of the circle integral
+MAX_PANELS = 4         # panel count at which the circle integral stops doubling
+QUAD_TOL = 1e-8        # relative change at which the panel doubling stops
+CLASSICAL_EPS = 0.025  # target slice width of the classical-limit sweep
+MEANFIELD_EPS = 1.0 / 64.0  # slice width shared by every mean-field point
 
 
 @dataclass
@@ -66,55 +73,44 @@ class LimitSweep:
 # classical point gas
 
 
-def _classical_boltzmann_lattice(geom, v, lambda0, positions):
-    vmat = v.matrix()
-    sub = vmat[np.ix_(positions, positions)]
-    return np.exp(-0.5 * lambda0 * sub.sum())
-
-
 def classical_xi(z: float, lambda0: float, n_species: float,
-                 geom: TorusGeometry, v, n_max: int,
-                 gl_points: int = 8, max_panels: int = 4,
-                 quad_tol: float = 1e-8) -> dict:
+                 geom: TorusGeometry, v, n_max: int) -> dict:
     """Truncated classical grand partition function with self-terms included.
 
     Xi_cl = sum_{n <= n_max} ((z N)^n / n!) * integral over n positions of
     exp(-(lambda0/2) sum_{i,j} v(u_i - u_j)).  Lattice positions are summed
     exactly; circle positions use translation invariance (first point fixed,
     one factor of the circumference) and composite Gauss-Legendre panels,
-    doubled until the change is below quad_tol or the panel cap is hit.
+    doubled until the change is below QUAD_TOL or MAX_PANELS is reached.
+    tail_rel is the Poisson tail of the free gas beyond n_max particles.
     """
     if n_max > 8:
         raise ValueError("n_max above 8 is not supported")
     zn = z * n_species
     per_n = [1.0]
     converged = True
-    from scipy.special import gammaln
-
+    if geom.mode == "lattice":
+        vmat = v.matrix()
     for n in range(1, n_max + 1):
         if geom.mode == "lattice":
-            total = 0.0
+            integral = 0.0
             for pos in itertools.product(range(geom.n_sites), repeat=n):
-                total += _classical_boltzmann_lattice(geom, v, lambda0, list(pos))
-            integral = total
+                integral += np.exp(-0.5 * lambda0 * vmat[np.ix_(pos, pos)].sum())
         else:
-            integral, ok = _classical_integral_circle(
-                geom.circumference, v, lambda0, n, gl_points, max_panels, quad_tol)
+            integral, ok = _classical_integral_circle(geom.circumference, v,
+                                                      lambda0, n)
             converged = converged and ok
         per_n.append(float(np.exp(n * np.log(zn) - gammaln(n + 1)) * integral))
     vol = geom.n_sites if geom.mode == "lattice" else geom.circumference
-    tail = 1.0 - np.exp(-zn * vol) * sum(
-        np.exp(k * np.log(zn * vol) - gammaln(k + 1)) if k else 1.0
-        for k in range(n_max + 1))
     return {
         "value": float(sum(per_n)),
         "per_n": per_n,
-        "tail_rel": float(abs(tail)),
+        "tail_rel": float(gammainc(n_max + 1, zn * vol)),
         "quadrature_converged": converged,
     }
 
 
-def _classical_integral_circle(L, v, lambda0, n, gl_points, max_panels, tol):
+def _classical_integral_circle(L, v, lambda0, n):
     """Integral over n circle positions of the classical Boltzmann factor.
 
     Self-terms contribute a constant exp(-(lambda0/2) n v(0)).
@@ -122,7 +118,7 @@ def _classical_integral_circle(L, v, lambda0, n, gl_points, max_panels, tol):
     self_part = np.exp(-0.5 * lambda0 * n * v(0.0))
     if n == 1:
         return L * self_part, True
-    nodes0, weights0 = np.polynomial.legendre.leggauss(gl_points)
+    nodes0, weights0 = np.polynomial.legendre.leggauss(GL_POINTS)
     prev = None
     panels = 1
     while True:
@@ -147,9 +143,9 @@ def _classical_integral_circle(L, v, lambda0, n, gl_points, max_panels, tol):
             for j in range(i + 1, n):
                 energy += v_nodes[idx[i - 1], idx[j - 1]]
         val = L * self_part * float(np.sum(wts * np.exp(-lambda0 * energy)))
-        if prev is not None and abs(val - prev) <= tol * max(abs(val), 1.0):
+        if prev is not None and abs(val - prev) <= QUAD_TOL * max(abs(val), 1.0):
             return val, True
-        if panels >= max_panels:
+        if panels >= MAX_PANELS:
             return val, prev is not None and abs(val - prev) <= 1e-4 * abs(val)
         prev = val
         panels *= 2
@@ -165,7 +161,7 @@ def activity_to_kappa(z: float, nu: float, d: int) -> float:
 def classical_limit_sweep(z: float, lambda0: float, nu_list, geom: TorusGeometry,
                           v, n_species: float = 1.0, n_max: int = 5,
                           l_max: int = 5, samples: int = 4096,
-                          eps_target: float = 0.025, seed: int = 0) -> LimitSweep:
+                          seed: int = 0) -> LimitSweep:
     """Loop-gas raw series at shrinking nu against the classical point gas.
 
     The activity schedule e^{-kappa nu} nu^{-d/2} = z makes the winding-1
@@ -181,7 +177,7 @@ def classical_limit_sweep(z: float, lambda0: float, nu_list, geom: TorusGeometry
     discs, errs, values = [], [], []
     for k, nu in enumerate(nu_list):
         kappa = activity_to_kappa(z, nu, d)
-        n_tau = max(4, int(round(nu / eps_target)))
+        n_tau = max(4, int(round(nu / CLASSICAL_EPS)))
         grid = TimeGrid(nu=nu, n_slices=n_tau)
         params = ModelParams(nu=nu, kappa0=kappa, lambda0=lambda0,
                              n_species=n_species)
@@ -243,9 +239,8 @@ def saddle_point(params: ModelParams, geom: TorusGeometry, v) -> SaddleState:
 
 
 def largeN_check(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
-                 N_list, samples: int, seed: int = 0,
-                 site: tuple = (0, 0)) -> LimitSweep:
-    """gamma_1 at growing species number N against the saddle-point free gas.
+                 N_list, samples: int, seed: int = 0) -> LimitSweep:
+    """gamma_1(0, 0) at growing species number N against the saddle-point free gas.
 
     The coupling is rescaled as lambda0 nu^2 / (N + 1); the reference is
     free_green at the renormalized rate kappa0 + s(N).  A common seed keeps
@@ -253,16 +248,12 @@ def largeN_check(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
     """
     if list(N_list) != sorted(N_list):
         raise ValueError("N_list must be increasing")
-    x, y = site
     discs, errs, info = [], [], []
     for N in N_list:
-        pN = ModelParams(nu=params.nu, kappa0=params.kappa0,
-                         lambda0=params.lambda0, n_species=float(N),
-                         coupling_mode="meanfield", rho_mode=params.rho_mode,
-                         rho=params.rho)
+        pN = replace(params, n_species=float(N), coupling_mode="meanfield")
         sd = saddle_point(pN, geom, v)
-        target = free_green(geom, params.nu, sd.kappa_ren)[x, y]
-        est = estimate_duhamel(pN, geom, grid, v, x, y, n_samples=samples,
+        target = free_green(geom, params.nu, sd.kappa_ren)[0, 0]
+        est = estimate_duhamel(pN, geom, grid, v, 0, 0, n_samples=samples,
                                seed=seed)
         disc = abs(est.value.real - target)
         discs.append(disc)
@@ -280,7 +271,7 @@ def largeN_check(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
 
 
 def meanfield_sweep(lambda0: float, kappa0: float, nu_list, samples: int,
-                    eps: float = 1.0 / 64.0, seed: int = 0) -> LimitSweep:
+                    seed: int = 0) -> LimitSweep:
     """nu * gamma_1 on a single site against the classical field moment.
 
     Quantum side: auxiliary-field gamma_1 with lambda = lambda0 nu^2 / (N+1)
@@ -298,12 +289,11 @@ def meanfield_sweep(lambda0: float, kappa0: float, nu_list, samples: int,
     ref = field_quadrature_1site(p_cl, v)["phi2"]
     discs, errs, info = [], [], []
     for k, nu in enumerate(nu_list):
-        n_tau = max(2, int(round(nu / eps)))
+        n_tau = max(2, int(round(nu / MEANFIELD_EPS)))
         grid = TimeGrid(nu=nu, n_slices=n_tau)
-        rho = wick_rho(geom, nu, kappa0)
         params = ModelParams(nu=nu, kappa0=kappa0, lambda0=lambda0,
                              n_species=1.0, coupling_mode="meanfield",
-                             rho_mode="explicit", rho=rho)
+                             rho=wick_rho(geom, nu, kappa0))
         est = estimate_duhamel(params, geom, grid, v, 0, 0,
                                n_samples=samples, seed=seed + k)
         scaled = nu * est.value.real

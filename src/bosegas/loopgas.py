@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1, gammaln
+from scipy.special import exp1, gammainc, gammaln
 
 from .lattice import ModelParams, TimeGrid, TorusGeometry, UnsupportedModeError
 from .propagators import circle_heat_kernel, heat_propagator, _spectral_data
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 UNDERFLOW = 1e-300
+SYMANZIK_NODES = 32  # midpoint times per loop in the duration-regularized series
 
 
 @dataclass
@@ -68,12 +69,10 @@ def kappa_eff(params: ModelParams, v) -> float:
     return params.kappa0 - params.lam * params.n_species * params.rho * v.total() / params.nu**2
 
 
-def _rho_constant(params: ModelParams, geom: TorusGeometry, v) -> float:
-    """Constant factor exp(-(lam/2)(N rho / nu)^2 |volume| vbar) from the shift."""
-    if params.rho == 0.0:
-        return 1.0
+def _rho_log_constant(params: ModelParams, geom: TorusGeometry, v) -> float:
+    """ln of the shift's constant factor exp(-(lam/2)(N rho / nu)^2 |volume| vbar)."""
     shift = params.n_species * params.rho / params.nu
-    return float(np.exp(-0.5 * params.lam * shift**2 * _volume(geom) * v.total()))
+    return -0.5 * params.lam * shift**2 * _volume(geom) * v.total()
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +409,10 @@ def _raw_series_samples(params, geom, grid, v, n_max, l_max, samples, rng,
             series_open += coef[n - 1] * np.exp(
                 -lam_over_nu * _pair_sum(phi + open_density, M, grid.eps))
     q0 = free_loop_sum(geom, grid.nu, params.kappa0, l_max)
-    na = params.n_species * A
-    if na > 0:
-        tail = 1.0 - np.exp(-na) * sum(
-            np.exp(k * np.log(na) - gammaln(k + 1)) if k else 1.0 for k in range(n_max + 1))
-    else:
-        tail = 0.0
+    # Poisson tail beyond n_max loops: 1 - e^{-NA} sum_{k <= n_max} (NA)^k / k!
+    tail = gammainc(n_max + 1, params.n_species * A)
     ls = LoopSeries(series_samples=series, activity=A, q_free=q0,
-                    tail_rel=float(abs(tail)))
+                    tail_rel=float(tail))
     if with_open:
         return ls, series_open
     return ls
@@ -432,7 +427,7 @@ def xi_rel_series(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
     largely cancels.  lam = 0 short-circuits to the closed form (exact 1 at
     rho = 0).
     """
-    const = _rho_constant(params, geom, v)
+    const = np.exp(_rho_log_constant(params, geom, v))
     if params.lam == 0.0:
         q0 = free_loop_sum(geom, grid.nu, params.kappa0, l_max)
         kappa = kappa_eff(params, v)
@@ -534,7 +529,6 @@ class SymanzikParams:
     n_max: int
     kappa_delta: float = 0.0
     wick_constant_delta: float = 0.0
-    n_quad: int = 32
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -542,7 +536,7 @@ class SymanzikParams:
 
 
 def make_symanzik(params: ModelParams, geom: TorusGeometry, v, delta: float,
-                  n_max: int, n_quad: int = 32) -> SymanzikParams:
+                  n_max: int) -> SymanzikParams:
     """Fix the killing rate and Wick constant by linear-term cancellation."""
     if geom.mode != "lattice":
         raise UnsupportedModeError("duration-regularized series is lattice only")
@@ -551,9 +545,8 @@ def make_symanzik(params: ModelParams, geom: TorusGeometry, v, delta: float,
     c_delta = float(np.mean(np.exp(-delta * freqs) / freqs))
     lam_cl = params.lambda0 / (params.n_species + 1.0)
     kappa_delta = params.kappa0 - params.n_species * c_delta * lam_cl * v.total()
-    sp = SymanzikParams(delta=delta, n_max=n_max, kappa_delta=kappa_delta,
-                        wick_constant_delta=c_delta, n_quad=n_quad)
-    return sp
+    return SymanzikParams(delta=delta, n_max=n_max, kappa_delta=kappa_delta,
+                          wick_constant_delta=c_delta)
 
 
 def _sample_durations(kappa: float, delta: float, samples: int, rng) -> np.ndarray:
@@ -590,7 +583,7 @@ def symanzik_series(params: ModelParams, geom: TorusGeometry, v,
     rng = np.random.default_rng(seed)
     norm_t = float(exp1(sym.kappa_delta * sym.delta))
     vmat = v.matrix()
-    nq = sym.n_quad
+    nq = SYMANZIK_NODES
     series = np.ones(samples)
     for n in range(1, sym.n_max + 1):
         T = _sample_durations(sym.kappa_delta, sym.delta, samples * n,

@@ -24,6 +24,7 @@ from .loopgas import (
     GridPath,
     _loop_densities,
     _pair_form,
+    _rho_log_constant,
     activity_table,
     free_loop_sum,
     kappa_eff,
@@ -137,13 +138,14 @@ def ursell_coefficient(n: int, params: ModelParams, geom: TorusGeometry,
 def log_xi_rel_partial(params: ModelParams, geom: TorusGeometry, grid: TimeGrid,
                        v, n_orders: int, l_max: int, samples: int,
                        seed: int = 0) -> ComplexEstimate:
-    """Partial sum sum_{n <= n_orders} b_n - N Q(kappa0), estimating ln Xi_rel.
+    """Partial sum sum_{n <= n_orders} b_n - N Q(kappa0) + ln const ~ ln Xi_rel.
 
     Q uses the same winding truncation as the activities so the l_max bias
-    cancels against b_1.
+    cancels against b_1; const is the density-shift factor of the loop
+    series (1 at rho = 0).
     """
     q0 = free_loop_sum(geom, grid.nu, params.kappa0, l_max)
-    total, var = -params.n_species * q0, 0.0
+    total, var = -params.n_species * q0 + _rho_log_constant(params, geom, v), 0.0
     per_order = {}
     for n in range(1, n_orders + 1):
         b = ursell_coefficient(n, params, geom, grid, v, l_max, samples,

@@ -34,6 +34,9 @@ __all__ = [
     "field_quadrature_1site",
 ]
 
+GIBBS_THIN = 4          # the Gibbs chain keeps every GIBBS_THIN-th state
+ETA_QUAD_TOL = 1e-9     # absolute and relative tolerance of the S(eta) quadrature
+
 
 def _one_body(geom: TorusGeometry, kappa0: float) -> np.ndarray:
     return -0.5 * _laplacian(geom) + kappa0 * np.eye(geom.n_sites)
@@ -109,19 +112,20 @@ class FieldChain:
 
 
 def sample_gibbs_field(params: ModelParams, geom: TorusGeometry, v,
-                       steps: int, seed: int = 0,
-                       n_species_int: int | None = None,
-                       thin: int = 4) -> FieldChain:
+                       steps: int, seed: int = 0) -> FieldChain:
     """Random-walk Metropolis targeting exp(-h(phi)) over complex fields.
 
-    The step size is tuned during burn-in toward 30-60% acceptance; a final
-    acceptance outside [0.05, 0.95] sets the tuning-failure flag.
+    The field has one component per species, so N must be a positive
+    integer.  The step size is tuned during burn-in toward 30-60% acceptance;
+    a final acceptance outside [0.05, 0.95] sets the tuning-failure flag.
     """
-    if n_species_int is None:
-        n_species_int = int(round(params.n_species))
+    n_species = params.n_species
+    if n_species < 1 or n_species != int(n_species):
+        raise ValueError(f"Gibbs sampling needs a positive integer species "
+                         f"number, not {n_species}")
     rng = np.random.default_rng(seed)
     n = geom.n_sites
-    phi = np.zeros((n_species_int, n), dtype=complex)
+    phi = np.zeros((int(n_species), n), dtype=complex)
     terms = _action_terms(params, geom, v)
     energy = _action(phi, params, terms)
     step = 1.0 / np.sqrt(params.kappa0)
@@ -143,7 +147,7 @@ def sample_gibbs_field(params: ModelParams, geom: TorusGeometry, v,
         window += 1
         if it >= burn:
             total_cnt += 1
-            if (it - burn) % thin == 0:
+            if (it - burn) % GIBBS_THIN == 0:
                 kept.append(phi.copy())
         elif window == 50:
             rate = accepted / window
@@ -167,8 +171,7 @@ def action_S_eta_closed(eta: np.ndarray, geom: TorusGeometry, kappa0: float) -> 
     return complex(np.log(sign) + logabs + 1j * np.trace(m))
 
 
-def action_S_eta(eta: np.ndarray, geom: TorusGeometry, kappa0: float,
-                 tol: float = 1e-9):
+def action_S_eta(eta: np.ndarray, geom: TorusGeometry, kappa0: float):
     """S(eta) = int_0^inf tr[R_t eta (A + t - i eta)^-1 eta R_t] dt.
 
     A = -Lap/2 + kappa0, R_t = (A + t)^-1.  Adaptive quadrature; the integrand
@@ -185,20 +188,22 @@ def action_S_eta(eta: np.ndarray, geom: TorusGeometry, kappa0: float,
         return np.trace(rt @ np.diag(eta) @ mid @ np.diag(eta) @ rt)
 
     re, ere = quad(lambda t: integrand(t).real, 0.0, np.inf, limit=400,
-                   epsabs=tol, epsrel=tol)
+                   epsabs=ETA_QUAD_TOL, epsrel=ETA_QUAD_TOL)
     im, eim = quad(lambda t: integrand(t).imag, 0.0, np.inf, limit=400,
-                   epsabs=tol, epsrel=tol)
-    flag = max(ere, eim) > 100 * tol
+                   epsabs=ETA_QUAD_TOL, epsrel=ETA_QUAD_TOL)
+    flag = max(ere, eim) > 100 * ETA_QUAD_TOL
     return complex(re + 1j * im), flag
 
 
 def z_via_eta(params: ModelParams, geom: TorusGeometry, v, samples: int,
               seed: int = 0) -> ComplexEstimate:
-    """Relative classical partition function as E_eta[exp(-N S(eta))].
+    """Relative classical partition function E_eta[exp(-N S(eta) - i rho sum eta)].
 
-    eta is Gaussian with covariance (lambda0/(N+1)) v; the linear term of
-    -N S is zero identically, so no extra phase is needed.  Closed-form S
-    keeps this exact per sample.
+    eta is Gaussian with covariance (lambda0/(N+1)) v and decouples the
+    shifted density :|phi|^2: - rho.  Integrating phi out of the
+    :|phi|^2: part leaves exp(-N S(eta)), whose linear term is zero
+    identically; the constant shift -rho leaves the phase
+    exp(-i rho sum_x eta_x).  Closed-form S keeps this exact per sample.
     """
     if params.lambda0 == 0.0:
         return ComplexEstimate(value=1.0 + 0.0j, stderr_re=0.0, stderr_im=0.0,
@@ -215,7 +220,7 @@ def z_via_eta(params: ModelParams, geom: TorusGeometry, v, samples: int,
     s_vals = np.log(sign) + logabs + 1j * np.einsum("sii->s", m)
     if np.any(s_vals.real < -1e-10):
         raise AssertionError("Re S(eta) went negative")
-    weights = np.exp(-params.n_species * s_vals)
+    weights = np.exp(-params.n_species * s_vals - 1j * params.rho * etas.sum(axis=1))
     est = mean_estimate(weights, seed=seed)
     est.extra["min_re_S"] = float(s_vals.real.min())
     return est

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from .hsfield import wick_rho
 from .lattice import ModelParams, TimeGrid, TorusGeometry
 from .stats import ComplexEstimate, MomentAccumulator
 
@@ -117,18 +118,27 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
     def model(self) -> ModelParams:
+        """The model at this point; rho_mode = wick sets rho to the Wick density."""
+        rho_mode = self.raw["model"]["rho_mode"]
+        if rho_mode not in ("explicit", "wick"):
+            raise ConfigError(f"rho_mode must be 'explicit' or 'wick', not {rho_mode!r}")
         try:
-            return ModelParams(
+            params = ModelParams(
                 nu=self._get("model", "nu", float),
                 kappa0=self._get("model", "kappa0", float),
                 lambda0=self._get("model", "lambda0", float),
                 n_species=self._get("model", "n_species", float),
                 coupling_mode=self.raw["model"]["coupling_mode"],
-                rho_mode=self.raw["model"]["rho_mode"],
                 rho=self._get("model", "rho", float),
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if rho_mode == "explicit":
+            return params
+        geom = self.geometry()
+        if geom.mode != "lattice":
+            raise ConfigError("rho_mode = wick needs a lattice geometry")
+        return replace(params, rho=wick_rho(geom, params.nu, params.kappa0))
 
     def grid(self) -> TimeGrid:
         return TimeGrid(nu=self._get("model", "nu", float),

@@ -103,6 +103,26 @@ def test_criterion_damping_bounds():
             f"{checked} field samples")
 
 
+@pytest.mark.parametrize("route", ["hs", "loopgas", "mayer"])
+def test_routes_match_oracle_at_nonzero_density(route):
+    """At rho = 0.3 every route reads the shifted model the exact trace sees."""
+    p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, rho=0.3)
+    want = xi_exact(p, G2, V2, n_max=20).xi_rel
+    allowance = 0.0
+    if route == "hs":
+        est = estimate_xi_rel(p, G2, GRID32, V2, 20_000, seed=0)
+    elif route == "loopgas":
+        est = xi_rel_series(p, G2, GRID32, V2, 8, 8, 4000, seed=0)
+    else:
+        est = log_xi_rel_partial(p, G2, GRID32, V2, 4, 8, 4000, seed=0)
+        want = np.log(want)
+        allowance = 0.01 * abs(want)  # orders beyond the fourth
+    dev = abs(est.value.real - want)
+    tol = 4 * est.stderr_re + allowance
+    _report(f"{route} at rho = 0.3 vs exact trace", dev < tol,
+            f"{est.value.real:.5f} vs {want:.5f}, dev {dev:.5f}, tol {tol:.5f}")
+
+
 def test_criterion_mayer_partial_sum():
     """Three cluster orders reproduce ln Xi_rel at weak coupling."""
     p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.25)
@@ -150,7 +170,7 @@ def test_criterion_meanfield_limit():
 
 def test_criterion_large_N():
     """gamma_1 collapses onto the saddle-point free gas as N grows."""
-    p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.25, rho_mode="explicit",
+    p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.25,
                     rho=wick_rho(G2, 1.0, 1.0))
     sweep = largeN_check(p, G2, GRID32, V2, [4, 64], samples=512, seed=0)
     residuals = [pt["residual"] for pt in sweep.extra["points"]]

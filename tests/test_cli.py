@@ -36,6 +36,36 @@ def test_capacity_exits_4(tmp_path):
     cfg.write_text("[geometry]\ndimension = 2\nsites_per_side = 2\n"
                    "[truncations]\nn_max = 40\n")
     assert main(["oracle", "--config", str(cfg)]) == 4
+    half = tmp_path / "half.ini"
+    half.write_text("[model]\nn_species = 1.5\n")
+    assert main(["oracle", "--config", str(half)]) == 4
+
+
+def test_oracle_reads_the_wick_density(tmp_path, capsys):
+    from bosegas.fock import xi_exact
+    from bosegas.hsfield import wick_rho
+    from bosegas.lattice import ModelParams, TorusGeometry, delta_potential
+
+    cfg = tmp_path / "wick.ini"
+    cfg.write_text("[geometry]\nsites_per_side = 2\n"
+                   "[model]\nlambda0 = 0.5\nrho_mode = wick\n"
+                   "[truncations]\nn_max = 12\n")
+    out_path = tmp_path / "recs.jsonl"
+    assert main(["oracle", "--config", str(cfg), "--out", str(out_path)]) == 0
+    geom = TorusGeometry(dimension=1, sites_per_side=2)
+    rho = wick_rho(geom, 1.0, 1.0)
+    want = xi_exact(ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, rho=rho),
+                    geom, delta_potential(geom), n_max=12).xi_rel
+    rec = ExperimentRecord.from_json(out_path.read_text())
+    assert rec.extra["xi_rel"] == pytest.approx(want, rel=1e-12)
+    assert float(rec.parameters["model"]["rho"]) == rho
+
+
+def test_wick_density_on_the_circle_exits_3(tmp_path):
+    cfg = tmp_path / "circle.ini"
+    cfg.write_text("[geometry]\nmode = circle\ncircumference = 4\n"
+                   "[model]\nlambda0 = 0.5\nrho_mode = wick\n")
+    assert main(["loopgas", "--config", str(cfg), "--samples", "10"]) == 3
 
 
 def test_hs_chains_merge_and_records(tmp_path, capsys):

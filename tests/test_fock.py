@@ -36,7 +36,7 @@ def test_annihilator_ccr_below_cutoff():
 def test_hamiltonian_hermitian():
     v = delta_potential(G2)
     op = build_hamiltonian(ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5),
-                           G2, v, 8, 1)
+                           G2, v, 8)
     assert op.hermiticity_residual() < 1e-12
 
 
@@ -57,12 +57,18 @@ def test_xi_ideal_two_sites():
 
 def test_xi_two_species_factorizes_when_free():
     v = delta_potential(G2)
-    one = xi_exact(IDEAL, G2, v, n_max=12, n_species_int=1)
+    one = xi_exact(IDEAL, G2, v, n_max=12)
     two = xi_exact(ModelParams(nu=1.0, kappa0=1.0, lambda0=0.0, n_species=2.0),
-                   G2, v, n_max=12, n_species_int=2)
+                   G2, v, n_max=12)
     # truncation couples the species through the shared total-number cutoff,
     # so only agreement at the truncation-tail level is expected
     assert two.xi == pytest.approx(one.xi**2, rel=1e-4)
+
+
+def test_oracle_rejects_non_integer_species():
+    p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, n_species=1.5)
+    with pytest.raises(CapacityError):
+        xi_exact(p, G2, delta_potential(G2), n_max=8)
 
 
 def test_interaction_lowers_xi():
@@ -155,7 +161,7 @@ def test_xi_free_torus_is_truncated_closed_form(n_species, n_max):
 
 def test_kinetic_part_is_one_body_operator():
     p = ModelParams(nu=0.7, kappa0=1.3, lambda0=0.0, n_species=2.0)
-    op = build_hamiltonian(p, G22, delta_potential(G22), 3, 2)
+    op = build_hamiltonian(p, G22, delta_potential(G22), 3)
     basis = op.basis
     h1 = -0.5 * G22.laplacian_matrix() + p.kappa0 * np.eye(4)
     want = np.zeros_like(op.matrix.toarray())
@@ -189,9 +195,9 @@ def test_duhamel_kms_boundary_is_gamma1(geom, params, n_max, n_species):
     # as tau -> nu the kernel ordering Tr(e^{-(nu-tau)H/nu} b_x e^{-tau H/nu} b_x'^dag)
     # becomes <b_x'^dag b_x>: the cross-sector path meets the in-sector one
     v = delta_potential(geom)
-    gam = gamma1_exact(params, geom, v, n_max, n_species)
+    gam = gamma1_exact(params, geom, v, n_max)
     tau = params.nu * (1 - 1e-9)
     for x in range(geom.n_sites):
         for xp in range(geom.n_sites):
-            got = duhamel_exact(params, geom, v, n_max, tau, x, 0.0, xp, n_species)
+            got = duhamel_exact(params, geom, v, n_max, tau, x, 0.0, xp)
             assert got == pytest.approx(gam[xp, x], abs=1e-8)

@@ -4,11 +4,11 @@ import pytest
 from bosegas.fock import duhamel_exact, gamma1_exact, xi_exact
 from bosegas.hsfield import (_field_weights, det_identity_residual,
                              estimate_duhamel, estimate_xi_rel, hs_log_weight,
-                             resolve_rho, sample_sigma, wick_rho,
-                             winding_exponent)
+                             sample_sigma, wick_rho, winding_exponent)
 from bosegas.lattice import (ModelParams, TimeGrid, TorusGeometry,
                              delta_potential)
 from bosegas.propagators import free_green, monodromy_batch
+from bosegas.records import ExperimentConfig
 
 G1 = TorusGeometry(dimension=1, sites_per_side=1)
 G2 = TorusGeometry(dimension=1, sites_per_side=2)
@@ -37,9 +37,11 @@ def test_wick_rho_is_free_occupation():
     for g in (G1, G2):
         assert wick_rho(g, 1.0, 1.0) == pytest.approx(
             free_green(g, 1.0, 1.0)[0, 0])
-    assert resolve_rho(ModelParams(nu=1.0, kappa0=1.0, rho_mode="wick"),
-                       G2) == pytest.approx(wick_rho(G2, 1.0, 1.0))
-    assert resolve_rho(ModelParams(nu=1.0, kappa0=1.0, rho=0.3), G2) == 0.3
+    cfg = ExperimentConfig.defaults()
+    cfg.override("geometry", "sites_per_side", 2)
+    cfg.override("model", "kappa0", 0.7)
+    cfg.override("model", "rho_mode", "wick")
+    assert cfg.model().rho == wick_rho(G2, 1.0, 0.7)
 
 
 def test_sigma_covariance_empirical():
@@ -152,7 +154,7 @@ def test_duhamel_push_through_matches_prefix_inverse():
     gamma, pre = monodromy_batch(G2, GRID, sigma, keep_prefixes=[8, 24])
     m = np.exp(-1.0) * gamma
     resolvent = np.linalg.inv(np.eye(2) - m)
-    weights = _field_weights(BENCH, G2, GRID, sigma, gamma, 0.0)
+    weights = _field_weights(BENCH, G2, GRID, sigma, gamma)
     for tau, j_hi, core in [(0.75, 24, np.exp(-0.5) * resolvent),
                             (0.25, 8, m @ resolvent)]:
         kernels = (pre[j_hi] @ core @ np.linalg.inv(pre[8]))[:, 0, 1]

@@ -93,8 +93,6 @@ def test_model_params():
         ModelParams(nu=1.0, kappa0=0.0)
     with pytest.raises(ValueError):
         ModelParams(nu=1.0, kappa0=1.0, lambda0=-1.0)
-    q = p.with_rho(0.7)
-    assert q.rho == 0.7 and q.rho_mode == "explicit" and q.nu == p.nu
 
 
 def test_circle_mode_restrictions():

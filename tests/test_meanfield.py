@@ -54,8 +54,7 @@ def test_gibbs_free_moment():
 
 def test_two_point_errors_match_per_entry_batch_means():
     p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, n_species=2.0)
-    chain = sample_gibbs_field(p, G2, delta_potential(G2), steps=400, seed=2,
-                               n_species_int=2)
+    chain = sample_gibbs_field(p, G2, delta_potential(G2), steps=400, seed=2)
     mean, se = chain.two_point()
     assert se.shape == (2, 2, 2, 2)
     for a, x, b, y in np.ndindex(se.shape):
@@ -112,6 +111,22 @@ def test_z_via_eta_matches_quadrature():
     est = z_via_eta(p, G1, v, 40000, seed=3)
     assert abs(est.value.real - want) < 4 * max(est.stderr_re, 1e-4)
     assert est.extra["min_re_S"] >= 0.0
+
+
+@pytest.mark.parametrize("rho", [0.3, 1.0])
+def test_z_via_eta_matches_quadrature_off_zero_density(rho):
+    # the shift -rho of the density leaves the phase exp(-i rho sum eta)
+    p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, rho=rho)
+    v = delta_potential(G1)
+    want = field_quadrature_1site(p, v)["z_rel"]
+    est = z_via_eta(p, G1, v, 40000, seed=3)
+    assert abs(est.value.real - want) < 4 * est.stderr_re
+
+
+def test_gibbs_rejects_non_integer_species():
+    p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, n_species=0.5)
+    with pytest.raises(ValueError):
+        sample_gibbs_field(p, G1, delta_potential(G1), steps=10)
 
 
 def test_quadrature_free_limit():

@@ -22,6 +22,15 @@ def test_defaults_resolve():
     assert cfg.mc()["chains"] == 1
 
 
+def test_rho_mode_resolution():
+    assert _config("[model]\nrho = 0.3\n").model().rho == 0.3
+    with pytest.raises(ConfigError):
+        _config("[model]\nrho_mode = guess\n").model()
+    with pytest.raises(ConfigError):
+        _config("[geometry]\nmode = circle\ncircumference = 4\n"
+                "[model]\nrho_mode = wick\n").model()
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError):
         _config("[model]\nnonsense = 1\n")
