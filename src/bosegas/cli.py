@@ -88,13 +88,29 @@ def _run_limit(cfg: ExperimentConfig, out_path):
     v = cfg.potential(geom)
     mc = cfg.mc()
     trunc = cfg.truncations()
+    # each sweep fixes part of the model itself: a config value it would drop
+    # is an error, not a silent default
     if kind == "classical":
+        if params.rho != 0.0:
+            raise ConfigError("limit kind = classical runs at rho = 0, "
+                              f"not rho = {params.rho:g}")
         sweep = limits.classical_limit_sweep(
             float(cfg.raw["limit"]["z"]), params.lambda0,
             cfg.float_list("limit", "nu_list"), geom, v,
             n_species=params.n_species, n_max=min(trunc["n_max"], 5),
             l_max=trunc["l_max"], samples=mc["samples"], seed=mc["seed"])
     elif kind == "meanfield":
+        if geom.mode != "lattice":
+            raise ConfigError("limit kind = meanfield runs on one lattice site, not the circle")
+        if geom.n_sites != 1:
+            raise ConfigError("limit kind = meanfield runs on one lattice site, "
+                              f"not {geom.n_sites} sites")
+        if params.n_species != 1.0:
+            raise ConfigError("limit kind = meanfield runs n_species = 1, "
+                              f"not {params.n_species:g}")
+        if cfg.raw["model"]["rho_mode"] == "explicit" and params.rho != 0.0:
+            raise ConfigError("limit kind = meanfield uses the Wick density at each nu, "
+                              f"not rho = {params.rho:g}")
         sweep = limits.meanfield_sweep(params.lambda0, params.kappa0,
                                        cfg.float_list("limit", "nu_list"),
                                        samples=mc["samples"], seed=mc["seed"])

@@ -114,8 +114,9 @@ def _bridges(geom: TorusGeometry, grid: TimeGrid, starts, ends, steps,
     Returns (S, k_max + 1) positions with k_max = max(steps): path i fills
     columns k_max - steps[i] .. k_max and holds its start point in the columns
     before, so every path ends on the last column.  Lattice paths are drawn in
-    one forward pass over the whole batch (`_lattice_bridges`); circle paths
-    are Gaussian bridges, one vectorized group per step count.
+    one forward pass over the whole batch (`_lattice_bridges`) and stored as
+    the smallest unsigned integer that holds a site; circle paths are
+    Gaussian bridges, one vectorized group per step count.
     """
     steps = np.asarray(steps)
     starts = np.asarray(starts)
@@ -152,14 +153,17 @@ def _pair_form(geom: TorusGeometry, v):
     """Slice-density map and matrix M with sum_{a in A, b in B} v(a - b) = phi(A).M.phi(B).
 
     density(pos, start, n_tau) maps paths pos (S, P), whose first position
-    sits on phase start, to their (S, n_tau, F) feature sums per phase.
+    sits on phase start, to their (S, n_tau, F) feature sums per phase.  A
+    row may be a group walk: loops of whole periods from phase 0 laid end to
+    end, whose density is the sum of the loops' densities.
     Lattice: visit counts per site (one `bincount`), M = v(x - y).  Circle:
     the count and the cos / sin (2 pi k x / L) sums for k = 1..K,
     M = diag(v_0, 2 v_k, 2 v_k), with K taken where the Fourier coefficients
     fall below _MODE_CUTOFF * v_0; mode k is the k-th power of one
     exp(2 pi i x / L) per position, summed per phase by folding the
-    zero-padded positions into (blocks, n_tau), which is the product with the
-    (positions x n_tau) phase one-hot without its multiplications by zero.
+    zero-padded positions into block-major (blocks, S, n_tau) slabs, which is
+    the product with the (positions x n_tau) phase one-hot without its
+    multiplications by zero.
     """
     if geom.mode == "lattice":
         n = geom.n_sites
@@ -184,20 +188,25 @@ def _pair_form(geom: TorusGeometry, v):
         S, P = pos.shape
         lead = start % n_tau
         blocks = -(-(lead + P) // n_tau)
-        z = np.zeros((S, blocks * n_tau), dtype=complex)  # zero outside the path
-        arg = wave * pos
-        np.cos(arg, out=z[:, lead:lead + P].real)
-        np.sin(arg, out=z[:, lead:lead + P].imag)
-        phi = np.empty((S, 2 * K + 1, n_tau))  # phase-last: each mode is written in runs
-        phi[:, 0] = np.bincount((lead + np.arange(P)) % n_tau, minlength=n_tau)
+        arg = np.zeros((S, blocks * n_tau))
+        arg[:, lead:lead + P] = wave * pos
+        # block-major (blocks, S, n_tau): the sum over blocks adds whole slabs
+        arg = arg.reshape(S, blocks, n_tau).transpose(1, 0, 2)
+        z = np.empty((blocks, S, n_tau), dtype=complex)
+        np.cos(arg, out=z.real)
+        np.sin(arg, out=z.imag)
+        z[0, :, :lead] = 0.0  # zero outside the path
+        z[-1, :, lead + P - (blocks - 1) * n_tau:] = 0.0
+        phi = np.empty((2 * K + 1, S, n_tau))  # feature-major: each mode is one slab
+        phi[0] = np.bincount((lead + np.arange(P)) % n_tau, minlength=n_tau)
         zk = z
         for k in range(1, K + 1):
             if k > 1:
                 zk = zk * z
-            sums = zk.reshape(S, blocks, n_tau).sum(axis=1)
-            phi[:, k] = sums.real
-            phi[:, K + k] = sums.imag
-        return phi.transpose(0, 2, 1)
+            sums = zk.sum(axis=0)
+            phi[k] = sums.real
+            phi[K + k] = sums.imag
+        return phi.transpose(1, 2, 0)
 
     return mode_sums, np.diag(np.concatenate([vhat[:1], 2.0 * vhat[1:K + 1],
                                               2.0 * vhat[1:K + 1]]))
@@ -253,14 +262,15 @@ def _lattice_bridges(geom: TorusGeometry, starts: np.ndarray, ends: np.ndarray,
     hop = ker[1].T.copy()  # hop[x, u] = p_eps(u, x)
     lower = np.tril(np.ones((geom.n_sites, geom.n_sites)))  # cdf by GEMM: np.cumsum is slower
     # sites at global step g in row g; rows not yet started hold their start
-    pos = np.tile(starts.astype(np.int64), (k_max + 1, 1))
+    site = np.min_scalar_type(geom.n_sites - 1)  # most of the padded layout is copies
+    pos = np.tile(starts.astype(site), (k_max + 1, 1))
     pos[-1] = ends
     for g in range(1, k_max):
         m = live[g]
         probs = hop.take(pos[g - 1, :m], axis=1) * ker[k_max - g].take(ends[:m], axis=1)
         cdf = lower @ probs
         pos[g, :m] = (cdf < rng.random(m) * cdf[-1]).sum(axis=0)
-    out = np.empty((len(steps), k_max + 1), dtype=np.int64)
+    out = np.empty((len(steps), k_max + 1), dtype=site)
     out[order] = pos.T
     return out
 
@@ -283,12 +293,13 @@ def _circle_bridges(L: float, starts: np.ndarray, ends: np.ndarray, T: float,
     cdf = np.cumsum(probs, axis=1)
     pick = (cdf < rng.random((S, 1)) * cdf[:, -1:]).sum(axis=1)
     drift = drift_opts[np.arange(S), pick]
-    dt = T / n_steps
-    incr = rng.normal(0.0, np.sqrt(dt), (S, n_steps))
-    brown = np.concatenate([np.zeros((S, 1)), np.cumsum(incr, axis=1)], axis=1)
-    frac = np.arange(n_steps + 1) / n_steps
-    bridge = brown - frac[None, :] * brown[:, -1:]
-    return starts[:, None] + drift[:, None] * frac[None, :] + bridge
+    path = np.zeros((S, n_steps + 1))
+    np.cumsum(rng.normal(0.0, np.sqrt(T / n_steps), (S, n_steps)), axis=1,
+              out=path[:, 1:])
+    slope = drift - path[:, -1]  # tilts the Brownian end onto the drift: a bridge
+    path += starts[:, None]
+    path += slope[:, None] * (np.arange(n_steps + 1) / n_steps)
+    return path
 
 
 def sample_bridge(geom: TorusGeometry, x, y, T: float, grid: TimeGrid,
@@ -342,27 +353,43 @@ def loop_interaction_Vnu(path1: GridPath, path2: GridPath, n_tau: int, v,
 # (..., n_tau, F), and a pair sum is (eps/2) sum_t phi_t . M . phi'_t
 
 
-def _sample_windings(act: np.ndarray, shape, rng) -> np.ndarray:
+def _sample_windings(act: np.ndarray, size: int, rng) -> np.ndarray:
     """Windings 1..l_max drawn proportional to the activity table."""
     probs = act / act.sum()
-    return rng.choice(np.arange(1, len(act) + 1), size=shape, p=probs)
+    return rng.choice(np.arange(1, len(act) + 1), size=size, p=probs)
 
 
-def _loop_densities(geom, grid, form, act, shape, rng) -> np.ndarray:
-    """Slice densities (*shape, n_tau, F) of i.i.d. activity-sampled loops.
+def _loop_densities(geom, grid, form, act, counts, rng) -> np.ndarray:
+    """(G, n_tau, F) slice densities of groups of i.i.d. activity-sampled loops.
 
-    Draws the windings and the base points, then all loops in one bridge pass.
+    Group g holds counts[g] >= 1 loops.  Draws the windings and the base points,
+    then all loops in one bridge pass.  A loop is whole periods begun on phase
+    0, so a group's loops laid end to end form one walk of the group's total
+    winding whose density is the sum of theirs; walks are bucketed by total
+    winding and each bucket is one `density` call.
     """
+    density, M = form
     n_tau = grid.n_slices
-    W = _sample_windings(act, shape, rng).ravel()
+    counts = np.asarray(counts)
+    W = _sample_windings(act, int(counts.sum()), rng)
     starts = _base_points(geom, W.size, rng)
-    phi = _path_densities(geom, grid, form, starts, starts, W * n_tau, 0, rng)
-    return phi.reshape(shape + phi.shape[1:])
+    steps = W * n_tau
+    pos = _bridges(geom, grid, starts, starts, steps, rng)
+    k_end = pos.shape[1] - 1
+    # each loop's own columns, final (pinned) position left out, in row order
+    walks = pos[:, :k_end][np.arange(k_end) >= k_end - steps[:, None]]
+    total = np.add.reduceat(W, np.cumsum(counts) - counts)
+    offset = (np.cumsum(total) - total) * n_tau
+    phi = np.empty((len(counts), n_tau, len(M)))
+    for w in np.unique(total):
+        rows = np.nonzero(total == w)[0]
+        phi[rows] = density(walks[offset[rows, None] + np.arange(w * n_tau)], 0, n_tau)
+    return phi
 
 
 def _pair_sum(phi: np.ndarray, M: np.ndarray, eps: float) -> np.ndarray:
     """(eps/2) sum_t phi_t . M . phi_t per sample, all ordered visit pairs."""
-    return 0.5 * eps * np.einsum("stx,stx->s", phi @ M, phi)
+    return 0.5 * eps * np.einsum("...tx,...tx->...", phi @ M, phi)
 
 
 def _series_coefficients(n_species: float, A: float, n_max: int) -> np.ndarray:
@@ -387,8 +414,12 @@ def _raw_series_samples(params, geom, grid, v, n_max, l_max, samples, rng,
                         open_density=None):
     """Per-sample values of sum_n (N^n/n!) A^n W_n, optionally with an open path.
 
-    open_density holds the open path's slice densities; when given, the
-    returned pair is (loops-only, with-open) so ratio estimators stay aligned.
+    All loops come from one `_loop_densities` call, one group per sample and
+    loop number n; the groups of n loops are the n-th block of `samples` rows,
+    so each sample's n-loop density is read off its row, never summed from
+    per-loop densities.  open_density holds the open path's slice densities;
+    when given, the returned pair is (loops-only, with-open) so ratio
+    estimators stay aligned.
     """
     kappa = kappa_eff(params, v)
     act = activity_table(geom, grid.nu, kappa, l_max)
@@ -397,23 +428,21 @@ def _raw_series_samples(params, geom, grid, v, n_max, l_max, samples, rng,
     form = _pair_form(geom, v)
     M = form[1]
     lam_over_nu = params.lam / params.nu
-    with_open = open_density is not None
-    series = np.ones(samples)
-    if with_open:
-        # n = 0 term with self-energy
+    counts = np.repeat(np.arange(1, n_max + 1), samples)
+    phi = _loop_densities(geom, grid, form, act, counts, rng).reshape(
+        n_max, samples, grid.n_slices, len(M))
+    series = 1.0 + coef @ np.exp(-lam_over_nu * _pair_sum(phi, M, grid.eps))
+    if open_density is not None:
+        # n = 0 term with the open path's self-energy
         series_open = np.exp(-lam_over_nu * _pair_sum(open_density, M, grid.eps))
-    for n in range(1, n_max + 1):
-        phi = _loop_densities(geom, grid, form, act, (samples, n), rng).sum(axis=1)
-        series += coef[n - 1] * np.exp(-lam_over_nu * _pair_sum(phi, M, grid.eps))
-        if with_open:
-            series_open += coef[n - 1] * np.exp(
-                -lam_over_nu * _pair_sum(phi + open_density, M, grid.eps))
+        series_open += coef @ np.exp(-lam_over_nu * _pair_sum(phi + open_density, M,
+                                                               grid.eps))
     q0 = free_loop_sum(geom, grid.nu, params.kappa0, l_max)
     # Poisson tail beyond n_max loops: 1 - e^{-NA} sum_{k <= n_max} (NA)^k / k!
     tail = gammainc(n_max + 1, params.n_species * A)
     ls = LoopSeries(series_samples=series, activity=A, q_free=q0,
                     tail_rel=float(tail))
-    if with_open:
+    if open_density is not None:
         return ls, series_open
     return ls
 
@@ -535,6 +564,11 @@ class SymanzikParams:
             raise ValueError("duration floor delta must be positive")
 
 
+def _symanzik_shift(params: ModelParams, c_delta: float) -> float:
+    """Density shift s = N c_delta + rho of the regularized quartic."""
+    return params.n_species * c_delta + params.rho
+
+
 def make_symanzik(params: ModelParams, geom: TorusGeometry, v, delta: float,
                   n_max: int) -> SymanzikParams:
     """Fix the killing rate and Wick constant by linear-term cancellation."""
@@ -544,7 +578,7 @@ def make_symanzik(params: ModelParams, geom: TorusGeometry, v, delta: float,
     freqs = params.kappa0 - 0.5 * evals
     c_delta = float(np.mean(np.exp(-delta * freqs) / freqs))
     lam_cl = params.lambda0 / (params.n_species + 1.0)
-    kappa_delta = params.kappa0 - params.n_species * c_delta * lam_cl * v.total()
+    kappa_delta = params.kappa0 - lam_cl * _symanzik_shift(params, c_delta) * v.total()
     return SymanzikParams(delta=delta, n_max=n_max, kappa_delta=kappa_delta,
                           wick_constant_delta=c_delta)
 
@@ -572,7 +606,7 @@ def symanzik_series(params: ModelParams, geom: TorusGeometry, v,
     lam_cl = params.lambda0 / (params.n_species + 1.0)
     N = params.n_species
     q0 = float(np.sum(exp1(freqs * sym.delta)))
-    const = float(np.exp(-0.5 * lam_cl * (N * sym.wick_constant_delta)**2
+    const = float(np.exp(-0.5 * lam_cl * _symanzik_shift(params, sym.wick_constant_delta)**2
                          * geom.n_sites * v.total()))
     a_delta = float(np.sum(exp1((sym.kappa_delta - 0.5 * evals) * sym.delta)))
     if params.lambda0 == 0.0:
@@ -589,15 +623,18 @@ def symanzik_series(params: ModelParams, geom: TorusGeometry, v,
         T = _sample_durations(sym.kappa_delta, sym.delta, samples * n,
                               rng).reshape(samples, n)
         starts = rng.integers(geom.n_sites, size=(samples, n))
+        # one uniform per loop and node, in the order of drawing loop after loop
+        u = rng.random((n, nq, samples)).transpose(1, 0, 2).reshape(nq, n * samples)
+        # all n loops of every sample in one pass, loop-major walks i * samples + s
+        durations = T.T.ravel()
+        pos = _continuous_loops(geom, starts.T.ravel(), durations, u)
         # weighted site-occupation vector over all loops' quadrature nodes
-        qvec = np.zeros((samples, geom.n_sites))
-        act_w = np.ones(samples)
-        for i in range(n):
-            Ti = T[:, i]
-            pos = _continuous_loops(geom, starts[:, i], Ti, nq, rng)
-            wq = (Ti / nq)[:, None]
-            np.add.at(qvec, (np.arange(samples)[:, None].repeat(nq, 1), pos), wq)
-            act_w *= geom.n_sites * norm_t * _diag_heat_vec(geom, Ti)
+        cells = np.arange(n * samples) % samples * geom.n_sites + pos
+        weights = np.broadcast_to(durations / nq, cells.shape)
+        qvec = np.bincount(cells.ravel(), weights=weights.ravel(),
+                           minlength=samples * geom.n_sites).reshape(samples, geom.n_sites)
+        act_w = np.prod(geom.n_sites * norm_t
+                        * _diag_heat_vec(geom, T.ravel()).reshape(samples, n), axis=1)
         pair = 0.5 * np.einsum("sx,xy,sy->s", qvec, vmat, qvec)
         series += N**n / np.exp(gammaln(n + 1)) * act_w * np.exp(-lam_cl * pair)
     est = mean_estimate(const * np.exp(-N * q0) * series, seed=seed)
@@ -611,32 +648,31 @@ def _diag_heat_vec(geom: TorusGeometry, t: np.ndarray) -> np.ndarray:
 
 
 def _continuous_loops(geom: TorusGeometry, starts: np.ndarray, T: np.ndarray,
-                      nq: int, rng) -> np.ndarray:
-    """Pinned lattice walks sampled at nq midpoint times of their own duration.
+                      u: np.ndarray) -> np.ndarray:
+    """Sites (nq, S) of pinned lattice walks at nq midpoint times of their duration.
 
-    Durations vary per path, so each conditional step uses per-sample heat
-    matrices; |lattice| <= 4 keeps this cheap via the spectral form.
+    Walk s runs from starts[s] back to it over T[s]; at node j it moves to the
+    first site where the cdf of p_dt(cur, .) p_rem(., start) passes u[j, s]
+    of its total, u being (nq, S) uniforms.  Durations vary per walk, so each
+    node forms only the two kernel rows it reads, from the spectral form (the
+    kernel is symmetric, so the backward factor is a row too).
     """
     evals, evecs = _spectral_data(geom)
-
-    def heat_vec(dt):
-        # (S, n, n) heat kernels for per-sample time steps
-        return np.einsum("ik,sk,jk->sij", evecs, np.exp(0.5 * dt[:, None] * evals), evecs)
-
-    S = len(starts)
+    nq, S = u.shape
+    n = len(evals)
     tq = (np.arange(nq) + 0.5) / nq  # fractions of T
-    pos = np.empty((S, nq), dtype=np.int64)
-    cur = starts.copy()
-    prev_frac = np.zeros(S)
+    home = evecs[starts]
+    # every node after the first is T / nq on: rows of one (S, n, n) stack
+    hop = ((evecs * np.exp(0.5 * (T / nq)[:, None, None] * evals)) @ evecs.T).reshape(S * n, n)
+    upper = np.triu(np.ones((n, n)))  # cdf by GEMM: np.cumsum is slower
+    pos = np.empty((nq, S), dtype=np.int64)
+    cur = starts
     for j in range(nq):
-        dt = (tq[j] - prev_frac) * T
-        rem = (1.0 - tq[j]) * T
-        step = heat_vec(dt)
-        back = heat_vec(rem)
-        probs = step[np.arange(S), cur, :] * back[np.arange(S), :, starts]
-        cdf = np.cumsum(probs, axis=1)
-        u = rng.random((S, 1)) * cdf[:, -1:]
-        cur = (cdf < u).sum(axis=1)
-        pos[:, j] = cur
-        prev_frac = np.full(S, tq[j])
+        if j == 0:
+            fwd = (home * np.exp(0.5 * tq[0] * T[:, None] * evals)) @ evecs.T
+        else:
+            fwd = hop[np.arange(S) * n + cur]
+        back = (home * np.exp(0.5 * (1.0 - tq[j]) * T[:, None] * evals)) @ evecs.T
+        cdf = (fwd * back) @ upper
+        cur = pos[j] = (cdf < u[j][:, None] * cdf[:, -1:]).sum(axis=1)
     return pos

@@ -80,7 +80,8 @@ def mayer_factor(path1: GridPath, path2: GridPath, params: ModelParams,
 def _pair_matrix(geom, grid, v, n, act, samples, rng):
     """(samples, n, n) matrix of V_nu(w_i, w_j) for n i.i.d. activity loops."""
     form = _pair_form(geom, v)
-    phi = _loop_densities(geom, grid, form, act, (samples, n), rng)
+    phi = _loop_densities(geom, grid, form, act, np.ones(samples * n, dtype=int),
+                          rng).reshape(samples, n, grid.n_slices, len(form[1]))
     return 0.5 * grid.eps * np.einsum("sitx,sjtx->sij", phi @ form[1], phi)
 
 

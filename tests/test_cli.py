@@ -160,3 +160,26 @@ def test_validate_command(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("model, named", [
+    ("[geometry]\nsites_per_side = 3\n[model]\nrho = 0.7\nn_species = 3\n", "site, not 3"),
+    ("[model]\nn_species = 2\n", "n_species = 1, not 2"),
+    ("[model]\nrho = 0.7\n", "rho = 0.7"),
+], ids=["found", "species", "rho"])
+def test_meanfield_limit_rejects_values_it_would_drop(tmp_path, capsys, model, named):
+    # the sweep runs one site, one species and the Wick density at each nu
+    cfg = tmp_path / "lim.ini"
+    cfg.write_text(model + "[mc]\nsamples = 200\n"
+                   "[limit]\nkind = meanfield\nnu_list = 0.5,0.25\n")
+    assert main(["limit", "--config", str(cfg)]) == 3
+    assert named in capsys.readouterr().err
+
+
+def test_classical_limit_rejects_nonzero_rho(tmp_path, capsys):
+    cfg = tmp_path / "lim.ini"
+    cfg.write_text("[model]\nlambda0 = 0.5\nrho = 0.3\n[mc]\nsamples = 64\n"
+                   "[truncations]\nn_max = 3\nl_max = 3\n"
+                   "[limit]\nkind = classical\nnu_list = 0.4,0.2\n")
+    assert main(["limit", "--config", str(cfg)]) == 3
+    assert "rho = 0.3" in capsys.readouterr().err

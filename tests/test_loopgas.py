@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from bosegas import loopgas, mayer
 from bosegas.fock import duhamel_exact, xi_exact
 from bosegas.lattice import (CirclePotential, ModelParams, TimeGrid,
                              TorusGeometry, UnsupportedModeError,
                              delta_potential, wrapped_gaussian_potential)
-from bosegas.loopgas import (GridPath, SymanzikParams, _lattice_bridges,
-                             _pair_form, activity_table,
+from bosegas.loopgas import (GridPath, SymanzikParams, _continuous_loops,
+                             _lattice_bridges, _loop_densities, _pair_form,
+                             activity_table,
                              duhamel_loopgas, free_loop_sum, kappa_eff,
                              loop_interaction_Vnu, make_symanzik, sample_bridge,
                              symanzik_series, xi_rel_series)
@@ -204,3 +206,67 @@ def test_symanzik_matches_radial_quadrature():
     est = symanzik_series(p, G1, v, sym, 4000, seed=5)
     want = field_quadrature_1site(p, v)["z_rel"]
     assert abs(est.value.real - want) < 4 * max(est.stderr_re, 1e-3)
+
+
+@pytest.mark.parametrize("rho", [0.3, 1.0])
+def test_symanzik_matches_radial_quadrature_off_zero_density(rho):
+    # the density shift N c_delta + rho enters the killing rate and the constant
+    from bosegas.meanfield import field_quadrature_1site
+
+    v = delta_potential(G1)
+    p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, rho=rho)
+    est = symanzik_series(p, G1, v, make_symanzik(p, G1, v, 1e-3, 20), 2000, seed=5)
+    want = field_quadrature_1site(p, v)["z_rel"]
+    assert abs(est.value.real - want) < 4 * est.stderr_re
+
+
+def test_continuous_loop_nodes_follow_the_bridge_law():
+    # node j of a loop of duration T based at x, at midpoint time t_j, sits on
+    # site u with probability ~ p_{t_j}(x, u) p_{T - t_j}(u, x)
+    rng = np.random.default_rng(6)
+    S, nq, T = 20000, 8, 1.5
+    starts = np.repeat([0, 1], S // 2)
+    pos = _continuous_loops(G2, starts, np.full(S, T), rng.random((nq, S)))
+    assert pos.shape == (nq, S)
+    for j in (0, nq // 2, nq - 1):
+        t = (j + 0.5) / nq * T
+        for x in (0, 1):
+            probs = heat_propagator(G2, t)[x] * heat_propagator(G2, T - t)[:, x]
+            p0 = probs[0] / probs.sum()
+            frac = np.mean(pos[j, starts == x] == 0)
+            assert abs(frac - p0) < 5 * np.sqrt(p0 * (1 - p0) / (S // 2))
+
+
+@pytest.mark.parametrize("geom, v, grid", [
+    (G2, delta_potential(G2), GRID),
+    (TorusGeometry(dimension=1, mode="circle", circumference=4.0),
+     CirclePotential(4.0, strength=1.0, width=0.5), TimeGrid(nu=0.4, n_slices=16)),
+], ids=["lattice", "circle"])
+def test_group_density_is_the_sum_of_its_loops(geom, v, grid):
+    # one group of n loops is the same draws as n groups of one loop; its walk
+    # laid end to end has the summed density (windings 1..4 equally likely)
+    form = _pair_form(geom, v)
+    act = np.ones(4)
+    for n in (1, 3, 7):
+        whole = _loop_densities(geom, grid, form, act, [n], np.random.default_rng(n))
+        parts = _loop_densities(geom, grid, form, act, np.ones(n, dtype=int),
+                                np.random.default_rng(n))
+        assert whole.shape == (1,) + parts.shape[1:]
+        assert np.max(np.abs(whole[0] - parts.sum(axis=0))) <= 1e-12
+
+
+def test_one_bridge_pass_per_loop_ensemble(monkeypatch):
+    calls = []
+    bridges = loopgas._bridges
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return bridges(*args)
+
+    monkeypatch.setattr(loopgas, "_bridges", counted)
+    v = delta_potential(G2)
+    xi_rel_series(BENCH, G2, GRID, v, 4, 4, 50, seed=1)
+    assert calls == [50 * (1 + 2 + 3 + 4)]
+    calls.clear()
+    mayer.ursell_coefficient(3, BENCH, G2, GRID, v, 4, 50, seed=1)
+    assert calls == [50 * 3]
