@@ -132,6 +132,10 @@ def _run_limit(cfg: ExperimentConfig, out_path):
     print(f"{kind} sweep: discrepancies "
           + ", ".join(f"{d:.5f}" for d in sweep.discrepancies)
           + f" | monotone={sweep.monotone_decreasing} final_ok={sweep.final_ok}")
+    if kind == "largen":
+        print(f"1/N-extrapolated discrepancy {sweep.extra['extrapolated']:+.5f} "
+              f"+- {sweep.extra['extrapolated_stderr']:.5f}, "
+              f"final_ok needs |.| < {sweep.final_tolerance:.5f}")
     return EXIT_OK
 
 

@@ -7,13 +7,37 @@ per time step, independent across slices, and covariance per slice
 
 Each field configuration carries the complex weight
 
-    exp(i N theta(sigma) - N D(sigma)),
+    F(sigma) = exp(i N theta(sigma) - N D(sigma)),
 
 where D is the log-determinant ratio of the phased monodromy against the free
 one and theta is the linear counterterm produced by the density shift rho.
 Observables are reweighted averages over this ensemble; at lam = 0 the field
 is identically zero and every estimator collapses to its exact free value
 with zero variance.
+
+The estimators take the same Gaussian integral in two exact ways at once,
+at the cost of one field each:
+
+- Shifted contour (Rom, Charutz & Neuhauser, Chem. Phys. Lett. 270, 382
+  (1997)).  F is analytic, so the field is evaluated at sigma = s + i c on
+  every site and slice, with s drawn as before.  The monodromy scales by
+  e^{nu c}, which is a fugacity change kappa0 -> kappa0 - c; theta gains
+  i rho c |Lambda|, a real factor e^{-N rho c |Lambda|} of the weight; the
+  Gaussian density contributes the ratio
+  exp(-i c 1.C^-1 s + c^2 1.C^-1 1 / 2).  c is the root of the
+  one-dimensional Hartree equation
+
+      c = -(lam vhat(0) N / nu^2) (nu n(kappa0 - c) - rho),
+
+  with n the per-site ideal occupation: the stationary point of the
+  integrand along constant imaginary fields.  The root is unique, lies
+  below kappa0, and is 0 at the Wick rho.  Damping at fugacity kappa0 - c
+  bounds every shifted weight by the constant-field value e^{g(c)}, and g
+  is convex with g(0) = 0, so at its minimum c the weights keep |w| <= 1.
+- Conjugation symmetry.  F(-s) = conj F(s), for the shifted weight and the
+  Duhamel kernel alike, and the Gaussian is even, so the average of F equals
+  the average of Re F: the antithetic mean over the pair (s, -s).  The
+  weight stream is real and every estimate has zero imaginary part.
 """
 
 from __future__ import annotations
@@ -23,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import ModelParams, TimeGrid, TorusGeometry
-from .propagators import _spectral_data, ideal_occupation, monodromy_batch
+from .propagators import (_spectral_data, hartree_shift, ideal_occupation,
+                          monodromy_batch)
 from .stats import ComplexEstimate, mean_estimate, ratio_estimate
 
 __all__ = [
@@ -33,6 +58,7 @@ __all__ = [
     "hs_log_weight",
     "HSWeight",
     "winding_exponent",
+    "contour_shift",
     "estimate_xi_rel",
     "estimate_duhamel",
 ]
@@ -102,12 +128,15 @@ class HSWeight:
 
 
 def _log_det_ratio(geom: TorusGeometry, nu: float, kappa0: float,
-                   gamma_stack: np.ndarray) -> np.ndarray:
-    """log det(1 - e^{-nu kappa0} Gamma_sigma) - log det(1 - e^{-nu kappa0} Gamma_0)."""
-    fugacity = np.exp(-nu * kappa0)
+                   gamma_stack: np.ndarray, shift: float = 0.0) -> np.ndarray:
+    """log det(1 - e^{-nu (kappa0 - c)} Gamma_s) - log det(1 - e^{-nu kappa0} Gamma_0).
+
+    Gamma_s is the monodromy of the real field s; e^{nu c} Gamma_s is that of
+    the shifted field s + i c.
+    """
     eye = np.eye(geom.n_sites)
-    sign, logabs = np.linalg.slogdet(eye - fugacity * gamma_stack)
-    occ_free = fugacity * np.exp(0.5 * nu * _spectral_data(geom)[0])
+    sign, logabs = np.linalg.slogdet(eye - np.exp(-nu * (kappa0 - shift)) * gamma_stack)
+    occ_free = np.exp(-nu * kappa0 + 0.5 * nu * _spectral_data(geom)[0])
     log_free = np.sum(np.log1p(-occ_free))
     return np.log(sign) + logabs - log_free
 
@@ -139,33 +168,58 @@ def winding_exponent(geom: TorusGeometry, nu: float, kappa0: float,
     return total, float(tail)
 
 
-def _field_weights(params: ModelParams, geom: TorusGeometry, grid: TimeGrid,
-                   sigma: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Weights exp(i N theta - N D) of a field stack and its monodromies."""
-    dvals = _log_det_ratio(geom, params.nu, params.kappa0, gamma)
-    thetas = params.rho / params.nu * grid.eps * sigma.sum(axis=(1, 2))
-    return np.exp(1j * params.n_species * thetas - params.n_species * dvals)
+def contour_shift(params: ModelParams, geom: TorusGeometry, v) -> float:
+    """Imaginary contour shift c of the field, sigma = s + i c on every site and slice.
+
+    The root of c = -(lam vhat(0) N / nu^2) (nu n(kappa0 - c) - rho), with
+    vhat(0) = v.total(): -c is the constant-field Hartree shift of the
+    fugacity (`propagators.hartree_shift`).  Exactly 0 at lam = 0 and at the
+    Wick rho.
+    """
+    coupling = params.lam * v.total() * params.n_species / params.nu**2
+    return 0.0 - hartree_shift(geom, params.nu, params.kappa0, params.rho, coupling)
+
+
+def _field_weights(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
+                   sigma: np.ndarray, gamma: np.ndarray, shift: float) -> np.ndarray:
+    """Weights F(s + i c) times the Gaussian density ratio, for a real field stack s.
+
+    gamma holds the monodromies of s.  With 1.C^-1 s = nu eps sum(s) / (lam
+    vhat(0)) and 1.C^-1 1 = nu^2 |Lambda| / (lam vhat(0)), the Gaussian ratio
+    is exp(-i c 1.C^-1 s + c^2 1.C^-1 1 / 2), and theta(s + i c) = theta(s)
+    + i rho c |Lambda|.  At c = 0 these are the plain weights exp(i N theta - N D).
+    """
+    nu, N = params.nu, params.n_species
+    dvals = _log_det_ratio(geom, nu, params.kappa0, gamma, shift)
+    # exponent i rate eps sum(s) + const - N D; at c = 0, i rate eps sum(s) = i N theta
+    precision = nu / (params.lam * v.total())  # C^-1 1 = (precision eps) 1
+    rate = N * params.rho / nu - shift * precision
+    const = shift * geom.n_sites * (0.5 * shift * precision * nu - N * params.rho)
+    return np.exp(1j * rate * grid.eps * sigma.sum(axis=(1, 2)) + const - N * dvals)
 
 
 def estimate_xi_rel(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
                     n_samples: int, seed: int = 0) -> ComplexEstimate:
     """Relative partition function Xi / Xi_free as the mean field weight.
 
-    extra carries the weight stream itself ("weights", one complex weight per
-    field; all ones at lam = 0), its mean modulus ("mean_abs_weight") and the
-    average sign |<w>| / <|w|> ("avg_sign").
+    Each weight is Re F(s + i c) of the shifted contour (module docstring).
+    extra carries the real weight stream itself ("weights", all ones at
+    lam = 0), its mean modulus ("mean_abs_weight"), the average sign
+    |<w>| / <|w|> ("avg_sign", at most 1) and c ("contour_shift").
     """
+    shift = contour_shift(params, geom, v)
     if params.lam == 0.0:
-        weights = np.ones(n_samples, dtype=complex)
+        weights = np.ones(n_samples)
     else:
         rng = np.random.default_rng(seed)
         sigma = sample_sigma(params, geom, grid, v, n_samples, rng)
-        weights = _field_weights(params, geom, grid, sigma,
-                                 monodromy_batch(geom, grid, sigma))
+        weights = _field_weights(params, geom, grid, v, sigma,
+                                 monodromy_batch(geom, grid, sigma), shift).real
     est = mean_estimate(weights, seed=seed)
     mean_abs = float(np.mean(np.abs(weights)))
     est.extra.update(weights=weights, mean_abs_weight=mean_abs,
-                     avg_sign=abs(est.value) / mean_abs)
+                     avg_sign=min(1.0, abs(est.value) / mean_abs),
+                     contour_shift=shift)
     return est
 
 
@@ -192,17 +246,23 @@ def estimate_duhamel(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v
     equals P_tau (1 - e^{-nu kappa0} Gamma)^-1 P_tau'^-1 without inverting
     the prefix P_tau' (push-through).  At equal times the identity winding is
     dropped, leaving M (1 - M)^-1.  det(1 - M) is the weight's determinant.
+
+    On the shifted contour U scales by e^{c s} and M by e^{nu c}, so kappa0
+    becomes kappa0 - c in k; the ratio averages Re(k w) over Re w with the
+    weights of `estimate_xi_rel`.  extra["contour_shift"] is c.
     """
-    nu, kappa0 = params.nu, params.kappa0
+    nu = params.nu
     if not (0.0 <= tau_p <= tau < nu):
         raise ValueError("need 0 <= tau' <= tau < nu")
     j_hi = _grid_slice(grid, tau)
     j_lo = _grid_slice(grid, tau_p)
     s = tau - tau_p
+    shift = contour_shift(params, geom, v)
+    kappa = params.kappa0 - shift
     rng = np.random.default_rng(seed)
     n = geom.n_sites
     eye = np.eye(n)
-    fug = np.exp(-nu * kappa0)
+    fug = np.exp(-nu * kappa)
 
     if params.lam == 0.0:
         # exact free evaluation, zero variance
@@ -217,12 +277,15 @@ def estimate_duhamel(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v
     if s == 0.0:
         core = fug * gamma @ resolvent
     else:
-        core = np.exp(-kappa0 * s) * resolvent
+        core = np.exp(-kappa * s) * resolvent
     kernels = (prefixes[j_hi - j_lo] @ core)[:, x, x_p]
 
     if params.lam == 0.0:
         val = complex(kernels[0])
         return ComplexEstimate(value=val, stderr_re=0.0, stderr_im=0.0,
-                               n_samples=n_samples, seed=seed, ess=float(n_samples))
-    weights = _field_weights(params, geom, grid, sigma, gamma)
-    return ratio_estimate(kernels * weights, weights, seed=seed)
+                               n_samples=n_samples, seed=seed, ess=float(n_samples),
+                               extra={"contour_shift": shift})
+    weights = _field_weights(params, geom, grid, v, sigma, gamma, shift)
+    est = ratio_estimate((kernels * weights).real, weights.real, seed=seed)
+    est.extra["contour_shift"] = shift
+    return est

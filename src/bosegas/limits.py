@@ -12,14 +12,13 @@ import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammainc, gammaln
 
 from .hsfield import estimate_duhamel, wick_rho
 from .lattice import ModelParams, TimeGrid, TorusGeometry
 from .loopgas import xi_rel_series
 from .meanfield import field_quadrature_1site
-from .propagators import free_green, ideal_occupation
+from .propagators import free_green, hartree_shift, ideal_occupation
 
 __all__ = [
     "LimitSweep",
@@ -49,6 +48,9 @@ class LimitSweep:
     errors: list
     final_tolerance: float
     extra: dict = field(default_factory=dict)
+    # what final_ok compares with final_tolerance; None means the last
+    # discrepancy
+    final_discrepancy: float | None = None
 
     @property
     def monotone_decreasing(self) -> bool:
@@ -62,7 +64,9 @@ class LimitSweep:
 
     @property
     def final_ok(self) -> bool:
-        return self.discrepancies[-1] < self.final_tolerance
+        final = (self.discrepancies[-1] if self.final_discrepancy is None
+                 else self.final_discrepancy)
+        return final < self.final_tolerance
 
     @property
     def verdict(self) -> bool:
@@ -213,29 +217,16 @@ def saddle_point(params: ModelParams, geom: TorusGeometry, v) -> SaddleState:
         s = (lambda0 vhat(0) N / (N + 1)) * (nu * n(kappa0 + s) - rho),
 
     with n(kappa) the per-site ideal occupation and vhat(0) the zero-mode
-    Fourier sum of v.  n is decreasing in kappa, so the root is unique; it is
-    found by bracketed root finding on (-kappa0, infinity).
+    Fourier sum of v.  n is decreasing in kappa, so the root on
+    (-kappa0, infinity) is unique (`propagators.hartree_shift`).
     """
     nu = params.nu
     coupling = params.lambda0 * v.total() * params.n_species / (params.n_species + 1.0)
-
-    def f(s):
-        return s - coupling * (nu * ideal_occupation(geom, nu, params.kappa0 + s)
+    s = hartree_shift(geom, nu, params.kappa0, params.rho, coupling)
+    residual = s - coupling * (nu * ideal_occupation(geom, nu, params.kappa0 + s)
                                - params.rho)
-
-    if coupling == 0.0:
-        return SaddleState(shift=0.0, kappa_ren=params.kappa0, residual=0.0)
-    lo = -params.kappa0 + 1e-6
-    hi = max(1.0, abs(coupling * params.rho) + 1.0)
-    while f(hi) < 0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("saddle bracket expansion failed")
-    if f(lo) > 0:
-        raise RuntimeError("no sign change in saddle bracket")
-    s = brentq(f, lo, hi, xtol=1e-14, rtol=1e-15)
     return SaddleState(shift=float(s), kappa_ren=float(params.kappa0 + s),
-                       residual=float(abs(f(s))))
+                       residual=float(abs(residual)))
 
 
 def largeN_check(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
@@ -243,27 +234,48 @@ def largeN_check(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
     """gamma_1(0, 0) at growing species number N against the saddle-point free gas.
 
     The coupling is rescaled as lambda0 nu^2 / (N + 1); the reference is
-    free_green at the renormalized rate kappa0 + s(N).  A common seed keeps
-    the base noise shared across N, which sharpens the trend comparison.
+    free_green at the renormalized rate kappa0 + s(N).  The k-th N draws its
+    fields from seed + k, so the points are independent and their errors
+    combine as such in the trend and extrapolation checks.
+    The discrepancy carries a genuine 1/N term, so the final verdict is taken
+    on its 1/N extrapolation (`_largeN_sweep`), which needs two N values.
     """
     if list(N_list) != sorted(N_list):
         raise ValueError("N_list must be increasing")
-    discs, errs, info = [], [], []
-    for N in N_list:
+    if len(N_list) < 2:
+        raise ValueError("the large-N check extrapolates in 1/N and needs "
+                         f"at least two N values, not {len(N_list)}")
+    signed, errs, info = [], [], []
+    for k, N in enumerate(N_list):
         pN = replace(params, n_species=float(N), coupling_mode="meanfield")
         sd = saddle_point(pN, geom, v)
         target = free_green(geom, params.nu, sd.kappa_ren)[0, 0]
         est = estimate_duhamel(pN, geom, grid, v, 0, 0, n_samples=samples,
-                               seed=seed)
-        disc = abs(est.value.real - target)
-        discs.append(disc)
-        errs.append(est.stderr)
+                               seed=seed + k)
+        signed.append(est.value.real - target)
+        errs.append(est.stderr_re)
         info.append({"N": N, "shift": sd.shift, "target": target,
                      "estimate": est.value.real, "residual": sd.residual})
+    return _largeN_sweep(N_list, signed, errs, info)
+
+
+def _largeN_sweep(N_list, signed, errs, points=()) -> LimitSweep:
+    """Sweep of |d_N| whose final verdict is on the 1/N-extrapolated discrepancy.
+
+    With d_N = a / N + b + O(1/N^2), the last two points (N_a, N_b) give
+    b = (N_b d_b - N_a d_a) / (N_b - N_a), with sigma propagated from theirs
+    as independent errors; final_ok holds when |b| < 3 sigma.  A saddle that is
+    right at N = infinity has b = 0, however large a is.
+    """
+    (na, nb), (da, db), (ea, eb) = N_list[-2:], signed[-2:], errs[-2:]
+    extrapolated = (nb * db - na * da) / (nb - na)
+    sigma = float(np.hypot(nb * eb, na * ea)) / (nb - na)
     return LimitSweep(parameter_name="n_species", parameters=list(N_list),
-                      discrepancies=discs, errors=errs,
-                      final_tolerance=3.0 * max(errs[-1], 1e-12),
-                      extra={"points": info})
+                      discrepancies=[abs(d) for d in signed], errors=list(errs),
+                      final_tolerance=3.0 * max(sigma, 1e-12),
+                      final_discrepancy=abs(extrapolated),
+                      extra={"points": list(points), "extrapolated": extrapolated,
+                             "extrapolated_stderr": sigma})
 
 
 # ---------------------------------------------------------------------------

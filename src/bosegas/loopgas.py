@@ -388,7 +388,14 @@ def _loop_densities(geom, grid, form, act, counts, rng) -> np.ndarray:
 
 
 def _pair_sum(phi: np.ndarray, M: np.ndarray, eps: float) -> np.ndarray:
-    """(eps/2) sum_t phi_t . M . phi_t per sample, all ordered visit pairs."""
+    """(eps/2) sum_t phi_t . M . phi_t per sample, all ordered visit pairs.
+
+    A diagonal M (the circle's Fourier form, a delta potential) is applied as
+    the vector of its diagonal, with no (F x F) product per row.
+    """
+    diag = np.diagonal(M)
+    if np.array_equal(M, np.diag(diag)):
+        return 0.5 * eps * (np.einsum("...tx,...tx->...x", phi, phi) @ diag)
     return 0.5 * eps * np.einsum("...tx,...tx->...", phi @ M, phi)
 
 
@@ -454,28 +461,33 @@ def xi_rel_series(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
     I_n is the n-loop integral estimated over i.i.d. activity-sampled loops;
     the free normalization uses the same winding truncation so the l_max bias
     largely cancels.  lam = 0 short-circuits to the closed form (exact 1 at
-    rho = 0).
+    rho = 0), whose raw series sum_{n <= n_max} (N A)^n / n! is exact too.
     """
     const = np.exp(_rho_log_constant(params, geom, v))
     if params.lam == 0.0:
         q0 = free_loop_sum(geom, grid.nu, params.kappa0, l_max)
-        kappa = kappa_eff(params, v)
-        A = free_loop_sum(geom, grid.nu, kappa, l_max)
+        A = free_loop_sum(geom, grid.nu, kappa_eff(params, v), l_max)
+        tail = float(gammainc(n_max + 1, params.n_species * A))
         val = const * np.exp(params.n_species * (A - q0))
-        return ComplexEstimate(value=complex(val), stderr_re=0.0, stderr_im=0.0,
-                               n_samples=samples, seed=seed, ess=float(samples))
-    rng = np.random.default_rng(seed)
-    ls = _raw_series_samples(params, geom, grid, v, n_max, l_max, samples, rng)
-    norm = const * np.exp(-params.n_species * ls.q_free)
-    est = mean_estimate(norm * ls.series_samples, seed=seed)
-    raw = mean_estimate(ls.series_samples)
+        est = ComplexEstimate(value=complex(val), stderr_re=0.0, stderr_im=0.0,
+                              n_samples=samples, seed=seed, ess=float(samples))
+        raw = 1.0 + float(_series_coefficients(params.n_species, A, n_max).sum())
+        raw_se = 0.0
+    else:
+        rng = np.random.default_rng(seed)
+        ls = _raw_series_samples(params, geom, grid, v, n_max, l_max, samples, rng)
+        A, q0, tail = ls.activity, ls.q_free, ls.tail_rel
+        norm = const * np.exp(-params.n_species * q0)
+        est = mean_estimate(norm * ls.series_samples, seed=seed)
+        raw_est = mean_estimate(ls.series_samples)
+        raw, raw_se = raw_est.value.real, raw_est.stderr_re
     est.extra.update(
-        activity=ls.activity,
-        q_free=ls.q_free,
-        tail_rel=ls.tail_rel,
-        truncation_flag=ls.tail_rel > 1e-2,
-        raw_value=raw.value.real,
-        raw_stderr=raw.stderr_re,
+        activity=A,
+        q_free=q0,
+        tail_rel=tail,
+        truncation_flag=tail > 1e-2,
+        raw_value=raw,
+        raw_stderr=raw_se,
     )
     return est
 

@@ -15,6 +15,7 @@ __all__ = [
     "monodromy",
     "free_green",
     "ideal_occupation",
+    "hartree_shift",
 ]
 
 
@@ -185,3 +186,36 @@ def ideal_occupation(geom: TorusGeometry, nu: float, kappa: float) -> float:
     evals, _ = _spectral_data(geom)
     eps_k = -0.5 * evals
     return float(np.mean(1.0 / (np.exp(nu * (eps_k + kappa)) - 1.0)))
+
+
+@lru_cache(maxsize=64)
+def hartree_shift(geom: TorusGeometry, nu: float, kappa0: float, rho: float,
+                  coupling: float) -> float:
+    """Root s > -kappa0 of the constant-field Hartree equation
+    s = coupling (nu n(kappa0 + s) - rho), with n the per-site ideal occupation.
+
+    For coupling >= 0, f(s) = s - coupling (nu n(kappa0 + s) - rho) increases
+    on (-kappa0, inf) from -inf (the zero mode makes n diverge) to +inf, so
+    the root is unique.  For f(0) < 0 it lies in [0, -f(0)], since
+    n(kappa0 + s) <= n(kappa0) there; otherwise in [-kappa0 + d, 0] for the
+    first d = kappa0 / 2^k with f(-kappa0 + d) < 0.  Found by bisection.
+    """
+    def f(s):
+        return s - coupling * (nu * ideal_occupation(geom, nu, kappa0 + s) - rho)
+
+    at_zero = f(0.0)
+    if at_zero == 0.0:  # no coupling, or rho = nu n(kappa0)
+        return 0.0
+    if at_zero < 0.0:
+        lo, hi = 0.0, -at_zero
+    else:
+        lo, hi = -0.5 * kappa0, 0.0
+        while f(lo) >= 0.0:
+            lo, hi = 0.5 * (lo - kappa0), lo
+    while hi - lo > 1e-15 * max(1.0, abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -29,6 +29,10 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+# per-record extra fields fixed by the shared parameters, so merge_chains
+# carries them into the pooled record; every other extra stays per chain
+POOLED_EXTRAS = ("contour_shift",)
+
 
 class ConfigError(Exception):
     """Malformed or invalid experiment configuration."""
@@ -56,7 +60,7 @@ DEFAULTS = {
     "truncations": {"n_max": "30", "l_max": "30"},
     "potential": {"kind": "delta", "strength": "1.0", "width": "0.5"},
     "limit": {"kind": "classical", "nu_list": "0.4,0.2,0.1,0.05",
-              "n_list": "4,64", "z": "0.5"},
+              "n_list": "4,16,64", "z": "0.5"},
 }
 
 
@@ -283,5 +287,6 @@ def merge_chains(*recs: ExperimentRecord) -> ExperimentRecord:
         unreliable=any(r.unreliable for r in recs),
         wall_seconds=float(sum(r.wall_seconds for r in recs)),
         moments=acc.to_dict(),
-        extra={"merged_chains": len(recs)},
+        extra={**{k: base.extra[k] for k in POOLED_EXTRAS if k in base.extra},
+               "merged_chains": len(recs)},
     )

@@ -183,3 +183,60 @@ def test_classical_limit_rejects_nonzero_rho(tmp_path, capsys):
                    "[limit]\nkind = classical\nnu_list = 0.4,0.2\n")
     assert main(["limit", "--config", str(cfg)]) == 3
     assert "rho = 0.3" in capsys.readouterr().err
+
+
+def test_hs_records_carry_the_contour_shift(tmp_path):
+    from bosegas.hsfield import contour_shift
+    from bosegas.records import ExperimentConfig
+
+    cfg = tmp_path / "hs.ini"
+    cfg.write_text("[geometry]\nsites_per_side = 2\n"
+                   "[model]\nlambda0 = 0.5\n"
+                   "[mc]\nsamples = 200\nchains = 2\nseed = 5\n")
+    out_path = tmp_path / "recs.jsonl"
+    assert main(["hs", "--config", str(cfg), "--out", str(out_path)]) == 0
+    recs = [ExperimentRecord.from_json(t)
+            for t in out_path.read_text().strip().splitlines()]
+    conf = ExperimentConfig.from_file(str(cfg))
+    geom = conf.geometry()
+    want = contour_shift(conf.model(), geom, conf.potential(geom))
+    # both chains and the pooled record; per-chain figures stay per chain
+    assert [r.extra["contour_shift"] for r in recs] == [want] * 3
+    assert want < 0.0 and "mean_abs_weight" not in recs[2].extra
+    # real weights: the imaginary moments vanish exactly
+    for rec in recs:
+        assert rec.estimate_im == 0.0 and rec.stderr_im == 0.0
+
+
+def test_classical_limit_runs_at_zero_coupling(tmp_path, capsys):
+    # the defaults have lambda0 = 0, where the loop gas takes its closed form
+    cfg = tmp_path / "lim.ini"
+    cfg.write_text("[limit]\nkind = classical\nnu_list = 0.4,0.2\n")
+    out_path = tmp_path / "sweep.csv"
+    assert main(["limit", "--config", str(cfg), "--out", str(out_path)]) == 0
+    assert "classical sweep" in capsys.readouterr().out
+    assert len(out_path.read_text().strip().splitlines()) == 3
+
+
+def test_largen_limit_needs_two_species_numbers(tmp_path, capsys):
+    cfg = tmp_path / "lim.ini"
+    cfg.write_text("[geometry]\nsites_per_side = 2\n"
+                   "[model]\nlambda0 = 0.25\nrho_mode = wick\n"
+                   "[mc]\nsamples = 64\n"
+                   "[limit]\nkind = largen\nn_list = 16\n")
+    assert main(["limit", "--config", str(cfg)]) == 3
+    assert "at least two N values" in capsys.readouterr().err
+
+
+def test_largen_limit_defaults_report_the_judged_extrapolation(tmp_path, capsys):
+    # the default n_list leaves N = 4, with its 1/N^2 term, out of the
+    # extrapolated pair
+    cfg = tmp_path / "lim.ini"
+    cfg.write_text("[geometry]\nsites_per_side = 2\n"
+                   "[model]\nlambda0 = 0.25\nrho_mode = wick\n"
+                   "[mc]\nsamples = 512\n"
+                   "[limit]\nkind = largen\n")
+    assert main(["limit", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "final_ok=True" in out
+    assert "1/N-extrapolated discrepancy" in out

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from bosegas.fock import duhamel_exact, gamma1_exact, xi_exact
-from bosegas.hsfield import (_field_weights, det_identity_residual,
-                             estimate_duhamel, estimate_xi_rel, hs_log_weight,
-                             sample_sigma, wick_rho, winding_exponent)
+from bosegas.hsfield import (_field_weights, contour_shift,
+                             det_identity_residual, estimate_duhamel,
+                             estimate_xi_rel, hs_log_weight, sample_sigma,
+                             wick_rho, winding_exponent)
 from bosegas.lattice import (ModelParams, TimeGrid, TorusGeometry,
-                             delta_potential)
-from bosegas.propagators import free_green, monodromy_batch
+                             delta_potential, wrapped_gaussian_potential)
+from bosegas.propagators import free_green, ideal_occupation, monodromy_batch
 from bosegas.records import ExperimentConfig
 
 G1 = TorusGeometry(dimension=1, sites_per_side=1)
@@ -149,16 +150,18 @@ def test_duhamel_free_long_time_is_exact():
 def test_duhamel_push_through_matches_prefix_inverse():
     # at nu = 1 the prefixes are well conditioned, so P_tau core P_tau'^-1
     # built with the inverse is a sharp per-field reference
+    # on the shifted contour: kappa0 -> kappa0 - c, real parts averaged
     v = delta_potential(G2)
+    c = contour_shift(BENCH, G2, v)
     sigma = sample_sigma(BENCH, G2, GRID, v, 200, np.random.default_rng(3))
     gamma, pre = monodromy_batch(G2, GRID, sigma, keep_prefixes=[8, 24])
-    m = np.exp(-1.0) * gamma
+    m = np.exp(-(1.0 - c)) * gamma
     resolvent = np.linalg.inv(np.eye(2) - m)
-    weights = _field_weights(BENCH, G2, GRID, sigma, gamma)
-    for tau, j_hi, core in [(0.75, 24, np.exp(-0.5) * resolvent),
+    weights = _field_weights(BENCH, G2, GRID, v, sigma, gamma, c)
+    for tau, j_hi, core in [(0.75, 24, np.exp(-0.5 * (1.0 - c)) * resolvent),
                             (0.25, 8, m @ resolvent)]:
         kernels = (pre[j_hi] @ core @ np.linalg.inv(pre[8]))[:, 0, 1]
-        want = np.sum(kernels * weights) / np.sum(weights)
+        want = np.sum((kernels * weights).real) / np.sum(weights.real)
         est = estimate_duhamel(BENCH, G2, GRID, v, 0, 1, tau=tau, tau_p=0.25,
                                n_samples=200, seed=3)
         assert est.value == pytest.approx(want, rel=1e-10)
@@ -188,3 +191,102 @@ def test_duhamel_domain_checks():
     with pytest.raises(ValueError):
         # off-grid time
         estimate_duhamel(FREE, G2, GRID, v, 0, 0, tau=0.013)
+
+
+# ---------------------------------------------------------------------------
+# shifted contour and conjugation symmetry
+
+
+@pytest.mark.parametrize("n_species", [1.0, 2.0])
+@pytest.mark.parametrize("rho", [0.0, 0.3])
+def test_conjugate_field_conjugates_weight_and_kernel(n_species, rho):
+    # F(-s) = conj F(s) field by field on the shifted contour, for the weight
+    # and the Duhamel kernel alike, so Re F is the average over (s, -s)
+    p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, n_species=n_species, rho=rho)
+    v = wrapped_gaussian_potential(G2, width=0.7)
+    c = contour_shift(p, G2, v)
+    assert c != 0.0
+    sigma = sample_sigma(p, G2, GRID, v, 50, np.random.default_rng(8))
+    pairs = []
+    for s in (sigma, -sigma):
+        gamma, pre = monodromy_batch(G2, GRID, s, keep_prefixes=[8])
+        m = np.exp(-(1.0 - c)) * gamma
+        kernels = (pre[8] @ np.linalg.inv(np.eye(2) - m))[:, 0, 1]
+        pairs.append((_field_weights(p, G2, GRID, v, s, gamma, c), kernels))
+    (w, k), (w_neg, k_neg) = pairs
+    assert np.max(np.abs(w.imag)) > 1e-3  # the symmetry is not trivial
+    assert np.max(np.abs(w)) <= 1.0  # damping survives the shift
+    assert np.max(np.abs(w_neg - w.conj())) <= 1e-12 * np.max(np.abs(w))
+    assert np.max(np.abs(k_neg - k.conj())) <= 1e-12 * np.max(np.abs(k))
+
+
+def test_shifted_weights_are_the_complex_field_weights():
+    # the weight at real s and shift c is F(s + i c) of the complex field,
+    # times the density ratio p(s + i c) / p(s) of the full slice covariance
+    p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, n_species=2.0, rho=0.3)
+    v = wrapped_gaussian_potential(G2, width=0.7)
+    sigma = sample_sigma(p, G2, GRID, v, 20, np.random.default_rng(9))
+    precision = np.linalg.inv(p.lam / (p.nu * GRID.eps) * v.matrix())
+
+    def log_density(field):
+        return -0.5 * np.einsum("stx,xy,sty->s", field, precision, field)
+
+    for c in (contour_shift(p, G2, v), 0.2):
+        z = sigma + 1j * c
+        direct = _field_weights(p, G2, GRID, v, z, monodromy_batch(G2, GRID, z), 0.0)
+        want = direct * np.exp(log_density(z) - log_density(sigma))
+        got = _field_weights(p, G2, GRID, v, sigma, monodromy_batch(G2, GRID, sigma), c)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_avg_sign_never_exceeds_one():
+    # positive real weights put |<w>| / <|w|> within an ulp of 1, either side
+    v = delta_potential(G2)
+    for seed in range(16):
+        est = estimate_xi_rel(BENCH, G2, GRID, v, 200, seed=seed)
+        assert 0.0 < est.extra["avg_sign"] <= 1.0
+
+
+def test_contour_shift_solves_the_hartree_equation():
+    v = delta_potential(G2)
+    for rho, sign in [(0.0, -1.0), (0.3, -1.0), (5.0, 1.0)]:
+        p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, rho=rho)
+        c = contour_shift(p, G2, v)
+        assert sign * c > 0.0 and c < p.kappa0
+        rhs = -p.lam * (ideal_occupation(G2, 1.0, p.kappa0 - c) - rho)
+        assert c == pytest.approx(rhs, abs=1e-12)
+    # exactly zero without coupling and at the Wick density
+    assert contour_shift(FREE, G2, v) == 0.0
+    wick = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, rho=wick_rho(G2, 1.0, 1.0))
+    assert contour_shift(wick, G2, v) == 0.0
+
+
+def test_weights_stay_finite_at_high_density():
+    # rho = 5 pushes c up towards kappa0
+    p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, rho=5.0)
+    v = delta_potential(G2)
+    xi = estimate_xi_rel(p, G2, GRID, v, 500, seed=1)
+    duh = estimate_duhamel(p, G2, GRID, v, 0, 1, tau=0.25, n_samples=500, seed=1)
+    assert 0.0 < xi.extra["contour_shift"] < p.kappa0
+    assert np.all(np.isfinite(xi.extra["weights"]))
+    assert np.isfinite(xi.value) and np.isfinite(duh.value)
+    assert xi.stderr > 0.0 and duh.stderr > 0.0
+
+
+@pytest.mark.parametrize("geom, rho, n_max", [
+    (TorusGeometry(dimension=2, sites_per_side=2), 0.0, 10),
+    (G2, 0.3, 16),
+], ids=["2x2 torus", "rho 0.3"])
+def test_shifted_estimators_match_oracle(geom, rho, n_max):
+    p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, rho=rho)
+    v = delta_potential(geom)
+    xi = estimate_xi_rel(p, geom, GRID, v, 20000, seed=9)
+    duh = estimate_duhamel(p, geom, GRID, v, 0, 1, tau=0.25, n_samples=20000,
+                           seed=10)
+    assert xi.extra["contour_shift"] == duh.extra["contour_shift"] != 0.0
+    for est in (xi, duh):
+        assert est.value.imag == 0.0 and est.stderr_im == 0.0
+    want = xi_exact(p, geom, v, n_max=n_max).xi_rel
+    assert abs(xi.value.real - want) < 4 * xi.stderr_re
+    want = duhamel_exact(p, geom, v, n_max, 0.25, 0, 0.0, 1)
+    assert abs(duh.value.real - want) < 4 * duh.stderr_re

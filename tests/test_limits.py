@@ -104,3 +104,41 @@ def test_largeN_requires_increasing_list():
     with pytest.raises(ValueError):
         largeN_check(p, G2, TimeGrid(nu=1.0, n_slices=8),
                      delta_potential(G2), [16, 4], samples=8)
+
+
+def test_largeN_verdict_is_on_the_1_over_N_extrapolation():
+    # d_N = a / N + noise extrapolates to 0 within 3 sigma however large a
+    # is; an offset b that survives N -> infinity fails
+    from bosegas.limits import _largeN_sweep
+
+    N = [4, 16, 64]
+    err = [4e-4, 1e-4, 2.5e-5]
+    noise = [1e-4, -1e-4, 2.5e-5]
+    saddle = _largeN_sweep(N, [-0.07 / n + e for n, e in zip(N, noise)], err)
+    assert saddle.monotone_decreasing and saddle.final_ok and saddle.verdict
+    assert saddle.final_discrepancy < 0.1 * saddle.discrepancies[-1]
+    offset = _largeN_sweep(N, [-0.07 / n - 0.001 for n in N], err)
+    assert offset.monotone_decreasing and not offset.final_ok
+    assert offset.extra["extrapolated"] == pytest.approx(-0.001, rel=1e-9)
+
+
+def test_largeN_requires_two_points():
+    from bosegas.lattice import TimeGrid
+
+    p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.25)
+    with pytest.raises(ValueError, match="at least two N values"):
+        largeN_check(p, G2, TimeGrid(nu=1.0, n_slices=8),
+                     delta_potential(G2), [16], samples=8)
+
+
+def test_saddle_is_the_contour_shift_in_meanfield_mode():
+    # lam vhat(0) N / nu^2 = lambda0 vhat(0) N / (N + 1): one Hartree root
+    from bosegas.hsfield import contour_shift
+
+    v = delta_potential(G2)
+    for rho in (0.0, 0.3, 5.0):
+        p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.7, n_species=8.0,
+                        rho=rho, coupling_mode="meanfield")
+        sd = saddle_point(p, G2, v)
+        assert contour_shift(p, G2, v) == -sd.shift
+        assert sd.residual < 1e-12

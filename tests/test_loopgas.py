@@ -8,6 +8,7 @@ from bosegas.lattice import (CirclePotential, ModelParams, TimeGrid,
                              delta_potential, wrapped_gaussian_potential)
 from bosegas.loopgas import (GridPath, SymanzikParams, _continuous_loops,
                              _lattice_bridges, _loop_densities, _pair_form,
+                             _pair_sum,
                              activity_table,
                              duhamel_loopgas, free_loop_sum, kappa_eff,
                              loop_interaction_Vnu, make_symanzik, sample_bridge,
@@ -144,6 +145,35 @@ def test_xi_rel_series_free():
     est = xi_rel_series(FREE, G2, GRID, v, 4, 40, 100)
     assert est.value == pytest.approx(1.0, abs=1e-12)
     assert est.stderr == 0.0
+
+
+def test_xi_rel_series_free_raw_series_is_the_truncated_poisson_sum():
+    # the closed form carries the raw series the classical sweep reads
+    v = delta_potential(G2)
+    n_max, l_max = 4, 6
+    est = xi_rel_series(FREE, G2, GRID, v, n_max, l_max, 100)
+    na = FREE.n_species * est.extra["activity"]
+    assert est.extra["raw_value"] == pytest.approx(
+        sum(na**n / np.prod(np.arange(1, n + 1)) for n in range(n_max + 1)),
+        rel=1e-12)
+    assert est.extra["raw_stderr"] == 0.0
+    assert est.extra["activity"] == pytest.approx(
+        free_loop_sum(G2, 1.0, kappa_eff(FREE, v), l_max), rel=1e-12)
+
+
+@pytest.mark.parametrize("geom, v", [
+    (TorusGeometry(dimension=1, mode="circle", circumference=4.0),
+     CirclePotential(4.0, strength=1.0, width=0.5)),
+    (G2, wrapped_gaussian_potential(G2, width=0.7)),
+], ids=["circle", "lattice"])
+def test_pair_sum_matches_the_dense_form(geom, v):
+    # the circle's diagonal M is applied as a vector, a full M as a matrix
+    _, M = _pair_form(geom, v)
+    phi = np.random.default_rng(4).standard_normal((3, 50, 16, len(M)))
+    dense = 0.5 * 0.025 * np.einsum("...tx,xy,...ty->...", phi, M, phi)
+    got = _pair_sum(phi, M, 0.025)
+    assert got.shape == (3, 50)
+    assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_xi_rel_series_matches_oracle():

@@ -116,3 +116,13 @@ def test_record_without_samples_still_merges():
     pooled = merge_chains(rec, rec2)
     assert pooled.estimate_re == pytest.approx(2.0)
     assert pooled.n_samples == 200
+
+
+def test_merge_pools_only_model_constant_extras():
+    # a per-chain figure that happens to agree across chains stays per chain
+    a, b = _make_record(1), _make_record(2)
+    for rec in (a, b):
+        rec.extra.update(contour_shift=-0.13, avg_sign=1.0, raw_stderr=0.0)
+    pooled = merge_chains(a, b)
+    assert pooled.extra == {"contour_shift": -0.13, "merged_chains": 2}
+    assert merge_chains(_make_record(3), _make_record(4)).extra == {"merged_chains": 2}
