@@ -27,7 +27,7 @@ from . import fock, hsfield, limits, loopgas, mayer, meanfield
 from .lattice import CapacityError, TimeGrid
 from .records import (ConfigError, ExperimentConfig, merge_chains,
                       record_from_estimate)
-from .stats import ComplexEstimate
+from .stats import exact_estimate
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -42,8 +42,8 @@ def _resolved_parameters(cfg: ExperimentConfig) -> dict:
     return resolved
 
 
-def _estimate_with_samples(command, cfg, chain_seed):
-    """One chain of the given command; returns (estimate, sample stream)."""
+def _estimate(command, cfg, chain_seed):
+    """The estimate of one chain of the given command."""
     geom = cfg.geometry()
     params = cfg.model()
     grid = cfg.grid()
@@ -52,32 +52,22 @@ def _estimate_with_samples(command, cfg, chain_seed):
     trunc = cfg.truncations()
     if command == "oracle":
         res = fock.xi_exact(params, geom, v, n_max=trunc["n_max"])
-        est = ComplexEstimate(value=complex(res.xi), stderr_re=0.0,
-                              stderr_im=0.0, n_samples=1, seed=chain_seed,
-                              ess=1.0,
+        return exact_estimate(res.xi, 1, seed=chain_seed,
                               extra={"xi_rel": res.xi_rel,
                                      "truncation_drift": res.truncation_drift,
                                      "drift_warning": res.drift_warning})
-        return est, np.array([res.xi + 0.0j])
     if command == "hs":
-        est = hsfield.estimate_xi_rel(params, geom, grid, v,
-                                      n_samples=mc["samples"], seed=chain_seed)
-        return est, est.extra["weights"]
+        return hsfield.estimate_xi_rel(params, geom, grid, v,
+                                       n_samples=mc["samples"], seed=chain_seed)
     if command == "loopgas":
-        est = loopgas.xi_rel_series(params, geom, grid, v, trunc["n_max"],
-                                    trunc["l_max"], mc["samples"],
-                                    seed=chain_seed)
-        return est, None
+        return loopgas.xi_rel_series(params, geom, grid, v, trunc["n_max"],
+                                     trunc["l_max"], mc["samples"], seed=chain_seed)
     if command == "mayer":
-        est = mayer.log_xi_rel_partial(params, geom, grid, v,
-                                       min(trunc["n_max"], mayer.MAX_CLUSTER),
-                                       trunc["l_max"], mc["samples"],
-                                       seed=chain_seed)
-        return est, None
+        return mayer.log_xi_rel_partial(params, geom, grid, v,
+                                        min(trunc["n_max"], mayer.MAX_CLUSTER),
+                                        trunc["l_max"], mc["samples"], seed=chain_seed)
     if command == "field":
-        est = meanfield.z_via_eta(params, geom, v, mc["samples"],
-                                  seed=chain_seed)
-        return est, None
+        return meanfield.z_via_eta(params, geom, v, mc["samples"], seed=chain_seed)
     raise ConfigError(f"unknown command {command!r}")
 
 
@@ -260,11 +250,9 @@ def main(argv=None) -> int:
         recs = []
         for chain in range(mc["chains"]):
             t0 = time.perf_counter()
-            est, samples = _estimate_with_samples(args.command, cfg,
-                                                  mc["seed"] + chain)
+            est = _estimate(args.command, cfg, mc["seed"] + chain)
             recs.append(record_from_estimate(args.command, params, est,
-                                             time.perf_counter() - t0,
-                                             sample_values=samples))
+                                             time.perf_counter() - t0))
         final = merge_chains(*recs) if len(recs) > 1 else recs[0]
         print(json.dumps({"command": final.command,
                           "estimate": [final.estimate_re, final.estimate_im],

@@ -49,7 +49,7 @@ import numpy as np
 from .lattice import ModelParams, TimeGrid, TorusGeometry
 from .propagators import (_spectral_data, hartree_shift, ideal_occupation,
                           monodromy_batch)
-from .stats import ComplexEstimate, mean_estimate, ratio_estimate
+from .stats import ComplexEstimate, exact_estimate, mean_estimate, ratio_estimate
 
 __all__ = [
     "det_identity_residual",
@@ -205,7 +205,9 @@ def estimate_xi_rel(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
     Each weight is Re F(s + i c) of the shifted contour (module docstring).
     extra carries the real weight stream itself ("weights", all ones at
     lam = 0), its mean modulus ("mean_abs_weight"), the average sign
-    |<w>| / <|w|> ("avg_sign", at most 1) and c ("contour_shift").
+    |<w>| / <|w|> ("avg_sign", at most 1) and c ("contour_shift").  The
+    stream is for callers only: a record keeps the estimate's count, mean and
+    batch-means error, never the stream (`records.record_from_estimate`).
     """
     shift = contour_shift(params, geom, v)
     if params.lam == 0.0:
@@ -221,14 +223,6 @@ def estimate_xi_rel(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
                      avg_sign=min(1.0, abs(est.value) / mean_abs),
                      contour_shift=shift)
     return est
-
-
-def _grid_slice(grid: TimeGrid, tau: float) -> int:
-    j = tau / grid.eps
-    j_round = int(round(j))
-    if abs(j - j_round) > 1e-9:
-        raise ValueError(f"time {tau} is not on the slice grid (eps = {grid.eps})")
-    return j_round
 
 
 def estimate_duhamel(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
@@ -254,8 +248,8 @@ def estimate_duhamel(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v
     nu = params.nu
     if not (0.0 <= tau_p <= tau < nu):
         raise ValueError("need 0 <= tau' <= tau < nu")
-    j_hi = _grid_slice(grid, tau)
-    j_lo = _grid_slice(grid, tau_p)
+    j_hi = grid.slice_index(tau)
+    j_lo = grid.slice_index(tau_p)
     s = tau - tau_p
     shift = contour_shift(params, geom, v)
     kappa = params.kappa0 - shift
@@ -281,10 +275,8 @@ def estimate_duhamel(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v
     kernels = (prefixes[j_hi - j_lo] @ core)[:, x, x_p]
 
     if params.lam == 0.0:
-        val = complex(kernels[0])
-        return ComplexEstimate(value=val, stderr_re=0.0, stderr_im=0.0,
-                               n_samples=n_samples, seed=seed, ess=float(n_samples),
-                               extra={"contour_shift": shift})
+        return exact_estimate(kernels[0], n_samples, seed=seed,
+                              extra={"contour_shift": shift})
     weights = _field_weights(params, geom, grid, v, sigma, gamma, shift)
     est = ratio_estimate((kernels * weights).real, weights.real, seed=seed)
     est.extra["contour_shift"] = shift

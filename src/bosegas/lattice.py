@@ -128,6 +128,14 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return self.eps * np.arange(self.n_slices + 1)
 
+    def slice_index(self, t: float) -> int:
+        """The j with t = j eps; a time off the slice grid raises ValueError."""
+        j = t / self.eps
+        j_round = int(round(j))
+        if abs(j - j_round) > 1e-9:
+            raise ValueError(f"time {t} is not on the slice grid (eps = {self.eps})")
+        return j_round
+
 
 # ---------------------------------------------------------------------------
 # two-body potentials

@@ -23,7 +23,7 @@ from scipy.special import exp1, gammainc, gammaln
 
 from .lattice import ModelParams, TimeGrid, TorusGeometry, UnsupportedModeError
 from .propagators import circle_heat_kernel, heat_propagator, _spectral_data
-from .stats import ComplexEstimate, mean_estimate, ratio_estimate
+from .stats import ComplexEstimate, exact_estimate, mean_estimate, ratio_estimate
 
 __all__ = [
     "GridPath",
@@ -306,9 +306,7 @@ def sample_bridge(geom: TorusGeometry, x, y, T: float, grid: TimeGrid,
                   seed: int = 0, start_slice: int = 0) -> GridPath:
     """One pinned path from x to y over duration T on the shared time grid."""
     rng = np.random.default_rng(seed)
-    n_steps = int(round(T / grid.eps))
-    if abs(n_steps * grid.eps - T) > 1e-9 * max(T, 1.0):
-        raise ValueError("duration must be a multiple of the grid step")
+    n_steps = grid.slice_index(T)
     pos = _bridges(geom, grid, np.array([x]), np.array([y]), np.array([n_steps]), rng)[0]
     return GridPath(positions=pos, eps=grid.eps, start_slice=start_slice)
 
@@ -468,9 +466,8 @@ def xi_rel_series(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
         q0 = free_loop_sum(geom, grid.nu, params.kappa0, l_max)
         A = free_loop_sum(geom, grid.nu, kappa_eff(params, v), l_max)
         tail = float(gammainc(n_max + 1, params.n_species * A))
-        val = const * np.exp(params.n_species * (A - q0))
-        est = ComplexEstimate(value=complex(val), stderr_re=0.0, stderr_im=0.0,
-                              n_samples=samples, seed=seed, ess=float(samples))
+        est = exact_estimate(const * np.exp(params.n_species * (A - q0)), samples,
+                             seed=seed)
         raw = 1.0 + float(_series_coefficients(params.n_species, A, n_max).sum())
         raw_se = 0.0
     else:
@@ -518,9 +515,7 @@ def duhamel_loopgas(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
     if not (0.0 <= tau_p <= tau < nu):
         raise ValueError("need 0 <= tau' <= tau < nu")
     s = tau - tau_p
-    j_lo = int(round(tau_p / grid.eps))
-    if abs(j_lo * grid.eps - tau_p) > 1e-9:
-        raise ValueError("tau' must sit on the slice grid")
+    j_hi, j_lo = grid.slice_index(tau), grid.slice_index(tau_p)
     bvec = _open_weights(params, geom, grid, v, s, x, x_p, l_max)
     B = float(bvec.sum())
 
@@ -535,9 +530,8 @@ def duhamel_loopgas(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
                 if term < 1e-16 and l0 > 1:
                     break
             l0 += 1
-        return ComplexEstimate(value=complex(total), stderr_re=0.0, stderr_im=0.0,
-                               n_samples=samples, seed=seed, ess=float(samples),
-                               extra={"species_diagonal": True})
+        return exact_estimate(total, samples, seed=seed,
+                              extra={"species_diagonal": True})
 
     rng = np.random.default_rng(seed)
     # sample the open winding l0, then all pinned paths in one bridge pass
@@ -546,7 +540,7 @@ def duhamel_loopgas(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
     n_tau = grid.n_slices
     form = _pair_form(geom, v)
     phi0 = np.zeros((samples, n_tau, len(form[1])))
-    steps = int(round(s / grid.eps)) + l0s * n_tau
+    steps = j_hi - j_lo + l0s * n_tau
     moving = np.nonzero(steps > 0)[0]
     if len(moving):
         phi0[moving] = _path_densities(geom, grid, form, np.full(len(moving), x_p),
@@ -622,9 +616,7 @@ def symanzik_series(params: ModelParams, geom: TorusGeometry, v,
                          * geom.n_sites * v.total()))
     a_delta = float(np.sum(exp1((sym.kappa_delta - 0.5 * evals) * sym.delta)))
     if params.lambda0 == 0.0:
-        val = const * np.exp(N * (a_delta - q0))
-        return ComplexEstimate(value=complex(val), stderr_re=0.0, stderr_im=0.0,
-                               n_samples=samples, seed=seed, ess=float(samples))
+        return exact_estimate(const * np.exp(N * (a_delta - q0)), samples, seed=seed)
 
     rng = np.random.default_rng(seed)
     norm_t = float(exp1(sym.kappa_delta * sym.delta))

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .lattice import ModelParams, TorusGeometry
 from .propagators import _laplacian, _spectral_data
@@ -51,19 +50,14 @@ def wick_constant(geom: TorusGeometry, kappa0: float) -> float:
 
 
 def _action_terms(params: ModelParams, geom: TorusGeometry, v):
-    """The matrices of h: one-body matrix, Wick constant and v (None if free)."""
-    hmat = _one_body(geom, params.kappa0)
-    if params.lambda0 == 0.0:
-        return hmat, None, None
-    return hmat, wick_constant(geom, params.kappa0), v.matrix()
+    """The matrices of h: one-body matrix, Wick constant and v."""
+    return _one_body(geom, params.kappa0), wick_constant(geom, params.kappa0), v.matrix()
 
 
 def _action(phi: np.ndarray, params: ModelParams, terms) -> float:
     """h(phi) for complex phi of shape (N, n_sites) on precomputed `_action_terms`."""
     hmat, c, vmat = terms
     kinetic = float(np.real(np.einsum("ax,xy,ay->", phi.conj(), hmat, phi)))
-    if params.lambda0 == 0.0:
-        return kinetic
     dens = np.sum(np.abs(phi)**2, axis=0) - phi.shape[0] * c - params.rho
     quartic = 0.5 * params.lambda0 / (params.n_species + 1.0) * float(
         dens @ vmat @ dens)
@@ -162,13 +156,16 @@ def sample_gibbs_field(params: ModelParams, geom: TorusGeometry, v,
                       tuning_failed=not (0.05 <= acc <= 0.95), seed=seed)
 
 
-def action_S_eta_closed(eta: np.ndarray, geom: TorusGeometry, kappa0: float) -> complex:
-    """Closed form S(eta) = log det(1 - i R eta) + i tr(R eta), R = (-Lap/2+kappa0)^-1."""
-    hmat = _one_body(geom, kappa0)
-    r = np.linalg.inv(hmat)
-    m = r @ np.diag(np.asarray(eta, dtype=float))
+def action_S_eta_closed(eta: np.ndarray, geom: TorusGeometry, kappa0: float):
+    """Closed form S(eta) = log det(1 - i R eta) + i tr(R eta), R = (-Lap/2+kappa0)^-1.
+
+    eta of shape (..., n_sites) gives S of the same leading shape: one complex
+    number for one field, an array for a stack of them.
+    """
+    r = np.linalg.inv(_one_body(geom, kappa0))
+    m = r * np.asarray(eta, dtype=float)[..., None, :]  # R @ diag(eta)
     sign, logabs = np.linalg.slogdet(np.eye(geom.n_sites) - 1j * m)
-    return complex(np.log(sign) + logabs + 1j * np.trace(m))
+    return np.log(sign) + logabs + 1j * np.einsum("...ii->...", m)
 
 
 def action_S_eta(eta: np.ndarray, geom: TorusGeometry, kappa0: float):
@@ -177,6 +174,8 @@ def action_S_eta(eta: np.ndarray, geom: TorusGeometry, kappa0: float):
     A = -Lap/2 + kappa0, R_t = (A + t)^-1.  Adaptive quadrature; the integrand
     decays like t^-3.  Returns (value, precision_flag).
     """
+    from scipy.integrate import quad
+
     hmat = _one_body(geom, kappa0)
     eta = np.asarray(eta, dtype=float)
     n = geom.n_sites
@@ -204,23 +203,21 @@ def z_via_eta(params: ModelParams, geom: TorusGeometry, v, samples: int,
     :|phi|^2: part leaves exp(-N S(eta)), whose linear term is zero
     identically; the constant shift -rho leaves the phase
     exp(-i rho sum_x eta_x).  Closed-form S keeps this exact per sample.
+    S(-eta) = conj S(eta), the phase conjugates too and the Gaussian is even,
+    so the mean of the real part of the weight is the mean of the weight;
+    each sample is that real part, and the estimate's imaginary part is 0.
+    At lambda0 = 0 every eta is 0 and every weight exactly 1.
     """
-    if params.lambda0 == 0.0:
-        return ComplexEstimate(value=1.0 + 0.0j, stderr_re=0.0, stderr_im=0.0,
-                               n_samples=samples, seed=seed, ess=float(samples))
     rng = np.random.default_rng(seed)
     cov = params.lambda0 / (params.n_species + 1.0) * v.matrix()
     evals, evecs = np.linalg.eigh(cov)
     root = evecs * np.sqrt(np.clip(evals, 0.0, None))
     etas = rng.standard_normal((samples, geom.n_sites)) @ root.T
-    hmat = _one_body(geom, params.kappa0)
-    r = np.linalg.inv(hmat)
-    m = r[None, :, :] * etas[:, None, :]  # R @ diag(eta), batched
-    sign, logabs = np.linalg.slogdet(np.eye(geom.n_sites)[None] - 1j * m)
-    s_vals = np.log(sign) + logabs + 1j * np.einsum("sii->s", m)
+    s_vals = action_S_eta_closed(etas, geom, params.kappa0)
     if np.any(s_vals.real < -1e-10):
         raise AssertionError("Re S(eta) went negative")
-    weights = np.exp(-params.n_species * s_vals - 1j * params.rho * etas.sum(axis=1))
+    weights = np.exp(-params.n_species * s_vals
+                     - 1j * params.rho * etas.sum(axis=1)).real
     est = mean_estimate(weights, seed=seed)
     est.extra["min_re_S"] = float(s_vals.real.min())
     return est
@@ -232,6 +229,8 @@ def field_quadrature_1site(params: ModelParams, v) -> dict:
     Returns the relative partition function and the moment <|phi|^2> of
     exp(-h) with h(r) = kappa0 r^2 + (lambda0 v(0) / (2(N+1))) (r^2 - c - rho)^2.
     """
+    from scipy.integrate import quad
+
     kappa0 = params.kappa0
     c = 1.0 / kappa0
     lam_cl = params.lambda0 * v.at_origin / (params.n_species + 1.0)

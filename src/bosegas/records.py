@@ -1,9 +1,11 @@
 """Experiment configuration files and persisted result records.
 
 Config files are INI-style with fixed sections and a closed key set; records
-are JSON objects with an embedded schema version.  Multi-chain results are
-pooled through count/mean/M2 sufficient statistics so merging is associative
-and independent of completion order.
+are JSON objects with an embedded schema version.  A record keeps what its
+estimate reported: the count, the mean and the batch-means error, never a raw
+sample stream.  Multi-chain results are pooled through count/mean/M2
+sufficient statistics built from those, so merging is associative and
+independent of completion order.
 """
 
 from __future__ import annotations
@@ -215,20 +217,19 @@ class ExperimentRecord:
 
 
 def record_from_estimate(command: str, parameters: dict, est: ComplexEstimate,
-                         wall_seconds: float,
-                         sample_values: np.ndarray | None = None) -> ExperimentRecord:
+                         wall_seconds: float) -> ExperimentRecord:
+    """The record of one estimate, its moments rebuilt from what it reported.
+
+    Count, mean and M2 = stderr^2 n (n - 1) per component come from the
+    estimate's n_samples, value and batch-means errors, so `merge_chains`
+    pools each chain's batch-means error; no raw sample stream enters.
+    """
+    n = max(int(est.n_samples), 1)
     acc = MomentAccumulator(2)
-    if sample_values is not None:
-        acc.add_samples(np.stack([np.real(sample_values),
-                                  np.imag(sample_values)], axis=1))
-    else:
-        # no raw stream: rebuild equivalent sufficient statistics from the
-        # reported mean and standard error so chains stay mergeable
-        n = max(int(est.n_samples), 1)
-        acc.count = n
-        acc.mean = np.array([est.value.real, est.value.imag])
-        acc.m2 = np.diag([est.stderr_re**2 * n * max(n - 1, 1),
-                          est.stderr_im**2 * n * max(n - 1, 1)])
+    acc.count = n
+    acc.mean = np.array([est.value.real, est.value.imag])
+    acc.m2 = np.diag([est.stderr_re**2 * n * max(n - 1, 1),
+                      est.stderr_im**2 * n * max(n - 1, 1)])
     moments = acc.to_dict()
     extra = {k: v for k, v in est.extra.items()
              if isinstance(v, (int, float, bool, str))}

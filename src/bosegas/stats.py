@@ -9,6 +9,7 @@ import numpy as np
 __all__ = [
     "ComplexEstimate",
     "MomentAccumulator",
+    "exact_estimate",
     "mean_estimate",
     "ratio_estimate",
     "MIN_BATCHES",
@@ -40,26 +41,42 @@ class ComplexEstimate:
         return float(np.hypot(self.stderr, other_stderr))
 
 
-def batch_means(samples: np.ndarray, n_batches: int = MIN_BATCHES):
+def _batches(samples: np.ndarray) -> np.ndarray:
+    """Means of MIN_BATCHES equal batches along axis 0 (fewer for short series).
+
+    A remainder of n % n_batches trailing samples is left out.
+    """
+    n = len(samples)
+    if n == 0:
+        raise ValueError("no samples")
+    n_batches = min(MIN_BATCHES, n)
+    usable = n - n % n_batches
+    return samples[:usable].reshape(n_batches, -1, *samples.shape[1:]).mean(axis=1)
+
+
+def _spread(batches: np.ndarray):
+    """Standard error of the mean of the batch values, per complex component.
+
+    Zero with fewer than two batches.
+    """
+    m = len(batches)
+    zero = np.zeros(batches.shape[1:])[()]  # a scalar for a 1-D series
+    if m < 2:
+        return zero, zero
+    se_re = np.std(batches.real, axis=0, ddof=1) / np.sqrt(m)
+    se_im = (np.std(batches.imag, axis=0, ddof=1) / np.sqrt(m)
+             if np.iscomplexobj(batches) else zero)
+    return se_re, se_im
+
+
+def batch_means(samples: np.ndarray):
     """Mean and batch-means standard error (per complex component) along axis 0.
 
     A stack of shape (n, ...) gets the errors of every trailing entry at once.
     """
     samples = np.asarray(samples)
-    n = len(samples)
-    n_batches = min(n_batches, n) if n else 1
-    if n == 0:
-        raise ValueError("no samples")
-    usable = n - n % n_batches
-    mean = samples.mean(axis=0)
-    zero = np.zeros(samples.shape[1:])[()]  # a scalar for a 1-D series
-    if n_batches < 2 or usable < n_batches:
-        return mean, zero, zero
-    bm = samples[:usable].reshape(n_batches, -1, *samples.shape[1:]).mean(axis=1)
-    se_re = np.std(bm.real, axis=0, ddof=1) / np.sqrt(n_batches)
-    se_im = (np.std(bm.imag, axis=0, ddof=1) / np.sqrt(n_batches)
-             if np.iscomplexobj(samples) else zero)
-    return mean, se_re, se_im
+    se_re, se_im = _spread(_batches(samples))
+    return samples.mean(axis=0), se_re, se_im
 
 
 def weight_ess(weights: np.ndarray) -> float:
@@ -71,53 +88,49 @@ def weight_ess(weights: np.ndarray) -> float:
     return float(np.sum(a) ** 2 / denom)
 
 
+def exact_estimate(value, n_samples: int, seed=None, extra=None) -> ComplexEstimate:
+    """A value known in closed form, as an estimate with zero error.
+
+    Every one of the n_samples counts as effective; `unreliable` stays clear.
+    """
+    return ComplexEstimate(value=complex(value), stderr_re=0.0, stderr_im=0.0,
+                           n_samples=n_samples, seed=seed, ess=float(n_samples),
+                           extra=dict(extra or {}))
+
+
 def mean_estimate(samples: np.ndarray, seed=None) -> ComplexEstimate:
     """Plain-mean estimate of complex samples with batch-means errors."""
     samples = np.asarray(samples, dtype=complex)
     mean, se_re, se_im = batch_means(samples)
-    ess = weight_ess(samples) if np.any(samples != 0) else 0.0
     return ComplexEstimate(
         value=complex(mean),
         stderr_re=float(se_re),
         stderr_im=float(se_im),
         n_samples=len(samples),
         seed=seed,
-        ess=ess,
+        ess=weight_ess(samples),
         unreliable=False,
     )
 
 
 def ratio_estimate(numerator: np.ndarray, weights: np.ndarray, seed=None) -> ComplexEstimate:
-    """Reweighting ratio E[num]/E[w] with batch-means errors on the batch ratios."""
+    """Reweighting ratio E[num]/E[w] with batch-means errors on the batch ratios.
+
+    Batches whose weights average to zero are left out of the error.
+    """
     numerator = np.asarray(numerator, dtype=complex)
     weights = np.asarray(weights, dtype=complex)
     if numerator.shape != weights.shape:
         raise ValueError("numerator/weight length mismatch")
-    n = len(weights)
-    if n == 0:
-        raise ValueError("no samples")
-    n_batches = min(MIN_BATCHES, n)
-    usable = n - n % n_batches
-    value = numerator.mean() / weights.mean()
-    if n_batches >= 2 and usable >= n_batches:
-        num_b = numerator[:usable].reshape(n_batches, -1).mean(axis=1)
-        den_b = weights[:usable].reshape(n_batches, -1).mean(axis=1)
-        good = den_b != 0
-        if good.sum() >= 2:
-            ratios = num_b[good] / den_b[good]
-            m = good.sum()
-            se_re = float(np.std(ratios.real, ddof=1) / np.sqrt(m))
-            se_im = float(np.std(ratios.imag, ddof=1) / np.sqrt(m))
-        else:
-            se_re = se_im = 0.0
-    else:
-        se_re = se_im = 0.0
+    num_b, den_b = _batches(numerator), _batches(weights)
+    good = den_b != 0
+    se_re, se_im = _spread(num_b[good] / den_b[good])
     ess = weight_ess(weights)
     return ComplexEstimate(
-        value=complex(value),
-        stderr_re=se_re,
-        stderr_im=se_im,
-        n_samples=n,
+        value=complex(numerator.mean() / weights.mean()),
+        stderr_re=float(se_re),
+        stderr_im=float(se_im),
+        n_samples=len(weights),
         seed=seed,
         ess=ess,
         unreliable=ess < ESS_FLOOR,

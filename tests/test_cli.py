@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bosegas
 from bosegas.cli import main
 from bosegas.records import ExperimentRecord
 
@@ -119,6 +124,46 @@ def test_hs_records_reuse_the_estimate_weights(tmp_path, monkeypatch):
         assert rec.moments["mean"] == pytest.approx(
             [est.value.real, est.value.imag], rel=1e-12, abs=1e-15)
         assert rec.extra["avg_sign"] == est.extra["avg_sign"]
+
+
+def test_hs_pooled_record_pools_the_chain_estimates(tmp_path):
+    # the pooled record merges what each chain's estimate reported: its count,
+    # mean and batch-means error
+    from bosegas import hsfield
+    from bosegas.records import (ExperimentConfig, merge_chains,
+                                 record_from_estimate)
+
+    cfg = tmp_path / "hs.ini"
+    cfg.write_text("[geometry]\nsites_per_side = 2\n"
+                   "[model]\nlambda0 = 0.5\n"
+                   "[mc]\nsamples = 500\nseed = 31\n")
+    out_path = tmp_path / "recs.jsonl"
+    assert main(["hs", "--config", str(cfg), "--out", str(out_path),
+                 "--chains", "2"]) == 0
+    pooled = ExperimentRecord.from_json(out_path.read_text().strip().splitlines()[-1])
+    conf = ExperimentConfig.from_file(str(cfg))
+    geom = conf.geometry()
+    want = merge_chains(*[
+        record_from_estimate("hs", pooled.parameters,
+                             hsfield.estimate_xi_rel(conf.model(), geom, conf.grid(),
+                                                     conf.potential(geom), 500,
+                                                     seed=seed), 0.0)
+        for seed in (31, 32)])
+    assert pooled.stderr_re == pytest.approx(want.stderr_re, rel=1e-12)
+    assert pooled.estimate_re == pytest.approx(want.estimate_re, rel=1e-12)
+    assert pooled.moments["count"] == want.moments["count"] == 1000
+
+
+def test_importing_the_cli_leaves_quadrature_unloaded():
+    # scipy.integrate, and the scipy.optimize it loads, is imported only by
+    # the functions that integrate
+    path = [str(Path(bosegas.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = "import sys, bosegas.cli; print('scipy.integrate' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert run.stdout.strip() == "False"
 
 
 def test_cli_flag_overrides(capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from bosegas import loopgas, mayer
 from bosegas.fock import duhamel_exact, xi_exact
+from bosegas.hsfield import estimate_duhamel
 from bosegas.lattice import (CirclePotential, ModelParams, TimeGrid,
                              TorusGeometry, UnsupportedModeError,
                              delta_potential, wrapped_gaussian_potential)
@@ -208,6 +209,17 @@ def test_duhamel_domain_check():
     v = delta_potential(G2)
     with pytest.raises(ValueError):
         duhamel_loopgas(FREE, G2, GRID, v, 1.0, 0, 0.0, 0, 4, 6, 10)
+
+
+@pytest.mark.parametrize("tau, tau_p", [(0.26, 0.0), (0.5, 0.26)])
+def test_off_grid_times_raise_in_both_routes(tau, tau_p):
+    # eps = 1/32: the open path's duration must be whole steps too
+    v = delta_potential(G2)
+    with pytest.raises(ValueError, match="slice grid"):
+        duhamel_loopgas(BENCH, G2, GRID, v, tau, 0, tau_p, 1, 4, 6, 10)
+    with pytest.raises(ValueError, match="slice grid"):
+        estimate_duhamel(BENCH, G2, GRID, v, 0, 1, tau=tau, tau_p=tau_p,
+                         n_samples=10)
 
 
 def test_symanzik_lattice_only():

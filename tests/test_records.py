@@ -60,8 +60,7 @@ def _make_record(seed, shift=0.0, n=4096):
     rng = np.random.default_rng(seed)
     x = shift + rng.standard_normal(n) + 1j * rng.standard_normal(n)
     est = mean_estimate(x, seed=seed)
-    return record_from_estimate("hs", {"model": {"nu": "1.0"}}, est, 0.01,
-                                sample_values=x)
+    return record_from_estimate("hs", {"model": {"nu": "1.0"}}, est, 0.01)
 
 
 def test_record_json_round_trip():
