@@ -8,8 +8,14 @@ The energy functional for a complex N-component field phi is
 
 with :|phi|^2: = |phi|^2 - N c and c the free covariance diagonal.  The same
 partition function can be written as a Gaussian average over a real field eta
-with covariance (lambda0/(N+1)) v of exp(-N S(eta)), where S has nonnegative
-real part; both forms are implemented and cross-checked.
+with covariance C = (lambda0/(N+1)) v of exp(-N S(eta)), where S has
+nonnegative real part; both forms are implemented and cross-checked.
+
+The eta average subtracts a Gaussian control variate from each weight and
+adds back its exact mean: g(eta) = exp(-(N/2) eta.Q eta) cos(rho sum eta),
+Q = R o R with R = (-Lap/2 + kappa0)^-1, is the second-order part of the
+weight, and E[g] = det(1 + N C Q)^-1/2 exp(-(rho^2/2) 1.C (1 + N Q C)^-1 1).
+Its coefficient is fixed at 1, so the estimate stays unbiased.
 """
 
 from __future__ import annotations
@@ -20,21 +26,19 @@ import numpy as np
 
 from .lattice import ModelParams, TorusGeometry
 from .propagators import _laplacian, _spectral_data
-from .stats import ComplexEstimate, batch_means, mean_estimate
+from .stats import ComplexEstimate, batch_means, mean_estimate, weight_ess
 
 __all__ = [
     "wick_constant",
     "field_action",
     "sample_gibbs_field",
     "FieldChain",
-    "action_S_eta",
     "action_S_eta_closed",
     "z_via_eta",
     "field_quadrature_1site",
 ]
 
-GIBBS_THIN = 4          # the Gibbs chain keeps every GIBBS_THIN-th state
-ETA_QUAD_TOL = 1e-9     # absolute and relative tolerance of the S(eta) quadrature
+GIBBS_THIN = 4  # the Gibbs chain keeps every GIBBS_THIN-th state
 
 
 def _one_body(geom: TorusGeometry, kappa0: float) -> np.ndarray:
@@ -156,70 +160,90 @@ def sample_gibbs_field(params: ModelParams, geom: TorusGeometry, v,
                       tuning_failed=not (0.05 <= acc <= 0.95), seed=seed)
 
 
+def _s_eta(etas: np.ndarray, r: np.ndarray):
+    """S for a stack of eta of shape (..., n_sites), given R."""
+    m = r * etas[..., None, :]  # R @ diag(eta)
+    sign, logabs = np.linalg.slogdet(np.eye(len(r)) - 1j * m)
+    return np.log(sign) + logabs + 1j * np.einsum("...ii->...", m)
+
+
 def action_S_eta_closed(eta: np.ndarray, geom: TorusGeometry, kappa0: float):
     """Closed form S(eta) = log det(1 - i R eta) + i tr(R eta), R = (-Lap/2+kappa0)^-1.
 
     eta of shape (..., n_sites) gives S of the same leading shape: one complex
-    number for one field, an array for a stack of them.
+    number for one field, an array for a stack of them.  The total phase of
+    the determinant is taken on the principal branch, which is the analytic
+    S on at most 2 sites only (see `z_via_eta`).
     """
     r = np.linalg.inv(_one_body(geom, kappa0))
-    m = r * np.asarray(eta, dtype=float)[..., None, :]  # R @ diag(eta)
-    sign, logabs = np.linalg.slogdet(np.eye(geom.n_sites) - 1j * m)
-    return np.log(sign) + logabs + 1j * np.einsum("...ii->...", m)
+    return _s_eta(np.asarray(eta, dtype=float), r)
 
 
-def action_S_eta(eta: np.ndarray, geom: TorusGeometry, kappa0: float):
-    """S(eta) = int_0^inf tr[R_t eta (A + t - i eta)^-1 eta R_t] dt.
+def _gaussian_mean(q: np.ndarray, cov: np.ndarray, n_species: float,
+                   rho: float) -> float:
+    """E[exp(-(N/2) eta.Q eta) cos(rho sum eta)] for eta ~ N(0, cov).
 
-    A = -Lap/2 + kappa0, R_t = (A + t)^-1.  Adaptive quadrature; the integrand
-    decays like t^-3.  Returns (value, precision_flag).
+    det(1 + N C Q)^-1/2 exp(-rho^2 1.C (1 + N Q C)^-1 1 / 2): the Gaussian
+    integral, with C never inverted (it may be singular).
     """
-    from scipy.integrate import quad
-
-    hmat = _one_body(geom, kappa0)
-    eta = np.asarray(eta, dtype=float)
-    n = geom.n_sites
-    eye = np.eye(n)
-
-    def integrand(t):
-        rt = np.linalg.inv(hmat + t * eye)
-        mid = np.linalg.inv(hmat + t * eye - 1j * np.diag(eta))
-        return np.trace(rt @ np.diag(eta) @ mid @ np.diag(eta) @ rt)
-
-    re, ere = quad(lambda t: integrand(t).real, 0.0, np.inf, limit=400,
-                   epsabs=ETA_QUAD_TOL, epsrel=ETA_QUAD_TOL)
-    im, eim = quad(lambda t: integrand(t).imag, 0.0, np.inf, limit=400,
-                   epsabs=ETA_QUAD_TOL, epsrel=ETA_QUAD_TOL)
-    flag = max(ere, eim) > 100 * ETA_QUAD_TOL
-    return complex(re + 1j * im), flag
+    eye = np.eye(len(q))
+    ones = np.ones(len(q))
+    _, logdet = np.linalg.slogdet(eye + n_species * cov @ q)
+    quad_form = ones @ cov @ np.linalg.solve(eye + n_species * q @ cov, ones)
+    return float(np.exp(-0.5 * logdet - 0.5 * rho**2 * quad_form))
 
 
 def z_via_eta(params: ModelParams, geom: TorusGeometry, v, samples: int,
               seed: int = 0) -> ComplexEstimate:
     """Relative classical partition function E_eta[exp(-N S(eta) - i rho sum eta)].
 
-    eta is Gaussian with covariance (lambda0/(N+1)) v and decouples the
+    eta is Gaussian with covariance C = (lambda0/(N+1)) v and decouples the
     shifted density :|phi|^2: - rho.  Integrating phi out of the
     :|phi|^2: part leaves exp(-N S(eta)), whose linear term is zero
     identically; the constant shift -rho leaves the phase
     exp(-i rho sum_x eta_x).  Closed-form S keeps this exact per sample.
     S(-eta) = conj S(eta), the phase conjugates too and the Gaussian is even,
-    so the mean of the real part of the weight is the mean of the weight;
-    each sample is that real part, and the estimate's imaginary part is 0.
-    At lambda0 = 0 every eta is 0 and every weight exactly 1.
+    so the mean of the real part w of the weight is the mean of the weight.
+
+    The second-order part of w is a control variate: S(eta) =
+    (1/2) eta.Q eta + O(eta^3) with Q = R o R (entrywise), so
+    g(eta) = exp(-(N/2) eta.Q eta) cos(rho sum eta) has the closed-form mean
+    E[g] = det(1 + N C Q)^-1/2 exp(-(rho^2/2) 1.C (1 + N Q C)^-1 1).
+    Each sample is w - g + E[g], with coefficient exactly 1 (none fitted),
+    so the estimate stays unbiased; the estimate's imaginary part is 0.
+    The ESS is that of the raw weights w.  `extra` carries E[g] as
+    `gauss_mean` and the batch-means error of w alone as `weights_stderr`.
+    At lambda0 = 0 every eta is 0 and every sample exactly 1.
+
+    The determinant's total phase is taken on the principal branch.  On more
+    than 2 sites it can differ from the analytic S by 2 pi i, which only an
+    integer N hides, so a non-integer N on more than 2 sites raises
+    ValueError.
     """
+    n_species = params.n_species
+    if geom.n_sites > 2 and n_species != int(n_species):
+        raise ValueError(f"the eta route takes a non-integer species number "
+                         f"({n_species:g}) on at most 2 sites, not {geom.n_sites}: "
+                         "the principal log-det branch can wrap")
     rng = np.random.default_rng(seed)
-    cov = params.lambda0 / (params.n_species + 1.0) * v.matrix()
+    cov = params.lambda0 / (n_species + 1.0) * v.matrix()
     evals, evecs = np.linalg.eigh(cov)
     root = evecs * np.sqrt(np.clip(evals, 0.0, None))
     etas = rng.standard_normal((samples, geom.n_sites)) @ root.T
-    s_vals = action_S_eta_closed(etas, geom, params.kappa0)
+    r = np.linalg.inv(_one_body(geom, params.kappa0))
+    s_vals = _s_eta(etas, r)
     if np.any(s_vals.real < -1e-10):
         raise AssertionError("Re S(eta) went negative")
-    weights = np.exp(-params.n_species * s_vals
-                     - 1j * params.rho * etas.sum(axis=1)).real
-    est = mean_estimate(weights, seed=seed)
-    est.extra["min_re_S"] = float(s_vals.real.min())
+    phase = params.rho * etas.sum(axis=1)
+    weights = np.exp(-n_species * s_vals - 1j * phase).real
+    q = r * r
+    control = (np.exp(-0.5 * n_species * np.sum((etas @ q) * etas, axis=1))
+               * np.cos(phase))
+    gauss_mean = _gaussian_mean(q, cov, n_species, params.rho)
+    est = mean_estimate(weights - control + gauss_mean, seed=seed)
+    est.ess = weight_ess(weights)
+    est.extra.update(min_re_S=float(s_vals.real.min()), gauss_mean=gauss_mean,
+                     weights_stderr=float(batch_means(weights)[1]))
     return est
 
 

@@ -285,3 +285,20 @@ def test_largen_limit_defaults_report_the_judged_extrapolation(tmp_path, capsys)
     out = capsys.readouterr().out
     assert "final_ok=True" in out
     assert "1/N-extrapolated discrepancy" in out
+
+
+def test_field_records_carry_the_control_variate(tmp_path):
+    cfg = tmp_path / "field.ini"
+    cfg.write_text("[model]\nlambda0 = 0.5\n[mc]\nsamples = 2000\n")
+    out_path = tmp_path / "recs.jsonl"
+    assert main(["field", "--config", str(cfg), "--out", str(out_path)]) == 0
+    rec = ExperimentRecord.from_json(out_path.read_text())
+    assert rec.extra["gauss_mean"] == pytest.approx(2.0 / 5.0**0.5, rel=1e-12)
+    assert rec.extra["weights_stderr"] > rec.stderr_re > 0
+
+
+def test_field_non_integer_species_past_two_sites_exits_3(tmp_path):
+    cfg = tmp_path / "half.ini"
+    cfg.write_text("[geometry]\nsites_per_side = 3\n"
+                   "[model]\nlambda0 = 0.5\nn_species = 0.5\n")
+    assert main(["field", "--config", str(cfg), "--samples", "10"]) == 3

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from bosegas.lattice import ModelParams, TorusGeometry, delta_potential
-from bosegas.meanfield import (action_S_eta, action_S_eta_closed, field_action,
+from bosegas.meanfield import (action_S_eta_closed, field_action,
                                field_quadrature_1site, sample_gibbs_field,
                                wick_constant, z_via_eta)
 from bosegas.stats import batch_means
+from eta_quadrature import action_S_eta
 
 G1 = TorusGeometry(dimension=1, sites_per_side=1)
 G2 = TorusGeometry(dimension=1, sites_per_side=2)
@@ -134,3 +135,95 @@ def test_quadrature_free_limit():
     out = field_quadrature_1site(p, delta_potential(G1))
     assert out["z_rel"] == pytest.approx(1.0, abs=1e-10)
     assert out["phi2"] == pytest.approx(1.0, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian control variate g(eta) = exp(-(N/2) eta.Q eta) cos(rho sum eta)
+
+G3 = TorusGeometry(dimension=3, sites_per_side=3)
+
+
+def _q_matrix(geom, kappa0):
+    r = np.linalg.inv(kappa0 * np.eye(geom.n_sites) - 0.5 * geom.laplacian_matrix())
+    return r * r
+
+
+def _eta_stack(params, v, samples, seed):
+    cov = params.lambda0 / (params.n_species + 1.0) * v.matrix()
+    evals, evecs = np.linalg.eigh(cov)
+    root = evecs * np.sqrt(np.clip(evals, 0.0, None))
+    return np.random.default_rng(seed).standard_normal((samples, len(cov))) @ root.T
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
+def test_gauss_mean_matches_1site_integral(rho):
+    from scipy.integrate import quad
+
+    p = ModelParams(nu=1.0, kappa0=0.8, lambda0=0.5, rho=rho)
+    q = _q_matrix(G1, 0.8)[0, 0]
+    var = 0.5 / 2.0
+    want = quad(lambda x: np.exp(-0.5 * q * x * x - 0.5 * x * x / var)
+                * np.cos(rho * x), -np.inf, np.inf,
+                epsabs=1e-13, epsrel=1e-13)[0] / np.sqrt(2 * np.pi * var)
+    got = z_via_eta(p, G1, delta_potential(G1), 10).extra["gauss_mean"]
+    assert abs(got - want) < 1e-10
+
+
+def test_gauss_mean_matches_sampled_mean_on_2x2_torus():
+    # a wrapped Gaussian pair potential gives eta a non-diagonal covariance
+    from bosegas.lattice import wrapped_gaussian_potential
+
+    geom = TorusGeometry(dimension=2, sites_per_side=2)
+    v = wrapped_gaussian_potential(geom)
+    p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, rho=0.3, n_species=2.0)
+    etas = _eta_stack(p, v, 10**6, seed=5)
+    g = (np.exp(-0.5 * p.n_species * np.sum((etas @ _q_matrix(geom, 1.0)) * etas, axis=1))
+         * np.cos(p.rho * etas.sum(axis=1)))
+    want = z_via_eta(p, geom, v, 10).extra["gauss_mean"]
+    assert abs(g.mean() - want) < 4 * g.std() / np.sqrt(len(g))
+
+
+@pytest.mark.parametrize("geom, params", [
+    (G2, ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5)),
+    (G3, ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5)),
+    (G2, ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, rho=0.3)),
+    (G2, ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, n_species=2.0)),
+    (G2, ModelParams(nu=1.0, kappa0=0.5, lambda0=2.0, n_species=0.5)),
+], ids=["2sites", "27sites", "rho0.3", "N2", "N0.5_2sites"])
+def test_control_variate_matches_plain_weight_mean(geom, params):
+    # plain mean of the weights w on an independent eta stack
+    v = delta_potential(geom)
+    etas = _eta_stack(params, v, 8000, seed=11)
+    s_vals = action_S_eta_closed(etas, geom, params.kappa0)
+    w = np.exp(-params.n_species * s_vals - 1j * params.rho * etas.sum(axis=1)).real
+    plain_se = w.std() / np.sqrt(len(w))
+    est = z_via_eta(params, geom, v, 4000, seed=3)
+    assert est.value.imag == 0.0
+    assert abs(est.value.real - w.mean()) < 4 * np.hypot(est.stderr_re, plain_se)
+    assert est.stderr_re < est.extra["weights_stderr"]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_control_variate_cuts_the_error_at_the_cli_field_point(seed):
+    p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5)
+    est = z_via_eta(p, G1, delta_potential(G1), 4000, seed=seed)
+    assert est.extra["weights_stderr"] / est.stderr_re >= 3.0
+
+
+def test_closed_form_eta_action_wraps_on_27_sites():
+    # this field's det(1 - i R eta) winds past the principal branch: the
+    # quadrature (the analytic S) and the closed form share Re S, and their
+    # Im S differ by a nonzero multiple of 2 pi
+    eta = np.sqrt(2.0 / 1.5) * np.random.default_rng(7).standard_normal(27)
+    closed = action_S_eta_closed(eta, G3, 0.2)
+    analytic, flag = action_S_eta(eta, G3, 0.2)
+    assert not flag
+    assert analytic.real == pytest.approx(closed.real, abs=1e-7)
+    turns = (analytic.imag - closed.imag) / (2 * np.pi)
+    assert round(turns) != 0 and abs(turns - round(turns)) < 1e-6
+
+
+def test_z_via_eta_refuses_non_integer_species_past_two_sites():
+    p = ModelParams(nu=1.0, kappa0=0.2, lambda0=2.0, n_species=0.5)
+    with pytest.raises(ValueError):
+        z_via_eta(p, G3, delta_potential(G3), 100)
