@@ -84,6 +84,9 @@ def _run_limit(cfg: ExperimentConfig, out_path):
         if params.rho != 0.0:
             raise ConfigError("limit kind = classical runs at rho = 0, "
                               f"not rho = {params.rho:g}")
+        if geom.mode != "circle":
+            raise ConfigError("limit kind = classical runs on the circle, where loops "
+                              "have a classical limit, not a lattice geometry")
         sweep = limits.classical_limit_sweep(
             float(cfg.raw["limit"]["z"]), params.lambda0,
             cfg.float_list("limit", "nu_list"), geom, v,

@@ -25,6 +25,7 @@ from .loopgas import (
     _loop_densities,
     _pair_form,
     _rho_log_constant,
+    _winding_tail,
     activity_table,
     free_loop_sum,
     kappa_eff,
@@ -78,11 +79,15 @@ def mayer_factor(path1: GridPath, path2: GridPath, params: ModelParams,
 
 
 def _pair_matrix(geom, grid, v, n, act, samples, rng):
-    """(samples, n, n) matrix of V_nu(w_i, w_j) for n i.i.d. activity loops."""
+    """(samples, n, n) matrix of V_nu(w_i, w_j) for n activity loops per sample.
+
+    Loop i of every sample is one winding slot of `_loop_densities`, its
+    windings stratified over the samples; the n slots are independent.
+    """
     form = _pair_form(geom, v)
-    phi = _loop_densities(geom, grid, form, act, np.ones(samples * n, dtype=int),
-                          rng).reshape(samples, n, grid.n_slices, len(form[1]))
-    return 0.5 * grid.eps * np.einsum("sitx,sjtx->sij", phi @ form[1], phi)
+    phi = _loop_densities(geom, grid, form, act, np.ones((n, samples), dtype=int),
+                          rng).reshape(n, samples, grid.n_slices, len(form[1]))
+    return 0.5 * grid.eps * np.einsum("istx,jstx->sij", phi @ form[1], phi)
 
 
 @dataclass
@@ -141,9 +146,10 @@ def log_xi_rel_partial(params: ModelParams, geom: TorusGeometry, grid: TimeGrid,
                        seed: int = 0) -> ComplexEstimate:
     """Partial sum sum_{n <= n_orders} b_n - N Q(kappa0) + ln const ~ ln Xi_rel.
 
-    Q uses the same winding truncation as the activities so the l_max bias
-    cancels against b_1; const is the density-shift factor of the loop
-    series (1 at rho = 0).
+    Q uses the same winding truncation as the activities; extra["winding_tail"]
+    is N times the activity beyond l_max at kappa_eff, the mass that b_1 drops
+    before its interaction weights.  const is the density-shift factor of the
+    loop series (1 at rho = 0).
     """
     q0 = free_loop_sum(geom, grid.nu, params.kappa0, l_max)
     total, var = -params.n_species * q0 + _rho_log_constant(params, geom, v), 0.0
@@ -156,7 +162,10 @@ def log_xi_rel_partial(params: ModelParams, geom: TorusGeometry, grid: TimeGrid,
         per_order[n] = (b.value, b.stderr)
     return ComplexEstimate(value=complex(total), stderr_re=float(np.sqrt(var)),
                            stderr_im=0.0, n_samples=samples, seed=seed,
-                           ess=float(samples), extra={"orders": per_order})
+                           ess=float(samples),
+                           extra={"orders": per_order,
+                                  "winding_tail": params.n_species * _winding_tail(
+                                      geom, grid.nu, kappa_eff(params, v), l_max)})
 
 
 def n_polynomial(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,

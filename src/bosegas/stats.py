@@ -12,6 +12,7 @@ __all__ = [
     "exact_estimate",
     "mean_estimate",
     "ratio_estimate",
+    "batch_layout",
     "MIN_BATCHES",
     "ESS_FLOOR",
 ]
@@ -41,17 +42,23 @@ class ComplexEstimate:
         return float(np.hypot(self.stderr, other_stderr))
 
 
-def _batches(samples: np.ndarray) -> np.ndarray:
-    """Means of MIN_BATCHES equal batches along axis 0 (fewer for short series).
+def batch_layout(n: int) -> tuple[int, int]:
+    """(n_batches, batch_size) of the batch-means partition of n samples.
 
-    A remainder of n % n_batches trailing samples is left out.
+    min(MIN_BATCHES, n) batches of consecutive samples; the remainder of
+    n % n_batches trailing samples belongs to no batch.
     """
-    n = len(samples)
-    if n == 0:
+    if n <= 0:
         raise ValueError("no samples")
     n_batches = min(MIN_BATCHES, n)
-    usable = n - n % n_batches
-    return samples[:usable].reshape(n_batches, -1, *samples.shape[1:]).mean(axis=1)
+    return n_batches, n // n_batches
+
+
+def _batches(samples: np.ndarray) -> np.ndarray:
+    """Means of the `batch_layout` batches along axis 0, remainder left out."""
+    n_batches, size = batch_layout(len(samples))
+    return samples[:n_batches * size].reshape(n_batches, size,
+                                              *samples.shape[1:]).mean(axis=1)
 
 
 def _spread(batches: np.ndarray):

@@ -256,11 +256,21 @@ def test_hs_records_carry_the_contour_shift(tmp_path):
 def test_classical_limit_runs_at_zero_coupling(tmp_path, capsys):
     # the defaults have lambda0 = 0, where the loop gas takes its closed form
     cfg = tmp_path / "lim.ini"
-    cfg.write_text("[limit]\nkind = classical\nnu_list = 0.4,0.2\n")
+    cfg.write_text("[geometry]\nmode = circle\ncircumference = 4.0\n"
+                   "[limit]\nkind = classical\nnu_list = 0.4,0.2\n")
     out_path = tmp_path / "sweep.csv"
     assert main(["limit", "--config", str(cfg), "--out", str(out_path)]) == 0
     assert "classical sweep" in capsys.readouterr().out
     assert len(out_path.read_text().strip().splitlines()) == 3
+
+
+def test_classical_limit_refuses_a_lattice(tmp_path, capsys):
+    # a lattice loop returns with probability near 1, so its activity
+    # schedule has no classical limit
+    cfg = tmp_path / "lim.ini"
+    cfg.write_text("[limit]\nkind = classical\nnu_list = 0.4,0.2\n")
+    assert main(["limit", "--config", str(cfg)]) == 3
+    assert "lattice geometry" in capsys.readouterr().err
 
 
 def test_largen_limit_needs_two_species_numbers(tmp_path, capsys):

@@ -8,16 +8,18 @@ from bosegas.lattice import (CirclePotential, ModelParams, TimeGrid,
                              TorusGeometry, UnsupportedModeError,
                              delta_potential, wrapped_gaussian_potential)
 from bosegas.loopgas import (GridPath, SymanzikParams, _continuous_loops,
-                             _lattice_bridges, _loop_densities, _pair_form,
-                             _pair_sum,
+                             _lattice_bridges, _loop_densities, _open_weights,
+                             _pair_form, _pair_sum, _winding_tail,
                              activity_table,
                              duhamel_loopgas, free_loop_sum, kappa_eff,
                              loop_interaction_Vnu, make_symanzik, sample_bridge,
                              symanzik_series, xi_rel_series)
 from bosegas.propagators import free_green, heat_propagator
+from bosegas.stats import batch_layout
 
 G1 = TorusGeometry(dimension=1, sites_per_side=1)
 G2 = TorusGeometry(dimension=1, sites_per_side=2)
+G22 = TorusGeometry(dimension=2, sites_per_side=2)
 GRID = TimeGrid(nu=1.0, n_slices=32)
 FREE = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.0)
 BENCH = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5)
@@ -312,3 +314,118 @@ def test_one_bridge_pass_per_loop_ensemble(monkeypatch):
     calls.clear()
     mayer.ursell_coefficient(3, BENCH, G2, GRID, v, 4, 50, seed=1)
     assert calls == [50 * 3]
+
+
+@pytest.mark.parametrize("geom, nu, kappa", [
+    (G2, 1.0, 1.0), (G22, 1.0, 0.8),
+    (TorusGeometry(dimension=1, mode="circle", circumference=4.0), 0.4, 2.9),
+], ids=["2 sites", "2x2 torus", "circle"])
+def test_winding_tail_closed_form(geom, nu, kappa):
+    # the activity beyond l_max, against a table run out to 60 windings
+    act = activity_table(geom, nu, kappa, 60)
+    for l_max in (1, 6):
+        assert _winding_tail(geom, nu, kappa, l_max) == pytest.approx(
+            act[l_max:].sum(), rel=1e-9, abs=1e-15)
+    assert _winding_tail(G2, 1.0, 0.0, 6) == np.inf  # the zero mode condenses
+
+
+def test_xi_rel_series_reports_its_winding_tail():
+    v = delta_potential(G2)
+    tail = _winding_tail(G2, 1.0, kappa_eff(BENCH, v), 6)
+    for p in (FREE, BENCH):
+        est = xi_rel_series(p, G2, GRID, v, 6, 6, 32, seed=0)
+        assert est.extra["winding_tail"] == pytest.approx(tail, rel=1e-12)
+    assert mayer.log_xi_rel_partial(BENCH, G2, GRID, v, 1, 6, 32).extra[
+        "winding_tail"] == pytest.approx(tail, rel=1e-12)
+
+
+def _capture_windings(monkeypatch):
+    """Record each bridge pass's whole periods, steps // n_tau, in row order."""
+    passes = []
+    bridges = loopgas._bridges
+
+    def capture(geom, grid, starts, ends, steps, rng):
+        passes.append(np.asarray(steps) // grid.n_slices)
+        return bridges(geom, grid, starts, ends, steps, rng)
+
+    monkeypatch.setattr(loopgas, "_bridges", capture)
+    return passes
+
+
+def _assert_stratified(slots, weights, first):
+    """Each slot (row) holds every winding stratum in each batch.
+
+    Windings run first, first + 1, ... with probabilities p = weights / sum.
+    A block of k draws (an error batch, or the remainder) puts exactly one
+    uniform in each stratum [j / k, (j + 1) / k), so the count of windings up
+    to l is k C_l within one draw (C the cdf), and a winding's count is
+    k p_l within one draw at each end of its cdf interval.
+    """
+    p = weights / weights.sum()
+    cdf = np.cumsum(p)
+    levels = first + np.arange(len(p))
+    n_batches, b = batch_layout(slots.shape[1])
+    blocks = [slots[:, j * b:(j + 1) * b] for j in range(n_batches)]
+    blocks.append(slots[:, n_batches * b:])  # the remainder, one block
+    for block in blocks:
+        k = block.shape[1]
+        if k == 0:
+            continue
+        counts = (block[..., None] == levels).sum(axis=1)
+        assert np.all(counts.sum(axis=1) == k)  # every winding is a valid one
+        assert np.all(np.abs(np.cumsum(counts, axis=1) - k * cdf) < 1)
+        assert np.all(np.abs(counts - k * p) < 2)
+
+
+def test_windings_are_stratified_within_each_batch(monkeypatch):
+    v = delta_potential(G2)
+    act = activity_table(G2, 1.0, kappa_eff(BENCH, v), 6)
+    passes = _capture_windings(monkeypatch)
+    # 200 samples: 16 batches of 12 and a remainder of 8; 5: batches of one
+    for samples in (200, 5):
+        # series layout: loop i of the n-loop groups is slot (n, i)
+        passes.clear()
+        xi_rel_series(BENCH, G2, GRID, v, 3, 6, samples, seed=1)
+        rows = np.split(passes[0], np.cumsum([samples * n for n in (1, 2)]))
+        slots = np.vstack([w.reshape(samples, n).T for n, w in zip((1, 2, 3), rows)])
+        _assert_stratified(slots, act, 1)
+        # cluster layout: loop i of every sample is slot i
+        passes.clear()
+        mayer._pair_matrix(G2, GRID, v, 3, act, samples, np.random.default_rng(2))
+        _assert_stratified(passes[0].reshape(3, samples), act, 1)
+        # the open path's winding l0 = 0, 1, ... of the Duhamel function
+        passes.clear()
+        duhamel_loopgas(BENCH, G2, GRID, v, 0.25, 0, 0.0, 1, 3, 6, samples, seed=3)
+        _assert_stratified(passes[0][None], _open_weights(BENCH, G2, GRID, v, 0.25,
+                                                          0, 1, 6), 0)
+
+
+def test_stratified_errors_are_honest():
+    # seeds 0-29 at the benchmark's series and cluster points: the quoted
+    # batch-means error matches the spread over seeds, and the seed mean sits
+    # on the exact trace up to the reported truncations
+    v = delta_potential(G2)
+    xi = xi_exact(BENCH, G2, v, n_max=20).xi_rel
+    seeds = range(30)
+    series = [xi_rel_series(BENCH, G2, GRID, v, 6, 6, 400, seed=s) for s in seeds]
+    cluster = [mayer.log_xi_rel_partial(BENCH, G2, GRID, v, 3, 6, 1000, seed=s)
+               for s in seeds]
+    for ests, want, allowance in (
+            (series, xi, xi * series[0].extra["winding_tail"]),
+            (cluster, np.log(xi), 0.01 * abs(np.log(xi)))):
+        values = np.array([e.value.real for e in ests])
+        spread = values.std(ddof=1)
+        quoted = np.sqrt(np.mean([e.stderr**2 for e in ests]))
+        assert abs(quoted / spread - 1) < 0.25, (quoted, spread)
+        assert abs(values.mean() - want) < 4 * spread / np.sqrt(len(values)) + allowance
+
+
+def test_loop_routes_match_oracle_on_2x2_torus():
+    v = delta_potential(G22)
+    grid = TimeGrid(nu=1.0, n_slices=16)
+    xi = xi_exact(BENCH, G22, v, n_max=10).xi_rel
+    est = xi_rel_series(BENCH, G22, grid, v, 6, 6, 1000, seed=0)
+    assert abs(est.value.real - xi) < 4 * est.stderr + xi * est.extra["winding_tail"]
+    want = duhamel_exact(BENCH, G22, v, 10, 0.25, 0, 0.0, 1)
+    est = duhamel_loopgas(BENCH, G22, grid, v, 0.25, 0, 0.0, 1, 6, 6, 1000, seed=0)
+    assert abs(est.value.real - want) < 4 * est.stderr
