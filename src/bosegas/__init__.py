@@ -16,10 +16,9 @@ from .lattice import (CapacityError, CirclePotential, ModelParams, TimeGrid,
                       constant_potential, delta_potential, validate_potential,
                       wrapped_gaussian_potential)
 from .propagators import (circle_heat_kernel, free_green, heat_propagator,
-                          ideal_occupation, laplacian_spectrum, monodromy,
-                          monodromy_batch)
-from .stats import (ComplexEstimate, MomentAccumulator, batch_means,
-                    mean_estimate, ratio_estimate, weight_ess)
+                          ideal_occupation, monodromy, monodromy_batch)
+from .stats import (ComplexEstimate, batch_means, mean_estimate,
+                    ratio_estimate, weight_ess)
 
 __version__ = "0.1.0"
 
@@ -28,7 +27,6 @@ __all__ = [
     "CirclePotential",
     "ComplexEstimate",
     "ModelParams",
-    "MomentAccumulator",
     "TimeGrid",
     "TorusGeometry",
     "TwoBodyPotential",
@@ -40,7 +38,6 @@ __all__ = [
     "free_green",
     "heat_propagator",
     "ideal_occupation",
-    "laplacian_spectrum",
     "mean_estimate",
     "monodromy",
     "monodromy_batch",

@@ -40,7 +40,6 @@ __all__ = [
     "xi_exact",
     "duhamel_exact",
     "gamma1_exact",
-    "ccr_residual",
 ]
 
 MAX_BASIS = 4000
@@ -222,23 +221,3 @@ def gamma1_exact(params: ModelParams, geom: TorusGeometry, v: TwoBodyPotential,
     # Tr(rho b_x^dag b_x') for species 0, with rho symmetric
     return np.array([[rho.multiply(basis.hop(x, y)).sum() for y in sites]
                      for x in sites]) / z
-
-
-@dataclass
-class CcrReport:
-    protected_residual: float
-    top_state_value: float
-
-
-def ccr_residual(nu: float, n_max: int) -> CcrReport:
-    """Commutator [Phi, Phi*] - nu on a single truncated mode.
-
-    Exact (zero residual) on occupations below the cutoff; the top state
-    carries the truncation artifact, where the commutator evaluates to
-    -nu * n_max instead of +nu.
-    """
-    dim = n_max + 1
-    b = np.diag(np.sqrt(np.arange(1, dim)), k=1)  # annihilator
-    comm = nu * (b @ b.T - b.T @ b)
-    protected = float(np.max(np.abs(np.diag(comm)[:n_max] - nu))) if n_max > 0 else 0.0
-    return CcrReport(protected_residual=protected, top_state_value=float(comm[n_max, n_max]))

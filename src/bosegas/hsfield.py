@@ -42,8 +42,6 @@ at the cost of one field each:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .lattice import ModelParams, TimeGrid, TorusGeometry
@@ -55,8 +53,6 @@ __all__ = [
     "det_identity_residual",
     "wick_rho",
     "sample_sigma",
-    "hs_log_weight",
-    "HSWeight",
     "winding_exponent",
     "contour_shift",
     "estimate_xi_rel",
@@ -118,15 +114,6 @@ def sample_sigma(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
     return noise @ root.T
 
 
-@dataclass
-class HSWeight:
-    theta: float
-    log_det_ratio: complex
-
-    def exponent(self, n_species: float) -> complex:
-        return 1j * n_species * self.theta - n_species * self.log_det_ratio
-
-
 def _log_det_ratio(geom: TorusGeometry, nu: float, kappa0: float,
                    gamma_stack: np.ndarray, shift: float = 0.0) -> np.ndarray:
     """log det(1 - e^{-nu (kappa0 - c)} Gamma_s) - log det(1 - e^{-nu kappa0} Gamma_0).
@@ -139,15 +126,6 @@ def _log_det_ratio(geom: TorusGeometry, nu: float, kappa0: float,
     occ_free = np.exp(-nu * kappa0 + 0.5 * nu * _spectral_data(geom)[0])
     log_free = np.sum(np.log1p(-occ_free))
     return np.log(sign) + logabs - log_free
-
-
-def hs_log_weight(params: ModelParams, geom: TorusGeometry, grid: TimeGrid,
-                  sigma: np.ndarray) -> HSWeight:
-    """Weight exponent pieces for a single field configuration."""
-    gamma = monodromy_batch(geom, grid, sigma[None])
-    dval = complex(_log_det_ratio(geom, params.nu, params.kappa0, gamma)[0])
-    theta = float(params.rho / params.nu * grid.eps * sigma.sum())
-    return HSWeight(theta=theta, log_det_ratio=dval)
 
 
 def winding_exponent(geom: TorusGeometry, nu: float, kappa0: float,

@@ -92,22 +92,6 @@ class FieldChain:
         mean, s_re, s_im = batch_means(outer)
         return mean, np.hypot(s_re, s_im)
 
-    def autocorrelation_time(self) -> float:
-        """Integrated autocorrelation of the total field magnitude."""
-        series = np.sum(np.abs(self.samples)**2, axis=(1, 2))
-        series = series - series.mean()
-        m = len(series)
-        var = np.dot(series, series) / m
-        if var == 0:
-            return 1.0
-        tau = 1.0
-        for lag in range(1, min(m // 4, 200)):
-            rho = np.dot(series[:-lag], series[lag:]) / ((m - lag) * var)
-            if rho < 0.05:
-                break
-            tau += 2.0 * rho
-        return float(tau)
-
 
 def sample_gibbs_field(params: ModelParams, geom: TorusGeometry, v,
                        steps: int, seed: int = 0) -> FieldChain:

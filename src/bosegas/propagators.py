@@ -9,7 +9,6 @@ import numpy as np
 from .lattice import TimeGrid, TorusGeometry, UnsupportedModeError
 
 __all__ = [
-    "laplacian_spectrum",
     "heat_propagator",
     "circle_heat_kernel",
     "monodromy",
@@ -31,18 +30,6 @@ def _laplacian(geom: TorusGeometry) -> np.ndarray:
 def _spectral_data(geom: TorusGeometry):
     evals, evecs = np.linalg.eigh(_laplacian(geom))
     return evals, evecs
-
-
-def laplacian_spectrum(geom: TorusGeometry):
-    """All (eigenvalue, orthonormal mode) pairs of the periodic lattice Laplacian.
-
-    Eigenvalues follow 2 * sum_i (cos(2 pi k_i / m) - 1) over integer wave
-    vectors k; the zero eigenvalue belongs to the constant mode alone.
-    """
-    if geom.mode != "lattice":
-        raise UnsupportedModeError("spectrum is only defined in lattice mode")
-    evals, evecs = _spectral_data(geom)
-    return [(float(evals[i]), evecs[:, i].copy()) for i in range(len(evals))]
 
 
 def heat_propagator(geom: TorusGeometry, t: float) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 Config files are INI-style with fixed sections and a closed key set; records
 are JSON objects with an embedded schema version.  A record keeps what its
-estimate reported: the count, the mean and the batch-means error, never a raw
-sample stream.  Multi-chain results are pooled through count/mean/M2
-sufficient statistics built from those, so merging is associative and
-independent of completion order.
+estimate reported: the count, the value and the batch-means error, each once,
+never a raw sample stream.  Multi-chain results are pooled from those three
+numbers per component, so merging is associative and independent of
+completion order.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .hsfield import wick_rho
 from .lattice import ModelParams, TimeGrid, TorusGeometry
-from .stats import ComplexEstimate, MomentAccumulator
+from .stats import ComplexEstimate
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -29,7 +29,7 @@ __all__ = [
     "merge_chains",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # per-record extra fields fixed by the shared parameters, so merge_chains
 # carries them into the pooled record; every other extra stays per chain
@@ -198,7 +198,6 @@ class ExperimentRecord:
     seed: int
     unreliable: bool
     wall_seconds: float
-    moments: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
@@ -207,7 +206,10 @@ class ExperimentRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentRecord":
-        return cls(**json.loads(text))
+        """The record of one JSON line; a schema-1 line's `moments` copy is dropped."""
+        data = json.loads(text)
+        data.pop("moments", None)
+        return cls(**data)
 
     def deterministic_view(self) -> dict:
         """Everything except timing, for rerun-identity checks."""
@@ -218,19 +220,7 @@ class ExperimentRecord:
 
 def record_from_estimate(command: str, parameters: dict, est: ComplexEstimate,
                          wall_seconds: float) -> ExperimentRecord:
-    """The record of one estimate, its moments rebuilt from what it reported.
-
-    Count, mean and M2 = stderr^2 n (n - 1) per component come from the
-    estimate's n_samples, value and batch-means errors, so `merge_chains`
-    pools each chain's batch-means error; no raw sample stream enters.
-    """
-    n = max(int(est.n_samples), 1)
-    acc = MomentAccumulator(2)
-    acc.count = n
-    acc.mean = np.array([est.value.real, est.value.imag])
-    acc.m2 = np.diag([est.stderr_re**2 * n * max(n - 1, 1),
-                      est.stderr_im**2 * n * max(n - 1, 1)])
-    moments = acc.to_dict()
+    """The record of one estimate: its count, value and batch-means errors."""
     extra = {k: v for k, v in est.extra.items()
              if isinstance(v, (int, float, bool, str))}
     return ExperimentRecord(
@@ -245,7 +235,6 @@ def record_from_estimate(command: str, parameters: dict, est: ComplexEstimate,
         seed=est.seed if est.seed is not None else 0,
         unreliable=bool(est.unreliable),
         wall_seconds=wall_seconds,
-        moments=moments,
         extra=extra,
     )
 
@@ -255,7 +244,15 @@ class MergeError(Exception):
 
 
 def merge_chains(*recs: ExperimentRecord) -> ExperimentRecord:
-    """Pool per-chain records via count/mean/M2; associative to rounding.
+    """Pool per-chain records from their counts, values and batch-means errors.
+
+    Per component, chain i with count n_i, value m_i and error s_i holds
+    M2_i = s_i^2 n_i (n_i - 1).  The pooled count, value and error are
+    N = sum n_i, m = sum n_i m_i / N and
+    s^2 = (sum M2_i + sum n_i (m_i - m)^2) / (N (N - 1)),
+    the count/mean/M2 pooling of Chan, Golub and LeVeque (Am. Stat. 37, 242
+    (1983)).  A pooled record pools again the same way, so merging is
+    associative to rounding and independent of order.
 
     Records must share resolved parameters and carry distinct seeds.
     """
@@ -266,28 +263,29 @@ def merge_chains(*recs: ExperimentRecord) -> ExperimentRecord:
     for r in recs:
         if r.parameters != base.parameters or r.command != base.command:
             raise MergeError("cannot merge records with different parameters")
-        if not r.moments:
-            raise MergeError("record lacks moment statistics")
         if r.seed in seeds:
             raise MergeError(f"duplicate chain seed {r.seed}")
         seeds.add(r.seed)
-    acc = MomentAccumulator.from_dict(base.moments)
-    for r in recs[1:]:
-        acc.merge(MomentAccumulator.from_dict(r.moments))
-    se = acc.mean_stderr()
+    # one row per chain, one column per component (re, im)
+    n = np.array([[r.n_samples] for r in recs], dtype=float)
+    values = np.array([[r.estimate_re, r.estimate_im] for r in recs])
+    errors = np.array([[r.stderr_re, r.stderr_im] for r in recs])
+    total = n.sum()
+    mean = (n * values).sum(axis=0) / total
+    m2 = (errors**2 * n * (n - 1) + n * (values - mean)**2).sum(axis=0)
+    stderr = np.sqrt(m2 / (total * (total - 1)))
     return ExperimentRecord(
         command=base.command,
         parameters=base.parameters,
-        estimate_re=float(acc.mean[0]),
-        estimate_im=float(acc.mean[1]),
-        stderr_re=float(se[0]),
-        stderr_im=float(se[1]),
-        n_samples=int(acc.count),
+        estimate_re=float(mean[0]),
+        estimate_im=float(mean[1]),
+        stderr_re=float(stderr[0]),
+        stderr_im=float(stderr[1]),
+        n_samples=int(total),
         ess=float(sum(r.ess for r in recs)),
         seed=min(seeds),
         unreliable=any(r.unreliable for r in recs),
         wall_seconds=float(sum(r.wall_seconds for r in recs)),
-        moments=acc.to_dict(),
         extra={**{k: base.extra[k] for k in POOLED_EXTRAS if k in base.extra},
                "merged_chains": len(recs)},
     )

@@ -1,4 +1,8 @@
-"""Estimate containers: batch-means errors, effective sample size, mergeable moments."""
+"""Estimate containers: batch-means errors and effective sample size.
+
+Every error bar is made here.  `records.merge_chains` pools chains from the
+count, value and batch-means error that these estimates report.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "ComplexEstimate",
-    "MomentAccumulator",
     "exact_estimate",
     "mean_estimate",
     "ratio_estimate",
@@ -142,71 +145,3 @@ def ratio_estimate(numerator: np.ndarray, weights: np.ndarray, seed=None) -> Com
         ess=ess,
         unreliable=ess < ESS_FLOOR,
     )
-
-
-class MomentAccumulator:
-    """Count / mean / M2 sufficient statistics for a real vector stream.
-
-    Merging two accumulators (Chan et al. pairwise update) is associative and
-    order-independent up to rounding, which is what makes multi-chain records
-    poolable after the fact.
-    """
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.count = 0
-        self.mean = np.zeros(dim)
-        self.m2 = np.zeros((dim, dim))
-
-    def add_samples(self, samples: np.ndarray):
-        samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        other = MomentAccumulator(self.dim)
-        other.count = samples.shape[0]
-        other.mean = samples.mean(axis=0)
-        centred = samples - other.mean
-        other.m2 = centred.T @ centred
-        self.merge(other)
-        return self
-
-    def merge(self, other: "MomentAccumulator"):
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch in moment merge")
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            self.count, self.mean, self.m2 = other.count, other.mean.copy(), other.m2.copy()
-            return self
-        delta = other.mean - self.mean
-        total = self.count + other.count
-        self.m2 = (
-            self.m2
-            + other.m2
-            + np.outer(delta, delta) * self.count * other.count / total
-        )
-        self.mean = self.mean + delta * other.count / total
-        self.count = total
-        return self
-
-    def covariance(self) -> np.ndarray:
-        if self.count < 2:
-            return np.full((self.dim, self.dim), np.nan)
-        return self.m2 / (self.count - 1)
-
-    def mean_stderr(self) -> np.ndarray:
-        return np.sqrt(np.diag(self.covariance()) / self.count)
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean.tolist(),
-            "m2": self.m2.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MomentAccumulator":
-        mean = np.asarray(data["mean"], dtype=float)
-        acc = cls(len(mean))
-        acc.count = int(data["count"])
-        acc.mean = mean
-        acc.m2 = np.asarray(data["m2"], dtype=float)
-        return acc

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bosegas.fock import (MAX_BASIS, OccupationBasis, build_hamiltonian,
-                          ccr_residual, duhamel_exact, gamma1_exact, xi_exact)
+                          duhamel_exact, gamma1_exact, xi_exact)
 from bosegas.lattice import (CapacityError, ModelParams, TorusGeometry,
                              delta_potential)
 from bosegas.propagators import free_green
@@ -122,12 +122,6 @@ def test_interacting_benchmark_regression():
     assert gam[0, 0] == pytest.approx(0.182975, abs=5e-6)
     assert duhamel_exact(p, G2, v, 20, 0.25, 0, 0.0, 1) == pytest.approx(
         0.247280, abs=5e-6)
-
-
-def test_ccr_report():
-    rep = ccr_residual(1.0, 6)
-    assert rep.protected_residual < 1e-12
-    assert rep.top_state_value == pytest.approx(-6.0)
 
 
 def test_capacity_cap_value():

@@ -64,7 +64,7 @@ def test_monodromy_contraction():
 
 def test_monodromy_batch_matches_loop():
     # the fused, stacked kernel against the scalar reference: 2 sites, the 3^3
-    # torus, one site, and a stack of one field (the shape hs_log_weight uses)
+    # torus, one site, and a stack of one field
     grid = TimeGrid(nu=1.0, n_slices=8)
     rng = np.random.default_rng(1)
     for dim, m, S in [(1, 2, 3), (3, 3, 2), (1, 1, 4), (1, 4, 1)]:

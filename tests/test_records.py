@@ -3,9 +3,10 @@ import configparser
 import numpy as np
 import pytest
 
-from bosegas.records import (ConfigError, ExperimentConfig, ExperimentRecord,
-                             MergeError, merge_chains, record_from_estimate)
-from bosegas.stats import mean_estimate
+from bosegas.records import (SCHEMA_VERSION, ConfigError, ExperimentConfig,
+                             ExperimentRecord, MergeError, merge_chains,
+                             record_from_estimate)
+from bosegas.stats import ComplexEstimate, mean_estimate
 
 
 def _config(text):
@@ -74,7 +75,7 @@ def test_deterministic_view_excludes_timing():
     rec = _make_record(0)
     view = rec.deterministic_view()
     assert "wall_seconds" not in view
-    assert "estimate_re" in view and "moments" in view
+    assert "estimate_re" in view and "n_samples" in view
 
 
 def test_merge_associative():
@@ -84,6 +85,60 @@ def test_merge_associative():
     assert left.estimate_re == pytest.approx(right.estimate_re, abs=1e-12)
     assert left.stderr_re == pytest.approx(right.stderr_re, abs=1e-12)
     assert left.n_samples == right.n_samples == 3 * 4096
+
+
+def _stream_record(seed, x):
+    # a chain whose error is the plain std / sqrt(n) of its stream
+    se = np.std(x.real, ddof=1), np.std(x.imag, ddof=1)
+    est = ComplexEstimate(value=x.mean(), stderr_re=se[0] / np.sqrt(len(x)),
+                          stderr_im=se[1] / np.sqrt(len(x)), n_samples=len(x),
+                          seed=seed)
+    return record_from_estimate("hs", {}, est, 0.0)
+
+
+def test_merge_pools_plain_streams_exactly():
+    # pooling count, value and error reproduces the concatenated stream's
+    # mean and std / sqrt(N), in any order and grouping
+    rng = np.random.default_rng(3)
+    parts = [k + rng.standard_normal(n) + 1j * (rng.standard_normal(n) - k)
+             for k, n in enumerate([100, 37, 263])]
+    recs = [_stream_record(s, x) for s, x in enumerate(parts)]
+    whole = np.concatenate(parts)
+    want_se = [np.std(c, ddof=1) / np.sqrt(len(whole))
+               for c in (whole.real, whole.imag)]
+    for pooled in (merge_chains(*recs), merge_chains(*reversed(recs)),
+                   merge_chains(merge_chains(recs[0], recs[1]), recs[2]),
+                   merge_chains(recs[2], merge_chains(recs[1], recs[0]))):
+        assert pooled.n_samples == len(whole)
+        assert [pooled.estimate_re, pooled.estimate_im] == pytest.approx(
+            [whole.mean().real, whole.mean().imag], rel=1e-12)
+        assert [pooled.stderr_re, pooled.stderr_im] == pytest.approx(
+            want_se, rel=1e-12)
+
+
+SCHEMA1_LINE = (
+    '{"command": "hs", "ess": 480.0, "estimate_im": 0.0, "estimate_re": 0.85, '
+    '"extra": {"avg_sign": 1.0}, "moments": {"count": 500, '
+    '"m2": [[0.998, 0.0], [0.0, 0.0]], "mean": [0.85, 0.0]}, "n_samples": 500, '
+    '"parameters": {}, "schema_version": 1, "seed": 7, "stderr_im": 0.0, '
+    '"stderr_re": 0.002, "unreliable": false, "wall_seconds": 0.1}')
+
+
+def test_schema1_record_still_pools():
+    old = ExperimentRecord.from_json(SCHEMA1_LINE)
+    assert old.schema_version == 1 and old.n_samples == 500
+    new = ExperimentRecord(command="hs", parameters={}, estimate_re=0.85,
+                           estimate_im=0.0, stderr_re=0.002, stderr_im=0.0,
+                           n_samples=500, ess=480.0, seed=7, unreliable=False,
+                           wall_seconds=0.1)
+    assert new.schema_version == SCHEMA_VERSION == 2
+    assert "moments" not in new.to_json()
+    other = _stream_record(8, 0.8 + np.random.default_rng(8).standard_normal(300)
+                           + 0j)
+    got, want = merge_chains(old, other), merge_chains(new, other)
+    assert (got.estimate_re, got.estimate_im, got.stderr_re, got.stderr_im) == (
+        want.estimate_re, want.estimate_im, want.stderr_re, want.stderr_im)
+    assert got.n_samples == 800
 
 
 def test_merge_halves_variance():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from bosegas.stats import (ComplexEstimate, MomentAccumulator, batch_means,
-                           mean_estimate, ratio_estimate, weight_ess)
+from bosegas.stats import (ComplexEstimate, batch_means, mean_estimate,
+                           ratio_estimate, weight_ess)
 
 
 def test_batch_means_constant_series():
@@ -67,36 +67,3 @@ def test_complex_estimate_helpers():
     est = ComplexEstimate(value=1.0, stderr_re=3.0, stderr_im=4.0, n_samples=10)
     assert est.stderr == pytest.approx(5.0)
     assert est.combined_sigma(12.0) == pytest.approx(13.0)
-
-
-def test_moment_accumulator_matches_numpy():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((500, 2))
-    acc = MomentAccumulator(2).add_samples(x)
-    assert np.allclose(acc.mean, x.mean(axis=0))
-    assert np.allclose(acc.covariance(), np.cov(x.T), atol=1e-12)
-    assert np.allclose(acc.mean_stderr(), x.std(axis=0, ddof=1) / np.sqrt(500))
-
-
-def test_moment_merge_associative_and_order_free():
-    rng = np.random.default_rng(3)
-    parts = [rng.standard_normal((n, 2)) + k for k, n in enumerate([100, 37, 263])]
-    whole = MomentAccumulator(2).add_samples(np.concatenate(parts))
-    accs = [MomentAccumulator(2).add_samples(p) for p in parts]
-    left = MomentAccumulator(2)
-    for a in accs:
-        left.merge(MomentAccumulator.from_dict(a.to_dict()))
-    right = MomentAccumulator(2)
-    for a in reversed(accs):
-        right.merge(a)
-    for merged in (left, right):
-        assert merged.count == whole.count
-        assert np.allclose(merged.mean, whole.mean, atol=1e-12)
-        assert np.allclose(merged.m2, whole.m2, atol=1e-9)
-
-
-def test_moment_dict_round_trip():
-    acc = MomentAccumulator(2).add_samples(np.random.default_rng(4).standard_normal((20, 2)))
-    back = MomentAccumulator.from_dict(acc.to_dict())
-    assert back.count == acc.count
-    assert np.allclose(back.m2, acc.m2)
