@@ -96,26 +96,6 @@ def _stream_record(seed, x):
     return record_from_estimate("hs", {}, est, 0.0)
 
 
-def test_merge_pools_plain_streams_exactly():
-    # pooling count, value and error reproduces the concatenated stream's
-    # mean and std / sqrt(N), in any order and grouping
-    rng = np.random.default_rng(3)
-    parts = [k + rng.standard_normal(n) + 1j * (rng.standard_normal(n) - k)
-             for k, n in enumerate([100, 37, 263])]
-    recs = [_stream_record(s, x) for s, x in enumerate(parts)]
-    whole = np.concatenate(parts)
-    want_se = [np.std(c, ddof=1) / np.sqrt(len(whole))
-               for c in (whole.real, whole.imag)]
-    for pooled in (merge_chains(*recs), merge_chains(*reversed(recs)),
-                   merge_chains(merge_chains(recs[0], recs[1]), recs[2]),
-                   merge_chains(recs[2], merge_chains(recs[1], recs[0]))):
-        assert pooled.n_samples == len(whole)
-        assert [pooled.estimate_re, pooled.estimate_im] == pytest.approx(
-            [whole.mean().real, whole.mean().imag], rel=1e-12)
-        assert [pooled.stderr_re, pooled.stderr_im] == pytest.approx(
-            want_se, rel=1e-12)
-
-
 SCHEMA1_LINE = (
     '{"command": "hs", "ess": 480.0, "estimate_im": 0.0, "estimate_re": 0.85, '
     '"extra": {"avg_sign": 1.0}, "moments": {"count": 500, '

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bosegas.records import merge_chains, record_from_estimate
 from bosegas.stats import (ComplexEstimate, batch_means, mean_estimate,
                            ratio_estimate, weight_ess)
 
@@ -67,3 +68,44 @@ def test_complex_estimate_helpers():
     est = ComplexEstimate(value=1.0, stderr_re=3.0, stderr_im=4.0, n_samples=10)
     assert est.stderr == pytest.approx(5.0)
     assert est.combined_sigma(12.0) == pytest.approx(13.0)
+
+
+def _plain_chain(seed, x):
+    # a chain record whose error is the plain std / sqrt(n) of its stream
+    se = np.std(x.real, ddof=1), np.std(x.imag, ddof=1)
+    est = ComplexEstimate(value=x.mean(), stderr_re=se[0] / np.sqrt(len(x)),
+                          stderr_im=se[1] / np.sqrt(len(x)), n_samples=len(x),
+                          seed=seed)
+    return record_from_estimate("hs", {}, est, 0.0)
+
+
+def _assert_pools_to(pooled, whole):
+    assert pooled.n_samples == len(whole)
+    assert [pooled.estimate_re, pooled.estimate_im] == pytest.approx(
+        [whole.mean().real, whole.mean().imag], rel=1e-12)
+    assert [pooled.stderr_re, pooled.stderr_im] == pytest.approx(
+        [np.std(c, ddof=1) / np.sqrt(len(whole))
+         for c in (whole.real, whole.imag)], rel=1e-12)
+
+
+def test_moment_accumulator_matches_numpy():
+    # pooling chains from count, value and error gives numpy's mean and
+    # std / sqrt(N) of the concatenated stream
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((500, 2)) @ np.array([1.0, 1j])
+    _assert_pools_to(merge_chains(_plain_chain(0, x)), x)
+    cuts = np.split(x, [120, 122, 380])
+    _assert_pools_to(merge_chains(*[_plain_chain(s, c)
+                                    for s, c in enumerate(cuts)]), x)
+
+
+def test_moment_merge_associative_and_order_free():
+    rng = np.random.default_rng(3)
+    parts = [k + rng.standard_normal(n) + 1j * (rng.standard_normal(n) - k)
+             for k, n in enumerate([100, 37, 263])]
+    recs = [_plain_chain(s, x) for s, x in enumerate(parts)]
+    whole = np.concatenate(parts)
+    for pooled in (merge_chains(*recs), merge_chains(*reversed(recs)),
+                   merge_chains(merge_chains(recs[0], recs[1]), recs[2]),
+                   merge_chains(recs[2], merge_chains(recs[1], recs[0]))):
+        _assert_pools_to(pooled, whole)
