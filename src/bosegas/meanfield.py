@@ -20,7 +20,7 @@ Its coefficient is fixed at 1, so the estimate stays unbiased.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,21 +58,20 @@ def _action_terms(params: ModelParams, geom: TorusGeometry, v):
     return _one_body(geom, params.kappa0), wick_constant(geom, params.kappa0), v.matrix()
 
 
-def _action(phi: np.ndarray, params: ModelParams, terms) -> float:
-    """h(phi) for complex phi of shape (N, n_sites) on precomputed `_action_terms`."""
+def _energy(x: np.ndarray, params: ModelParams, terms) -> float:
+    """h(phi) for the real state x = (Re phi, Im phi) of shape (2, N, n_sites)."""
     hmat, c, vmat = terms
-    kinetic = float(np.real(np.einsum("ax,xy,ay->", phi.conj(), hmat, phi)))
-    dens = np.sum(np.abs(phi)**2, axis=0) - phi.shape[0] * c - params.rho
-    quartic = 0.5 * params.lambda0 / (params.n_species + 1.0) * float(
-        dens @ vmat @ dens)
-    return kinetic + quartic
+    dens = (x * x).sum(axis=(0, 1)) - (x.shape[1] * c + params.rho)
+    return float(np.vdot(x, x @ hmat) + 0.5 * params.lambda0 / (
+        params.n_species + 1.0) * (dens @ vmat @ dens))
 
 
 def field_action(phi: np.ndarray, params: ModelParams, geom: TorusGeometry,
                  v) -> float:
     """Energy functional h(phi); phi has shape (N, n_sites), complex."""
     phi = np.atleast_2d(np.asarray(phi, dtype=complex))
-    return _action(phi, params, _action_terms(params, geom, v))
+    return _energy(np.stack([phi.real, phi.imag]), params,
+                   _action_terms(params, geom, v))
 
 
 @dataclass
@@ -84,7 +83,6 @@ class FieldChain:
     step_size: float
     tuning_failed: bool
     seed: int
-    extra: dict = field(default_factory=dict)
 
     def two_point(self):
         """<phibar_a(x) phi_b(y)> with batch-means errors on the diagonal."""
@@ -100,48 +98,48 @@ def sample_gibbs_field(params: ModelParams, geom: TorusGeometry, v,
     The field has one component per species, so N must be a positive
     integer.  The step size is tuned during burn-in toward 30-60% acceptance;
     a final acceptance outside [0.05, 0.95] sets the tuning-failure flag.
+
+    The chain runs on the real state x = (Re phi, Im phi) of shape
+    (2, N, n_sites).  Each proposal x + step * standard_normal(x.shape) draws
+    the real parts, then the imaginary parts, so a seed gives the same chain
+    as a complex-state sampler adding step * (normal + 1j * normal) to phi.
     """
     n_species = params.n_species
     if n_species < 1 or n_species != int(n_species):
         raise ValueError(f"Gibbs sampling needs a positive integer species "
                          f"number, not {n_species}")
     rng = np.random.default_rng(seed)
-    n = geom.n_sites
-    phi = np.zeros((int(n_species), n), dtype=complex)
+    x = np.zeros((2, int(n_species), geom.n_sites))
     terms = _action_terms(params, geom, v)
-    energy = _action(phi, params, terms)
+    energy = _energy(x, params, terms)
     step = 1.0 / np.sqrt(params.kappa0)
     burn = max(200, steps // 5)
-    accepted = 0
-    window = 0
+    accepted = window = total_acc = 0
     kept = []
-    total_acc = 0
-    total_cnt = 0
     for it in range(burn + steps):
-        prop = phi + step * (rng.standard_normal(phi.shape)
-                             + 1j * rng.standard_normal(phi.shape))
-        e_new = _action(prop, params, terms)
+        prop = x + step * rng.standard_normal(x.shape)
+        e_new = _energy(prop, params, terms)
         if np.log(rng.random()) < energy - e_new:
-            phi, energy = prop, e_new
+            x, energy = prop, e_new
             accepted += 1
             if it >= burn:
                 total_acc += 1
         window += 1
         if it >= burn:
-            total_cnt += 1
             if (it - burn) % GIBBS_THIN == 0:
-                kept.append(phi.copy())
+                kept.append(x)
         elif window == 50:
             rate = accepted / window
             if rate < 0.30:
                 step *= 0.7
             elif rate > 0.60:
                 step *= 1.4
-            accepted = 0
-            window = 0
-    acc = total_acc / max(total_cnt, 1)
-    return FieldChain(samples=np.array(kept), acceptance=acc, step_size=step,
-                      tuning_failed=not (0.05 <= acc <= 0.95), seed=seed)
+            accepted = window = 0
+    kept = np.reshape(kept, (-1,) + x.shape)
+    acc = total_acc / max(steps, 1)
+    return FieldChain(samples=kept[:, 0] + 1j * kept[:, 1], acceptance=acc,
+                      step_size=step, tuning_failed=not (0.05 <= acc <= 0.95),
+                      seed=seed)
 
 
 def _s_eta(etas: np.ndarray, r: np.ndarray):

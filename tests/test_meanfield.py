@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bosegas.lattice import ModelParams, TorusGeometry, delta_potential
-from bosegas.meanfield import (action_S_eta_closed, field_action,
+from bosegas.meanfield import (GIBBS_THIN, action_S_eta_closed, field_action,
                                field_quadrature_1site, sample_gibbs_field,
                                wick_constant, z_via_eta)
 from bosegas.stats import batch_means
@@ -73,6 +73,81 @@ def test_gibbs_chain_builds_laplacian_once(monkeypatch):
     p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5)
     sample_gibbs_field(p, geom, delta_potential(geom), steps=400, seed=1)
     assert len(calls) <= 1
+
+
+def test_field_action_several_species():
+    p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, n_species=2.0, rho=0.3)
+    v = delta_potential(G2)
+    phi = np.array([[0.4 - 1.1j, 0.9 + 0.2j], [-0.3 + 0.5j, 1.2 - 0.7j]])
+    hmat = np.eye(2) - 0.5 * G2.laplacian_matrix()
+    kinetic = sum(np.real(phi[a].conj() @ hmat @ phi[a]) for a in range(2))
+    dens = np.sum(np.abs(phi)**2, axis=0) - 2 * wick_constant(G2, 1.0) - 0.3
+    want = kinetic + 0.5 / (2 * 3.0) * dens @ v.matrix() @ dens
+    assert field_action(phi, p, G2, v) == pytest.approx(want, rel=1e-12)
+
+
+def _complex_state_chain(params, geom, v, steps, seed):
+    """Reference Gibbs chain on the complex state phi: two standard_normal
+    draws per proposal (real, then imaginary) and an einsum action."""
+    rng = np.random.default_rng(seed)
+    hmat = -0.5 * geom.laplacian_matrix() + params.kappa0 * np.eye(geom.n_sites)
+    c, vmat = wick_constant(geom, params.kappa0), v.matrix()
+
+    def action(phi):
+        kinetic = float(np.real(np.einsum("ax,xy,ay->", phi.conj(), hmat, phi)))
+        dens = np.sum(np.abs(phi)**2, axis=0) - phi.shape[0] * c - params.rho
+        return kinetic + 0.5 * params.lambda0 / (params.n_species + 1.0) * float(
+            dens @ vmat @ dens)
+
+    phi = np.zeros((int(params.n_species), geom.n_sites), dtype=complex)
+    energy, step = action(phi), 1.0 / np.sqrt(params.kappa0)
+    burn = max(200, steps // 5)
+    accepted = window = total_acc = 0
+    kept = []
+    for it in range(burn + steps):
+        prop = phi + step * (rng.standard_normal(phi.shape)
+                             + 1j * rng.standard_normal(phi.shape))
+        e_new = action(prop)
+        if np.log(rng.random()) < energy - e_new:
+            phi, energy = prop, e_new
+            accepted += 1
+            if it >= burn:
+                total_acc += 1
+        window += 1
+        if it >= burn:
+            if (it - burn) % GIBBS_THIN == 0:
+                kept.append(phi)
+        elif window == 50:
+            rate = accepted / window
+            if rate < 0.30:
+                step *= 0.7
+            elif rate > 0.60:
+                step *= 1.4
+            accepted = window = 0
+    acc = total_acc / steps
+    return np.array(kept), acc, step, not (0.05 <= acc <= 0.95)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("geom, params, steps", [
+    (G1, ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5), 100),
+    (G2, ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, n_species=2.0), 100),
+    (G2, ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, rho=0.3), 100),
+    # a burn-in under 350 steps (1750 // 5) leaves the step too long here
+    # for the chain to accept a move
+    (TorusGeometry(dimension=3, sites_per_side=3),
+     ModelParams(nu=1.0, kappa0=0.2, lambda0=2.0), 1750),
+], ids=["1site", "2sites_N2", "2sites_rho0.3", "27sites"])
+def test_gibbs_chain_matches_the_complex_state_chain(geom, params, steps, seed):
+    # the real (Re, Im) state draws the complex-state chain, bit for bit
+    v = delta_potential(geom)
+    chain = sample_gibbs_field(params, geom, v, steps, seed=seed)
+    samples, acc, step, failed = _complex_state_chain(params, geom, v, steps, seed)
+    assert not failed
+    assert chain.samples.shape == samples.shape
+    assert np.array_equal(chain.samples, samples)
+    assert (chain.acceptance, chain.step_size, chain.tuning_failed) == (
+        acc, step, failed)
 
 
 def test_eta_action_zero_field():
