@@ -13,7 +13,7 @@ small-system oracles, and the limiting regimes that tie them together:
 
 from .lattice import (CapacityError, CirclePotential, ModelParams, TimeGrid,
                       TorusGeometry, TwoBodyPotential, UnsupportedModeError,
-                      constant_potential, delta_potential, validate_potential,
+                      delta_potential, validate_potential,
                       wrapped_gaussian_potential)
 from .propagators import (circle_heat_kernel, free_green, heat_propagator,
                           ideal_occupation, monodromy, monodromy_batch)
@@ -33,7 +33,6 @@ __all__ = [
     "UnsupportedModeError",
     "batch_means",
     "circle_heat_kernel",
-    "constant_potential",
     "delta_potential",
     "free_green",
     "heat_propagator",

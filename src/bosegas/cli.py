@@ -193,9 +193,11 @@ def _run_validate(cfg: ExperimentConfig) -> int:
           abs(hs.value.real - oracle.xi_rel) < 3 * sig,
           f"{hs.value.real:.5f} vs {oracle.xi_rel:.5f}")
 
-    b1 = mayer.ursell_coefficient(1, p0, g2, grid, v2, 8, 64)
-    q = loopgas.free_loop_sum(g2, 1.0, 1.0, 8)
-    check("first cluster equals single-loop activity", abs(b1.value - q) < 1e-12)
+    # free modes decay as e^{-l} and e^{-3l}: b_1 = -log(1 - e^-1) - log(1 - e^-3)
+    b1 = mayer.ursell_coefficient(1, p0, g2, grid, v2, 60, 64)
+    q = -np.log1p(-np.exp(-1.0)) - np.log1p(-np.exp(-3.0))
+    check("first cluster equals single-loop activity", abs(b1.value - q) < 1e-12,
+          f"{b1.value:.12f} vs {q:.12f}")
 
     sd = limits.saddle_point(ModelParams(nu=1.0, kappa0=1.0, lambda0=1.0,
                                          rho=hsfield.wick_rho(g2, 1.0, 1.0)),

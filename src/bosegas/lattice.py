@@ -21,7 +21,6 @@ __all__ = [
     "PotentialReport",
     "validate_potential",
     "delta_potential",
-    "constant_potential",
     "wrapped_gaussian_potential",
 ]
 
@@ -125,9 +124,6 @@ class TimeGrid:
     def eps(self) -> float:
         return self.nu / self.n_slices
 
-    def times(self) -> np.ndarray:
-        return self.eps * np.arange(self.n_slices + 1)
-
     def slice_index(self, t: float) -> int:
         """The j with t = j eps; a time off the slice grid raises ValueError."""
         j = t / self.eps
@@ -218,11 +214,6 @@ def delta_potential(geometry: TorusGeometry, strength: float = 1.0) -> TwoBodyPo
     """On-site pseudopotential: v(0) = strength, zero elsewhere."""
     values = np.zeros(geometry.n_sites)
     values[0] = strength
-    return TwoBodyPotential(geometry, values)
-
-
-def constant_potential(geometry: TorusGeometry, strength: float = 1.0) -> TwoBodyPotential:
-    values = np.full(geometry.n_sites, strength)
     return TwoBodyPotential(geometry, values)
 
 

@@ -11,10 +11,7 @@ over loop number n and winding l is evaluated by direct importance sampling:
 loops are drawn from the activity, their windings stratified within each
 batch of the batch-means error, so a batch holds every winding in proportion
 to its activity and the batches stay independent.  Duhamel functions add one
-open path with fixed endpoints, its winding stratified the same way.  A
-separate duration-regularized series targets the classical field partition
-function directly (no winding structure, a hard floor delta on loop
-durations instead).
+open path with fixed endpoints, its winding stratified the same way.
 """
 
 from __future__ import annotations
@@ -22,46 +19,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1, gammainc, gammaln
+from scipy.special import gammainc, gammaln
 
-from .lattice import ModelParams, TimeGrid, TorusGeometry, UnsupportedModeError
+from .lattice import ModelParams, TimeGrid, TorusGeometry
 from .propagators import circle_heat_kernel, heat_propagator, _spectral_data
 from .stats import (ComplexEstimate, batch_layout, exact_estimate, mean_estimate,
                     ratio_estimate)
 
 __all__ = [
-    "GridPath",
-    "SymanzikParams",
-    "sample_bridge",
-    "loop_interaction_Vnu",
     "kappa_eff",
     "free_loop_sum",
     "activity_table",
     "xi_rel_series",
     "duhamel_loopgas",
-    "make_symanzik",
-    "symanzik_series",
 ]
 
 UNDERFLOW = 1e-300
-SYMANZIK_NODES = 32  # midpoint times per loop in the duration-regularized series
-
-
-@dataclass
-class GridPath:
-    """Positions at uniform grid times; closed loops repeat the base point last.
-
-    start_slice records which time phase the first position sits on, so open
-    paths launched at tau' interact on the correct phases.
-    """
-
-    positions: np.ndarray
-    eps: float
-    start_slice: int = 0
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.positions) - 1
 
 
 def kappa_eff(params: ModelParams, v) -> float:
@@ -327,50 +300,6 @@ def _circle_bridges(L: float, starts: np.ndarray, ends: np.ndarray, T: float,
     return path
 
 
-def sample_bridge(geom: TorusGeometry, x, y, T: float, grid: TimeGrid,
-                  seed: int = 0, start_slice: int = 0) -> GridPath:
-    """One pinned path from x to y over duration T on the shared time grid."""
-    rng = np.random.default_rng(seed)
-    n_steps = grid.slice_index(T)
-    pos = _bridges(geom, grid, np.array([x]), np.array([y]), np.array([n_steps]), rng)[0]
-    return GridPath(positions=pos, eps=grid.eps, start_slice=start_slice)
-
-
-# ---------------------------------------------------------------------------
-# pair interaction
-
-
-def loop_interaction_Vnu(path1: GridPath, path2: GridPath, n_tau: int, v,
-                         geom: TorusGeometry) -> float:
-    """V_nu: (eps/2) * sum over equal-phase position pairs of v(x - x').
-
-    Left-endpoint quadrature: the final (repeated) position of each path is
-    excluded.  Self-pairing path1 is path2 is allowed and includes the
-    diagonal terms.  This direct sum is the reference for the batched slice
-    densities of the loop ensemble.
-    """
-    if abs(path1.eps - path2.eps) > 1e-12:
-        raise ValueError("paths live on different grids")
-    eps = path1.eps
-    p1 = path1.positions[:-1]
-    p2 = path2.positions[:-1]
-    ph1 = (path1.start_slice + np.arange(len(p1))) % n_tau
-    ph2 = (path2.start_slice + np.arange(len(p2))) % n_tau
-    if geom.mode == "lattice":
-        vmat = v.matrix()
-    total = 0.0
-    for t in range(n_tau):
-        a = p1[ph1 == t]
-        b = p2[ph2 == t]
-        if len(a) == 0 or len(b) == 0:
-            continue
-        if geom.mode == "lattice":
-            total += vmat[np.ix_(a, b)].sum()
-        else:
-            total += v(a[:, None] - b[None, :]).sum()
-    return 0.5 * eps * total
-
-
 # ---------------------------------------------------------------------------
 # loop ensemble (batched): paths become slice densities phi of shape
 # (..., n_tau, F), and a pair sum is (eps/2) sum_t phi_t . M . phi'_t
@@ -617,133 +546,3 @@ def duhamel_loopgas(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
     est = ratio_estimate(B * series_open, ls.series_samples, seed=seed)
     est.extra.update(species_diagonal=True, open_weight=B, tail_rel=ls.tail_rel)
     return est
-
-
-# ---------------------------------------------------------------------------
-# duration-regularized (classical field) series
-
-
-@dataclass
-class SymanzikParams:
-    """Regularization data for the classical-field loop series."""
-
-    delta: float
-    n_max: int
-    kappa_delta: float = 0.0
-    wick_constant_delta: float = 0.0
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("duration floor delta must be positive")
-
-
-def _symanzik_shift(params: ModelParams, c_delta: float) -> float:
-    """Density shift s = N c_delta + rho of the regularized quartic."""
-    return params.n_species * c_delta + params.rho
-
-
-def make_symanzik(params: ModelParams, geom: TorusGeometry, v, delta: float,
-                  n_max: int) -> SymanzikParams:
-    """Fix the killing rate and Wick constant by linear-term cancellation."""
-    if geom.mode != "lattice":
-        raise UnsupportedModeError("duration-regularized series is lattice only")
-    evals, _ = _spectral_data(geom)
-    freqs = params.kappa0 - 0.5 * evals
-    c_delta = float(np.mean(np.exp(-delta * freqs) / freqs))
-    lam_cl = params.lambda0 / (params.n_species + 1.0)
-    kappa_delta = params.kappa0 - lam_cl * _symanzik_shift(params, c_delta) * v.total()
-    return SymanzikParams(delta=delta, n_max=n_max, kappa_delta=kappa_delta,
-                          wick_constant_delta=c_delta)
-
-
-def _sample_durations(kappa: float, delta: float, samples: int, rng) -> np.ndarray:
-    """Draw T from dT/T e^{-kappa T} on [delta, inf) by inverse CDF on a log grid."""
-    t_hi = delta + 60.0 / max(kappa, 1e-6)
-    grid = np.geomspace(delta, t_hi, 4096)
-    dens = np.exp(-kappa * grid) / grid
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
-    cdf /= cdf[-1]
-    return np.interp(rng.random(samples), cdf, grid)
-
-
-def symanzik_series(params: ModelParams, geom: TorusGeometry, v,
-                    sym: SymanzikParams, samples: int, seed: int = 0) -> ComplexEstimate:
-    """Regularized classical-field partition function as a loop series.
-
-    Loops have continuous durations T >= delta (no winding), interact through
-    V_0 = (1/2) double time integral of v along the pair, and the free
-    normalization exp(-N Q_0(delta)) uses the exact exponential-integral form.
-    """
-    evals, _ = _spectral_data(geom)
-    freqs = params.kappa0 - 0.5 * evals
-    lam_cl = params.lambda0 / (params.n_species + 1.0)
-    N = params.n_species
-    q0 = float(np.sum(exp1(freqs * sym.delta)))
-    const = float(np.exp(-0.5 * lam_cl * _symanzik_shift(params, sym.wick_constant_delta)**2
-                         * geom.n_sites * v.total()))
-    a_delta = float(np.sum(exp1((sym.kappa_delta - 0.5 * evals) * sym.delta)))
-    if params.lambda0 == 0.0:
-        return exact_estimate(const * np.exp(N * (a_delta - q0)), samples, seed=seed)
-
-    rng = np.random.default_rng(seed)
-    norm_t = float(exp1(sym.kappa_delta * sym.delta))
-    vmat = v.matrix()
-    nq = SYMANZIK_NODES
-    series = np.ones(samples)
-    for n in range(1, sym.n_max + 1):
-        T = _sample_durations(sym.kappa_delta, sym.delta, samples * n,
-                              rng).reshape(samples, n)
-        starts = rng.integers(geom.n_sites, size=(samples, n))
-        # one uniform per loop and node, in the order of drawing loop after loop
-        u = rng.random((n, nq, samples)).transpose(1, 0, 2).reshape(nq, n * samples)
-        # all n loops of every sample in one pass, loop-major walks i * samples + s
-        durations = T.T.ravel()
-        pos = _continuous_loops(geom, starts.T.ravel(), durations, u)
-        # weighted site-occupation vector over all loops' quadrature nodes
-        cells = np.arange(n * samples) % samples * geom.n_sites + pos
-        weights = np.broadcast_to(durations / nq, cells.shape)
-        qvec = np.bincount(cells.ravel(), weights=weights.ravel(),
-                           minlength=samples * geom.n_sites).reshape(samples, geom.n_sites)
-        act_w = np.prod(geom.n_sites * norm_t
-                        * _diag_heat_vec(geom, T.ravel()).reshape(samples, n), axis=1)
-        pair = 0.5 * np.einsum("sx,xy,sy->s", qvec, vmat, qvec)
-        series += N**n / np.exp(gammaln(n + 1)) * act_w * np.exp(-lam_cl * pair)
-    est = mean_estimate(const * np.exp(-N * q0) * series, seed=seed)
-    est.extra.update(q0=q0, activity=a_delta, kappa_delta=sym.kappa_delta)
-    return est
-
-
-def _diag_heat_vec(geom: TorusGeometry, t: np.ndarray) -> np.ndarray:
-    evals, _ = _spectral_data(geom)
-    return np.mean(np.exp(0.5 * t[:, None] * evals[None, :]), axis=1)
-
-
-def _continuous_loops(geom: TorusGeometry, starts: np.ndarray, T: np.ndarray,
-                      u: np.ndarray) -> np.ndarray:
-    """Sites (nq, S) of pinned lattice walks at nq midpoint times of their duration.
-
-    Walk s runs from starts[s] back to it over T[s]; at node j it moves to the
-    first site where the cdf of p_dt(cur, .) p_rem(., start) passes u[j, s]
-    of its total, u being (nq, S) uniforms.  Durations vary per walk, so each
-    node forms only the two kernel rows it reads, from the spectral form (the
-    kernel is symmetric, so the backward factor is a row too).
-    """
-    evals, evecs = _spectral_data(geom)
-    nq, S = u.shape
-    n = len(evals)
-    tq = (np.arange(nq) + 0.5) / nq  # fractions of T
-    home = evecs[starts]
-    # every node after the first is T / nq on: rows of one (S, n, n) stack
-    hop = ((evecs * np.exp(0.5 * (T / nq)[:, None, None] * evals)) @ evecs.T).reshape(S * n, n)
-    upper = np.triu(np.ones((n, n)))  # cdf by GEMM: np.cumsum is slower
-    pos = np.empty((nq, S), dtype=np.int64)
-    cur = starts
-    for j in range(nq):
-        if j == 0:
-            fwd = (home * np.exp(0.5 * tq[0] * T[:, None] * evals)) @ evecs.T
-        else:
-            fwd = hop[np.arange(S) * n + cur]
-        back = (home * np.exp(0.5 * (1.0 - tq[j]) * T[:, None] * evals)) @ evecs.T
-        cdf = (fwd * back) @ upper
-        cur = pos[j] = (cdf < u[j][:, None] * cdf[:, -1:]).sum(axis=1)
-    return pos

@@ -21,7 +21,6 @@ from scipy.special import gammaln
 
 from .lattice import CapacityError, ModelParams, TimeGrid, TorusGeometry
 from .loopgas import (
-    GridPath,
     _loop_densities,
     _pair_form,
     _rho_log_constant,
@@ -29,12 +28,10 @@ from .loopgas import (
     activity_table,
     free_loop_sum,
     kappa_eff,
-    loop_interaction_Vnu,
 )
 from .stats import ComplexEstimate, mean_estimate
 
 __all__ = [
-    "mayer_factor",
     "ursell_coefficient",
     "n_polynomial",
     "log_xi_rel_partial",
@@ -69,13 +66,6 @@ def _rooted_sum(x: np.ndarray, link) -> np.ndarray:
         blocks = np.array(subs) | low
         c[s] = np.sum(c[blocks] * links[blocks, v] * c[s ^ blocks], axis=0)
     return c[-1]
-
-
-def mayer_factor(path1: GridPath, path2: GridPath, params: ModelParams,
-                 geom: TorusGeometry, n_tau: int, v) -> float:
-    """G = exp(-(lam/nu) V_nu(w, w')) - 1, in (-1, 0] for v >= 0."""
-    vval = loop_interaction_Vnu(path1, path2, n_tau, v, geom)
-    return float(np.expm1(-params.lam / params.nu * vval))
 
 
 def _pair_matrix(geom, grid, v, n, act, samples, rng):

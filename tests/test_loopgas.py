@@ -5,17 +5,16 @@ from bosegas import loopgas, mayer
 from bosegas.fock import duhamel_exact, xi_exact
 from bosegas.hsfield import estimate_duhamel
 from bosegas.lattice import (CirclePotential, ModelParams, TimeGrid,
-                             TorusGeometry, UnsupportedModeError,
-                             delta_potential, wrapped_gaussian_potential)
-from bosegas.loopgas import (GridPath, SymanzikParams, _continuous_loops,
-                             _lattice_bridges, _loop_densities, _open_weights,
+                             TorusGeometry, delta_potential,
+                             wrapped_gaussian_potential)
+from bosegas.loopgas import (_lattice_bridges, _loop_densities, _open_weights,
                              _pair_form, _pair_sum, _winding_tail,
                              activity_table,
                              duhamel_loopgas, free_loop_sum, kappa_eff,
-                             loop_interaction_Vnu, make_symanzik, sample_bridge,
-                             symanzik_series, xi_rel_series)
-from bosegas.propagators import free_green, heat_propagator
+                             xi_rel_series)
+from bosegas.propagators import circle_heat_kernel, free_green, heat_propagator
 from bosegas.stats import batch_layout
+from pair_reference import loop_interaction_Vnu
 
 G1 = TorusGeometry(dimension=1, sites_per_side=1)
 G2 = TorusGeometry(dimension=1, sites_per_side=2)
@@ -51,14 +50,6 @@ def test_kappa_eff_counterterm():
     assert kappa_eff(FREE, v) == FREE.kappa0
 
 
-def test_sample_bridge_endpoints():
-    path = sample_bridge(G2, 0, 1, 2.0, GRID, seed=3)
-    assert path.positions[0] == 0 and path.positions[-1] == 1
-    assert path.n_steps == 64
-    with pytest.raises(ValueError):
-        sample_bridge(G2, 0, 1, 0.7 * GRID.eps, GRID)
-
-
 def test_bridge_midpoint_marginal():
     # one end-aligned pass over mixed lengths, loops and x != y paths: every
     # group keeps its pinned ends, and its midpoint follows the conditional
@@ -84,6 +75,35 @@ def test_bridge_midpoint_marginal():
         assert abs(frac - probs[0]) < 5 * se
 
 
+def test_circle_bridge_midpoint_marginal():
+    # one pass over three step counts on the circle: each path starts at x,
+    # ends on y mod L, and its wrapped midpoint follows
+    # p_{T/2}(x, u) p_{T/2}(u, y) over 8 bins (the winding-sector pick matters
+    # when T is large against L or x, y sit near opposite sides)
+    L, S, n_bins = 4.0, 40000, 8
+    geom = TorusGeometry(dimension=1, mode="circle", circumference=L)
+    grid = TimeGrid(nu=0.4, n_slices=16)
+    groups = [(0.3, 2.9, 0.55), (0.3, 0.3, 0.4), (1.0, 3.5, 2.0)]
+    steps = np.repeat([grid.slice_index(T) for _, _, T in groups], S)
+    starts = np.repeat([x for x, _, _ in groups], S)
+    ends = np.repeat([y for _, y, _ in groups], S)
+    pos = loopgas._bridges(geom, grid, starts, ends, steps,
+                           np.random.default_rng(5))
+    k_max = steps.max()
+    u = (np.arange(40 * n_bins) + 0.5) * L / (40 * n_bins)
+    for i, (x, y, T) in enumerate(groups):
+        rows = pos[i * S:(i + 1) * S]
+        K = grid.slice_index(T)
+        assert np.all(rows[:, k_max - K] == x)
+        assert np.max(np.abs(np.mod(rows[:, -1] - y + L / 2, L) - L / 2)) < 1e-12
+        dens = circle_heat_kernel(L, T / 2, x, u) * circle_heat_kernel(L, T / 2, u, y)
+        probs = dens.reshape(n_bins, -1).sum(axis=1) / dens.sum()
+        counts = np.bincount((np.mod(rows[:, k_max - K // 2], L) // (L / n_bins))
+                             .astype(int), minlength=n_bins)
+        z = (counts - S * probs) / np.sqrt(S * probs * (1 - probs))
+        assert np.max(np.abs(z)) < 5, z
+
+
 def test_circle_mode_sums_match_direct_features():
     # the power recurrence of exp(2 pi i x / L) against direct cos / sin at
     # unwrapped positions up to +-5L, summed per phase from start slice 5
@@ -105,18 +125,18 @@ def test_circle_mode_sums_match_direct_features():
 def test_loop_interaction_single_site():
     # every slice doubly occupied: V = (eps/2) * n_tau * l1 * l2 * v(0) ... x2
     v = delta_potential(G1, strength=2.0)
-    p1 = GridPath(positions=np.zeros(2 * 32 + 1, dtype=int), eps=GRID.eps)
-    p2 = GridPath(positions=np.zeros(3 * 32 + 1, dtype=int), eps=GRID.eps)
-    got = loop_interaction_Vnu(p1, p2, 32, v, G1)
+    p1 = (np.zeros(2 * 32 + 1, dtype=int), 0)
+    p2 = (np.zeros(3 * 32 + 1, dtype=int), 0)
+    got = loop_interaction_Vnu(p1, p2, 32, v, G1, GRID.eps)
     assert got == pytest.approx(0.5 * 2 * 3 * 1.0 * 2.0)  # l l' nu v(0) / 2
 
 
 def test_loop_interaction_phase_alignment():
     # paths on disjoint phases never interact
     v = delta_potential(G1)
-    p1 = GridPath(positions=np.zeros(2, dtype=int), eps=GRID.eps, start_slice=0)
-    p2 = GridPath(positions=np.zeros(2, dtype=int), eps=GRID.eps, start_slice=5)
-    assert loop_interaction_Vnu(p1, p2, 32, v, G1) == 0.0
+    p1 = (np.zeros(2, dtype=int), 0)
+    p2 = (np.zeros(2, dtype=int), 5)
+    assert loop_interaction_Vnu(p1, p2, 32, v, G1, GRID.eps) == 0.0
 
 
 @pytest.mark.parametrize("geom, v, grid, ends, duration", [
@@ -131,14 +151,19 @@ def test_slice_densities_reproduce_pair_interaction(geom, v, grid, ends, duratio
     # cutoff at double precision (dropping modes below 1e-13 v_0 misses it)
     n_tau = grid.n_slices
     x, y = ends
-    paths = [sample_bridge(geom, x, x, grid.nu, grid, seed=1),
-             sample_bridge(geom, y, y, 2 * grid.nu, grid, seed=2),
-             sample_bridge(geom, x, y, duration, grid, seed=3, start_slice=5)]
+
+    def bridge(a, b, T, seed):
+        steps = np.array([grid.slice_index(T)])
+        return loopgas._bridges(geom, grid, np.array([a]), np.array([b]), steps,
+                                np.random.default_rng(seed))[0]
+
+    paths = [(bridge(x, x, grid.nu, 1), 0), (bridge(y, y, 2 * grid.nu, 2), 0),
+             (bridge(x, y, duration, 3), 5)]
     density, M = _pair_form(geom, v)
-    phi = [density(p.positions[None, :-1], p.start_slice, n_tau)[0] for p in paths]
+    phi = [density(pos[None, :-1], start, n_tau)[0] for pos, start in paths]
     for i, pi in enumerate(paths):
         for j, pj in enumerate(paths):
-            want = loop_interaction_Vnu(pi, pj, n_tau, v, geom)
+            want = loop_interaction_Vnu(pi, pj, n_tau, v, geom, grid.eps)
             got = 0.5 * grid.eps * np.einsum("tx,xy,ty->", phi[i], M, phi[j])
             assert abs(got - want) <= 1e-14 * abs(want)
 
@@ -222,63 +247,6 @@ def test_off_grid_times_raise_in_both_routes(tau, tau_p):
     with pytest.raises(ValueError, match="slice grid"):
         estimate_duhamel(BENCH, G2, GRID, v, 0, 1, tau=tau, tau_p=tau_p,
                          n_samples=10)
-
-
-def test_symanzik_lattice_only():
-    circle = TorusGeometry(dimension=1, mode="circle", circumference=4.0)
-    with pytest.raises(UnsupportedModeError):
-        make_symanzik(FREE, circle, None, 1e-3, 12)
-    with pytest.raises(ValueError):
-        SymanzikParams(delta=0.0, n_max=4)
-
-
-def test_symanzik_free_closed_form():
-    v = delta_potential(G1)
-    sym = make_symanzik(FREE, G1, v, 1e-3, 12)
-    assert sym.kappa_delta == FREE.kappa0
-    est = symanzik_series(FREE, G1, v, sym, 100)
-    assert est.value == pytest.approx(1.0, abs=1e-12)
-
-
-def test_symanzik_matches_radial_quadrature():
-    # single site classical field theory: loop series vs deterministic oracle
-    from bosegas.meanfield import field_quadrature_1site
-
-    v = delta_potential(G1)
-    p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5)
-    sym = make_symanzik(p, G1, v, 1e-3, 20)
-    est = symanzik_series(p, G1, v, sym, 4000, seed=5)
-    want = field_quadrature_1site(p, v)["z_rel"]
-    assert abs(est.value.real - want) < 4 * max(est.stderr_re, 1e-3)
-
-
-@pytest.mark.parametrize("rho", [0.3, 1.0])
-def test_symanzik_matches_radial_quadrature_off_zero_density(rho):
-    # the density shift N c_delta + rho enters the killing rate and the constant
-    from bosegas.meanfield import field_quadrature_1site
-
-    v = delta_potential(G1)
-    p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, rho=rho)
-    est = symanzik_series(p, G1, v, make_symanzik(p, G1, v, 1e-3, 20), 2000, seed=5)
-    want = field_quadrature_1site(p, v)["z_rel"]
-    assert abs(est.value.real - want) < 4 * est.stderr_re
-
-
-def test_continuous_loop_nodes_follow_the_bridge_law():
-    # node j of a loop of duration T based at x, at midpoint time t_j, sits on
-    # site u with probability ~ p_{t_j}(x, u) p_{T - t_j}(u, x)
-    rng = np.random.default_rng(6)
-    S, nq, T = 20000, 8, 1.5
-    starts = np.repeat([0, 1], S // 2)
-    pos = _continuous_loops(G2, starts, np.full(S, T), rng.random((nq, S)))
-    assert pos.shape == (nq, S)
-    for j in (0, nq // 2, nq - 1):
-        t = (j + 0.5) / nq * T
-        for x in (0, 1):
-            probs = heat_propagator(G2, t)[x] * heat_propagator(G2, T - t)[:, x]
-            p0 = probs[0] / probs.sum()
-            frac = np.mean(pos[j, starts == x] == 0)
-            assert abs(frac - p0) < 5 * np.sqrt(p0 * (1 - p0) / (S // 2))
 
 
 @pytest.mark.parametrize("geom, v, grid", [

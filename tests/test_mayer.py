@@ -7,12 +7,11 @@ from bosegas.fock import xi_exact
 from bosegas.lattice import (CapacityError, CirclePotential, ModelParams,
                              TimeGrid, TorusGeometry, delta_potential)
 from bosegas.limits import activity_to_kappa
-from bosegas.loopgas import (GridPath, activity_table, free_loop_sum,
-                             kappa_eff, xi_rel_series)
+from bosegas.loopgas import (activity_table, free_loop_sum, kappa_eff,
+                             xi_rel_series)
 from bosegas.mayer import (_pair_matrix, _rooted_sum, log_xi_rel_partial,
-                           mayer_factor, n_polynomial, ursell_coefficient)
+                           n_polynomial, ursell_coefficient)
 
-G1 = TorusGeometry(dimension=1, sites_per_side=1)
 G2 = TorusGeometry(dimension=1, sites_per_side=2)
 GRID = TimeGrid(nu=1.0, n_slices=32)
 FREE = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.0)
@@ -82,17 +81,6 @@ def test_rooted_sum_matches_graph_listing():
 def test_cluster_order_capacity():
     with pytest.raises(CapacityError):
         ursell_coefficient(6, BENCH, G2, GRID, delta_potential(G2), 6, 10)
-
-
-def test_mayer_factor_single_site():
-    # two one-period loops on one site: V = nu v(0) / 2, factor e^{-lam V / nu} - 1
-    v = delta_potential(G1)
-    p1 = GridPath(positions=np.zeros(33, dtype=int), eps=GRID.eps)
-    p2 = GridPath(positions=np.zeros(33, dtype=int), eps=GRID.eps)
-    got = mayer_factor(p1, p2, ModelParams(nu=1.0, kappa0=1.0, lambda0=1.0),
-                       G1, 32, v)
-    assert got == pytest.approx(np.expm1(-0.5))
-    assert -1.0 < got <= 0.0
 
 
 def test_b1_free_is_loop_activity():
