@@ -6,7 +6,9 @@ Commands
     loopgas  loop-gas series estimate of Xi_rel
     mayer    cluster-expansion partial sum of ln Xi_rel
     field    classical-field partition function via the eta representation
-    limit    one of the limit sweeps (classical / meanfield / largen), CSV out
+    limit    one of the limit sweeps (classical / meanfield / largen); --out
+             writes the CSV and, beside it as <out>.json, the kind and the
+             resolved parameters
     validate cross-route invariant suite
 
 Exit codes: 0 success (possibly with statistically flagged records),
@@ -122,6 +124,9 @@ def _run_limit(cfg: ExperimentConfig, out_path):
             for p, d, e in zip(sweep.parameters, sweep.discrepancies,
                                sweep.errors):
                 writer.writerow([p, d, e, mc["samples"]])
+        with open(f"{out_path}.json", "w") as fh:
+            json.dump({"kind": kind, "parameters": _resolved_parameters(cfg)}, fh,
+                      indent=1)
     print(f"{kind} sweep: discrepancies "
           + ", ".join(f"{d:.5f}" for d in sweep.discrepancies)
           + f" | monotone={sweep.monotone_decreasing} final_ok={sweep.final_ok}")

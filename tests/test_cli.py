@@ -199,6 +199,12 @@ def test_limit_command_csv(tmp_path, capsys):
                                    "discrepancy_stderr", "n_samples"]
     assert len(lines) == 3
     assert float(lines[1].split(",")[0]) == 0.5
+    # the parameters the sweep ran, beside the CSV
+    ran = json.loads((tmp_path / "sweep.csv.json").read_text())
+    assert ran["kind"] == "meanfield"
+    assert ran["parameters"]["limit"]["nu_list"] == "0.5,0.25"
+    assert ran["parameters"]["model"]["lambda0"] == "0.5"
+    assert ran["parameters"]["mc"]["samples"] == "4000"
 
 
 def test_validate_command(capsys):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from bosegas.fock import duhamel_exact, gamma1_exact, xi_exact
-from bosegas.hsfield import (_field_weights, contour_shift,
-                             det_identity_residual, estimate_duhamel,
-                             estimate_xi_rel, sample_sigma, wick_rho,
-                             winding_exponent)
+from bosegas.hsfield import (_field_weights, _gaussian_control, _weight_hessian,
+                             contour_shift, det_identity_residual,
+                             estimate_duhamel, estimate_xi_rel, sample_sigma,
+                             wick_rho, winding_exponent)
 from bosegas.lattice import (ModelParams, TimeGrid, TorusGeometry,
                              delta_potential, wrapped_gaussian_potential)
 from bosegas.propagators import free_green, ideal_occupation, monodromy_batch
@@ -78,6 +78,7 @@ def test_xi_rel_free_is_exact_one():
     est = estimate_xi_rel(FREE, G2, GRID, v, 100)
     assert est.value == 1.0 + 0.0j
     assert est.stderr == 0.0
+    assert est.extra["gauss_mean"] == 1.0 and est.extra["weights_stderr"] == 0.0
 
 
 def test_xi_rel_matches_oracle():
@@ -93,12 +94,19 @@ def test_xi_rel_reports_avg_sign():
     est = estimate_xi_rel(BENCH, G2, GRID, v, 2000, seed=4)
     w = est.extra["weights"]
     assert len(w) == 2000
-    assert est.value == pytest.approx(np.mean(w), rel=1e-12)
+    # the estimate is the mean of w - g + E[g], with g = w(0) exp(s.H s / 2)
+    # from the dense Hessian on the same fields
+    sigma = sample_sigma(BENCH, G2, GRID, v, 2000, np.random.default_rng(4))
+    control = _zero_field_weight(BENCH, G2, v) * np.exp(
+        0.5 * _quadratic_form(_dense_hessian(BENCH, G2, GRID, v), sigma))
+    assert est.value == pytest.approx(np.mean(w - control + est.extra["gauss_mean"]),
+                                      rel=1e-12)
+    assert est.extra["weights_stderr"] > est.stderr_re > 0.0
     assert est.extra["mean_abs_weight"] == pytest.approx(np.mean(np.abs(w)),
                                                          rel=1e-12)
     sign = est.extra["avg_sign"]
     assert 0.0 < sign <= 1.0
-    assert sign == pytest.approx(abs(est.value) / est.extra["mean_abs_weight"],
+    assert sign == pytest.approx(abs(np.mean(w)) / est.extra["mean_abs_weight"],
                                  rel=1e-12)
     free = estimate_xi_rel(FREE, G2, GRID, v, 100)
     assert free.extra["avg_sign"] == 1.0
@@ -279,3 +287,115 @@ def test_shifted_estimators_match_oracle(geom, rho, n_max):
     assert abs(xi.value.real - want) < 4 * xi.stderr_re
     want = duhamel_exact(p, geom, v, n_max, 0.25, 0, 0.0, 1)
     assert abs(duh.value.real - want) < 4 * duh.stderr_re
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian control variate of estimate_xi_rel
+
+
+def _dense_hessian(params, geom, grid, v):
+    """H[(j, x), (j', x')] = h[(j - j') mod n_slices][x, x'] as one dense matrix."""
+    h = _weight_hessian(params, geom, grid, contour_shift(params, geom, v))
+    lag = (np.arange(grid.n_slices)[:, None] - np.arange(grid.n_slices)) % grid.n_slices
+    dim = grid.n_slices * geom.n_sites
+    return h[lag].transpose(0, 2, 1, 3).reshape(dim, dim)
+
+
+def _quadratic_form(hess, sigma):
+    x = sigma.reshape(len(sigma), -1)
+    return np.einsum("si,ij,sj->s", x, hess, x)
+
+
+def _zero_field_weight(params, geom, v, grid=GRID):
+    """w(0), from the monodromy of the zero field itself."""
+    zero = np.zeros((1, grid.n_slices, geom.n_sites))
+    return _field_weights(params, geom, grid, v, zero, monodromy_batch(geom, grid, zero),
+                          contour_shift(params, geom, v))[0].real
+
+
+G22 = TorusGeometry(dimension=2, sites_per_side=2)
+
+
+@pytest.mark.parametrize("geom, rho", [(G2, 0.0), (G22, 0.0), (G2, 0.3)],
+                         ids=["2 sites", "2x2 torus", "rho 0.3"])
+def test_weight_hessian_matches_finite_differences(geom, rho):
+    # central second differences of log F(s + i c) at s = 0 over every pair
+    # of field entries, against the closed-form lag blocks
+    p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, rho=rho)
+    v = delta_potential(geom)
+    c = contour_shift(p, geom, v)
+    dim = GRID.n_slices * geom.n_sites
+    step = 1e-3 * np.eye(dim)
+    a, b = np.triu_indices(dim)
+    fields = np.concatenate([sa * step[a] + sb * step[b]
+                             for sa, sb in [(1, 1), (1, -1), (-1, 1), (-1, -1)]])
+    fields = fields.reshape(-1, GRID.n_slices, geom.n_sites)
+    log_f = np.log(_field_weights(p, geom, GRID, v, fields,
+                                  monodromy_batch(geom, GRID, fields), c)).reshape(4, -1)
+    second = (log_f[0] - log_f[1] - log_f[2] + log_f[3]) / (4 * 1e-3**2)
+    hess = _dense_hessian(p, geom, GRID, v)
+    assert np.max(np.abs(hess)) > 1e-4  # the Hessian is not trivially small
+    assert np.max(np.abs(second.imag)) < 1e-6
+    assert np.max(np.abs(second.real - hess[a, b])) < 1e-6
+    assert np.allclose(hess, hess.T, rtol=0.0, atol=1e-15)
+    assert np.linalg.eigvalsh(hess).max() < 1e-15  # g <= w(0)
+
+
+@pytest.mark.parametrize("geom, n_slices", [
+    (G2, 32), (G22, 32), (TorusGeometry(dimension=1, sites_per_side=3), 15),
+    (TorusGeometry(dimension=2, sites_per_side=3), 9),
+], ids=["2 sites", "2x2 torus", "3 sites, odd slices", "3x3 torus, odd slices"])
+def test_gaussian_control_matches_dense_forms(geom, n_slices):
+    # the plane-wave forms against the dense H: the quadratic form per field,
+    # and E[g] = w(0) det(1 - C H)^-1/2 against a dense slogdet; the 3-site
+    # grids have sin plane waves, and odd slice counts no Nyquist frequency
+    p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, rho=0.3)
+    grid = TimeGrid(nu=1.0, n_slices=n_slices)
+    v = wrapped_gaussian_potential(geom, width=0.7)
+    c = contour_shift(p, geom, v)
+    sigma = sample_sigma(p, geom, grid, v, 300, np.random.default_rng(2))
+    control, gauss_mean = _gaussian_control(p, geom, grid, v, sigma, c)
+
+    hess = _dense_hessian(p, geom, grid, v)
+    w0 = _zero_field_weight(p, geom, v, grid)
+    want = w0 * np.exp(0.5 * _quadratic_form(hess, sigma))
+    assert np.max(np.abs(control / want - 1.0)) < 1e-12
+    cov = np.kron(np.eye(n_slices), p.lam / (p.nu * grid.eps) * v.matrix())
+    sign, logdet = np.linalg.slogdet(np.eye(len(hess)) - cov @ hess)
+    assert sign == 1.0
+    assert gauss_mean == pytest.approx(w0 * np.exp(-0.5 * logdet), rel=1e-12)
+
+
+@pytest.mark.parametrize("geom, n_max", [(G2, 20), (G22, 10)],
+                         ids=["2 sites", "2x2 torus"])
+def test_control_variate_errors_are_honest(geom, n_max):
+    # seeds 0-29 at the benchmark point: the quoted batch-means error of the
+    # corrected mean matches the spread over seeds, and the seed mean sits on
+    # the exact trace
+    v = delta_potential(geom)
+    exact = xi_exact(BENCH, geom, v, n_max=n_max)
+    ests = [estimate_xi_rel(BENCH, geom, GRID, v, 2000, seed=s) for s in range(30)]
+    values = np.array([e.value.real for e in ests])
+    spread = values.std(ddof=1)
+    quoted = np.sqrt(np.mean([e.stderr**2 for e in ests]))
+    assert abs(quoted / spread - 1) < 0.25, (quoted, spread)
+    assert abs(values.mean() - exact.xi_rel) < (4 * spread / np.sqrt(len(values))
+                                                + exact.truncation_drift * exact.xi_rel)
+    # the control variate is what shrinks the error: w alone spreads wider
+    assert np.mean([e.extra["weights_stderr"] for e in ests]) > 2 * quoted
+
+
+def test_duhamel_reports_the_sign_and_keeps_its_estimate():
+    v = delta_potential(G2)
+    est = estimate_duhamel(BENCH, G2, GRID, v, 0, 1, tau=0.25, n_samples=500, seed=11)
+    # the estimate before the sign summary was added, at this seed
+    assert est.value == pytest.approx(0.2466029765863493, rel=1e-12)
+    assert est.stderr_re == pytest.approx(0.0009139740802344445, rel=1e-12)
+    assert est.value.imag == 0.0 and est.stderr_im == 0.0
+    # at tau' = 0 the fields are those of estimate_xi_rel at the same seed
+    w = estimate_xi_rel(BENCH, G2, GRID, v, 500, seed=11).extra["weights"]
+    assert est.extra["mean_abs_weight"] == pytest.approx(np.mean(np.abs(w)), rel=1e-12)
+    assert est.extra["avg_sign"] == pytest.approx(
+        min(1.0, abs(np.mean(w)) / np.mean(np.abs(w))), rel=1e-12)
+    free = estimate_duhamel(FREE, G2, GRID, v, 0, 1, n_samples=10)
+    assert free.extra["avg_sign"] == free.extra["mean_abs_weight"] == 1.0
