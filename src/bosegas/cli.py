@@ -7,8 +7,10 @@ Commands
     mayer    cluster-expansion partial sum of ln Xi_rel
     field    classical-field partition function via the eta representation
     limit    one of the limit sweeps (classical / meanfield / largen); --out
-             writes the CSV and, beside it as <out>.json, the kind and the
-             resolved parameters
+             writes the CSV and, beside it as <out>.json, the kind, the
+             resolved parameters and what the sweep set in their place
+             ("ran": the capped n_max of classical, the Wick rho at each nu
+             of meanfield)
     validate cross-route invariant suite
 
 Exit codes: 0 success (possibly with statistically flagged records),
@@ -81,7 +83,8 @@ def _run_limit(cfg: ExperimentConfig, out_path):
     mc = cfg.mc()
     trunc = cfg.truncations()
     # each sweep fixes part of the model itself: a config value it would drop
-    # is an error, not a silent default
+    # is an error, not a silent default; what it sets instead is recorded
+    ran = {}
     if kind == "classical":
         if params.rho != 0.0:
             raise ConfigError("limit kind = classical runs at rho = 0, "
@@ -89,10 +92,11 @@ def _run_limit(cfg: ExperimentConfig, out_path):
         if geom.mode != "circle":
             raise ConfigError("limit kind = classical runs on the circle, where loops "
                               "have a classical limit, not a lattice geometry")
+        ran["n_max"] = min(trunc["n_max"], 5)
         sweep = limits.classical_limit_sweep(
             float(cfg.raw["limit"]["z"]), params.lambda0,
             cfg.float_list("limit", "nu_list"), geom, v,
-            n_species=params.n_species, n_max=min(trunc["n_max"], 5),
+            n_species=params.n_species, n_max=ran["n_max"],
             l_max=trunc["l_max"], samples=mc["samples"], seed=mc["seed"])
     elif kind == "meanfield":
         if geom.mode != "lattice":
@@ -109,6 +113,7 @@ def _run_limit(cfg: ExperimentConfig, out_path):
         sweep = limits.meanfield_sweep(params.lambda0, params.kappa0,
                                        cfg.float_list("limit", "nu_list"),
                                        samples=mc["samples"], seed=mc["seed"])
+        ran["rho"] = [point["rho"] for point in sweep.extra["points"]]
     elif kind == "largen":
         grid = cfg.grid()
         sweep = limits.largeN_check(params, geom, grid, v,
@@ -125,8 +130,8 @@ def _run_limit(cfg: ExperimentConfig, out_path):
                                sweep.errors):
                 writer.writerow([p, d, e, mc["samples"]])
         with open(f"{out_path}.json", "w") as fh:
-            json.dump({"kind": kind, "parameters": _resolved_parameters(cfg)}, fh,
-                      indent=1)
+            json.dump({"kind": kind, "parameters": _resolved_parameters(cfg), "ran": ran},
+                      fh, indent=1)
     print(f"{kind} sweep: discrepancies "
           + ", ".join(f"{d:.5f}" for d in sweep.discrepancies)
           + f" | monotone={sweep.monotone_decreasing} final_ok={sweep.final_ok}")

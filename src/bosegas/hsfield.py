@@ -15,7 +15,7 @@ Observables are reweighted averages over this ensemble; at lam = 0 the field
 is identically zero and every estimator collapses to its exact free value
 with zero variance.
 
-The estimators take the same Gaussian integral in three exact ways at once,
+The estimators take the same Gaussian integral in four exact ways at once,
 at the cost of one field each:
 
 - Shifted contour (Rom, Charutz & Neuhauser, Chem. Phys. Lett. 270, 382
@@ -54,6 +54,22 @@ at the cost of one field each:
   sample is w - g + E[g], with coefficient 1: unbiased, and 5-10 times less
   variance at the benchmark points.  H and C are diagonal in plane waves over
   slices and sites, which give s.H s and the determinant without forming H.
+- The same control for the Duhamel ratio, in `estimate_duhamel`: the
+  numerator sample Re(k w) has its own second-order expansion,
+  log(k w) = log(k0 w(0)) + i a.s + s.B s / 2 + O(s^3), and the estimate is
+  mean(n - g_n + E[g_n]) / mean(w - g_d + E[g_d]) over the same fields,
+  g_d = g above and g_n = k0 w(0) exp(s.B s / 2) cos(a.s).  With G0 the free
+  grid Green function at kappa0 - c, L and R its rows from x and columns to
+  x' at each phase insertion, a = -eps L o R / k0 and
+
+      B = H - (eps^2 / k0) (T + T^t) + a a^t,   T = diag(L) M diag(R),
+
+  where M, block circulant over slices, chains two insertions:
+  M = (1 + S Q)(1 - S Q)^-1 / 2 with Q = e^{-(kappa0 - c) eps} U(eps) and S
+  the slice shift.  Its equal-slice block G - 1/2 carries the contact term,
+  the second derivative of a single phase.  E[g_n] = k0 w(0)
+  det(1 - C B)^-1/2 exp(-a^t (1 - C B)^-1 C a / 2) takes one Cholesky factor
+  (`_kernel_control`); E[g_n] / E[g_d] is the one-loop Green function.
 """
 
 from __future__ import annotations
@@ -133,7 +149,7 @@ def sample_sigma(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
     """Stack of field configurations, shape (n_samples, n_slices, n_sites)."""
     root = _cov_factor(params, geom, grid, v)
     noise = rng.standard_normal((n_samples, grid.n_slices, geom.n_sites))
-    return noise @ root.T
+    return (noise.reshape(-1, geom.n_sites) @ root.T).reshape(noise.shape)
 
 
 def _log_det_ratio(geom: TorusGeometry, nu: float, kappa0: float,
@@ -249,6 +265,14 @@ def _plane_waves(period: int, dimension: int):
     return basis, cosines
 
 
+def _zero_field_weight(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
+                       shift: float) -> float:
+    """w(0), the weight of the zero field, whose monodromy is U(nu)."""
+    zero = np.zeros((1, grid.n_slices, geom.n_sites))
+    return _field_weights(params, geom, grid, v, zero,
+                          heat_propagator(geom, params.nu)[None], shift)[0].real
+
+
 def _gaussian_control(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
                       sigma: np.ndarray, shift: float):
     """Control variate g(s) = w(0) exp(s.H s / 2) per field, and its mean E[g].
@@ -265,8 +289,7 @@ def _gaussian_control(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, 
     and the (n_slices n_sites)^2 matrix H is never formed.
     """
     n_slices, n = grid.n_slices, geom.n_sites
-    w0 = _field_weights(params, geom, grid, v, np.zeros((1, n_slices, n)),
-                        heat_propagator(geom, params.nu)[None], shift)[0].real
+    w0 = _zero_field_weight(params, geom, grid, v, shift)
     slice_basis, slice_cos = _plane_waves(n_slices, 1)
     site_basis, site_cos = _plane_waves(geom.sites_per_side, geom.dimension)
     h_modes = slice_cos.T @ _weight_hessian(params, geom, grid, shift)[:, 0, :] @ site_cos
@@ -278,6 +301,120 @@ def _gaussian_control(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, 
         quad[start:start + CONTROL_CHUNK] = (np.square(z, out=z).reshape(-1, n_slices * n)
                                              @ h_modes.ravel())
     return w0 * np.exp(0.5 * quad), w0 * np.exp(-0.5 * log_det)
+
+
+def _kernel_expansion(params: ModelParams, geom: TorusGeometry, grid: TimeGrid,
+                      shift: float, x: int, x_p: int, lag: int):
+    """Second-order data of the Duhamel kernel k at s = 0, in the frame rolled to tau'.
+
+    With kappa = kappa0 - c, f = e^{-nu kappa}, G = (1 - f U(nu))^-1 and the
+    free grid Green function G0(d) = e^{-kappa d} U(d) G on (0, nu), wrapped
+    by G0(d) = G0(d + nu) for d <= 0: slice j's phase sits at
+    t_j = (j + 1/2) eps, the lag is s = lag eps, and
+
+        L[j, y] = G0(s - t_j)[x, y],   R[j, y] = G0(t_j)[y, x'],
+        k0 = G0(s)[x, x']  (G0(nu) = G - 1 at equal times),
+        a = -eps L o R / k0,
+
+    so that log k has gradient i a at s = 0.  M is block circulant over
+    slices with blocks m[d] = G0(d eps) for d >= 1 and m[0] = G - 1/2 (the
+    contact term), that is M = (1 + S Q)(1 - S Q)^-1 / 2 with Q =
+    e^{-kappa eps} U(eps) and S the cyclic slice shift.  Every block is
+    diagonal in the Laplacian modes of `_spectral_data`.  Returns k0, a, L,
+    R (each of shape (n_slices, n_sites)) and the diagonals of m[d] over the
+    modes, shape (n_slices, n_sites).
+    """
+    evals, evecs = _spectral_data(geom)
+    nu, eps, n_slices = params.nu, grid.eps, grid.n_slices
+    kappa = params.kappa0 - shift
+    green = 1.0 / (1.0 - np.exp(-nu * kappa + 0.5 * nu * evals))
+
+    def free(d):  # modes of G0(d), for d in (0, nu]
+        return np.exp(d * (0.5 * evals - kappa)) * green
+
+    t = eps * (np.arange(n_slices) + 0.5)[:, None]
+    left = (evecs[x] * free((lag * eps - t) % nu)) @ evecs.T
+    right = (evecs[x_p] * free(t)) @ evecs.T
+    k0 = float(evecs[x] @ (free(lag * eps if lag else nu) * evecs[x_p]))
+    a = -eps * left * right / k0
+    m_modes = free(eps * np.arange(n_slices)[:, None])
+    m_modes[0] -= 0.5
+    return k0, a, left, right, m_modes
+
+
+def _kernel_control(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
+                    sigma: np.ndarray, shift: float, x: int, x_p: int, lag: int,
+                    control: np.ndarray):
+    """Control g_n for the Duhamel numerator Re(k w) per field, and its mean E[g_n].
+
+    sigma is rolled to start at tau', and control is `_gaussian_control`'s
+    g_d = w(0) exp(s.H s / 2) of the same fields.  With the pieces of
+    `_kernel_expansion` and T = diag(L) M diag(R), log(k w) = log(k0 w(0))
+    + i a.s + s.B s / 2 + O(s^3), where
+
+        B = H - (eps^2 / k0) (T + T^t) + a a^t,
+        g_n = k0 w(0) exp(s.B s / 2) cos(a.s),
+        E[g_n] = k0 w(0) det(1 - C B)^-1/2 exp(-a^t (1 - C B)^-1 C a / 2).
+
+    Per field, (L o s).M(R o s) is a sum over the Laplacian modes, in each
+    of which M is an n_slices x n_slices circulant.  For the mean, with
+    C = R_c R_c^t slice by slice (`_cov_factor`) and b = R_c^t a, one
+    Cholesky factor of [[1 - R_c^t (B - a a^t) R_c, b], [b^t, 1]] gives
+    det(1 - C B) = det(1 - R_c^t B R_c) and q = b^t (1 - R_c^t (B - a a^t) R_c)^-1 b,
+    whence a^t (1 - C B)^-1 C a = q / (1 - q).  The factor exists exactly
+    when 1 - R_c^t B R_c is positive definite, which is when E[g_n] exists.
+    """
+    n_slices, n = grid.n_slices, geom.n_sites
+    dim, eps = n_slices * n, grid.eps
+    k0, a, left, right, m_modes = _kernel_expansion(params, geom, grid, shift, x, x_p, lag)
+    evecs = _spectral_data(geom)[1]
+    lags = (np.arange(n_slices)[:, None] - np.arange(n_slices)) % n_slices
+    mu = m_modes[lags]  # mu[j, j', p]: mode p of m[j - j']
+
+    # R_c^t (T + T^t) R_c, block (j, j') = sum over modes p of
+    # lw[j, p]^t mu[j, j', p] rw[j', p] + rw[j, p]^t mu[j', j, p] lw[j', p],
+    # with lw[j] = E^t diag(L_j) root and rw[j] = E^t diag(R_j) root
+    root = _cov_factor(params, geom, grid, v)
+    lw = evecs.T @ (left[..., None] * root)
+    rw = evecs.T @ (right[..., None] * root)
+    pairs = np.empty((n_slices, 2 * n, n_slices, n))
+    np.multiply(mu.transpose(0, 2, 1)[..., None], rw.transpose(1, 0, 2), out=pairs[:, :n])
+    np.multiply(mu.transpose(1, 2, 0)[..., None], lw.transpose(1, 0, 2), out=pairs[:, n:])
+    sym = np.concatenate([lw, rw], axis=1).transpose(0, 2, 1) @ pairs.reshape(n_slices, 2 * n, dim)
+    bordered = np.empty((dim + 1, dim + 1))
+    inner = bordered[:dim, :dim]
+    np.multiply(sym.reshape(dim, dim), eps**2 / k0, out=inner)
+    del pairs, sym  # on 3^3 each is several MB: free them before the factorization
+    hess = root.T @ _weight_hessian(params, geom, grid, shift) @ root
+    inner.reshape(n_slices, n, n_slices, n)[...] -= hess[lags].transpose(0, 2, 1, 3)
+    inner[np.diag_indices(dim)] += 1.0
+    bordered[dim, :dim] = bordered[:dim, dim] = (a @ root).ravel()
+    bordered[dim, dim] = 1.0
+    try:
+        factor = np.linalg.cholesky(bordered)
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            f"1 - C B is not positive definite, so the Duhamel control has no mean: "
+            f"x = {x}, x' = {x_p}, lag {lag} of {n_slices} slices, {params}, {geom}") from None
+    diag = np.diagonal(factor)
+    quad = np.dot(factor[dim, :dim], factor[dim, :dim])
+    w0 = _zero_field_weight(params, geom, grid, v, shift)
+    mean = k0 * w0 * np.exp(-np.sum(np.log(diag)) - 0.5 * quad / diag[dim] ** 2)
+
+    # (L o s).M(R o s) per field: in each mode, M is a circulant over slices
+    def modes(rows, block):  # (rows o s) in Laplacian modes, shape (n_sites, fields, n_slices)
+        return (evecs.T @ (rows * block).reshape(-1, n).T).reshape(n, len(block), n_slices)
+
+    circulant = np.ascontiguousarray(mu.transpose(2, 1, 0))
+    insert = np.empty(len(sigma))
+    for start in range(0, len(sigma), CONTROL_CHUNK):
+        block = sigma[start:start + CONTROL_CHUNK]
+        form = modes(left, block)
+        form *= modes(right, block) @ circulant
+        insert[start:start + CONTROL_CHUNK] = form.sum(axis=0).sum(axis=1)
+    phase = sigma.reshape(len(sigma), -1) @ a.ravel()
+    numer_control = k0 * control * np.exp(0.5 * phase**2 - eps**2 / k0 * insert) * np.cos(phase)
+    return numer_control, mean
 
 
 def _sign_summary(weights: np.ndarray) -> dict:
@@ -321,6 +458,28 @@ def estimate_xi_rel(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
     return est
 
 
+def _duhamel_kernels(geom: TorusGeometry, grid: TimeGrid, sigma: np.ndarray,
+                     kappa: float, x: int, x_p: int, lag: int):
+    """Conditional kernels k per field of a stack rolled to start at tau', and Gamma'.
+
+    With M = e^{-nu kappa} Gamma', one column y of (1 - M)^-1 solves
+    (1 - M) y = e_{x'}; then k = e^{-kappa s} P[x, :] y at lag s = lag eps,
+    with P the product over the first `lag` slices, and k = [M y]_x at equal
+    times.
+    """
+    fug = np.exp(-grid.nu * kappa)
+    if lag:
+        gamma, prefixes = monodromy_batch(geom, grid, sigma, keep_prefixes=[lag])
+        row = np.exp(-kappa * lag * grid.eps) * prefixes[lag][:, x]
+    else:
+        gamma = monodromy_batch(geom, grid, sigma)
+        row = fug * gamma[:, x]
+    unit = np.zeros((len(sigma), geom.n_sites, 1))
+    unit[:, x_p] = 1.0
+    column = np.linalg.solve(np.eye(geom.n_sites) - fug * gamma, unit)[..., 0]
+    return np.einsum("si,si->s", row, column), gamma
+
+
 def estimate_duhamel(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
                      x: int, x_p: int, tau: float = 0.0, tau_p: float = 0.0,
                      n_samples: int = 10_000, seed: int = 0) -> ComplexEstimate:
@@ -334,48 +493,54 @@ def estimate_duhamel(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v
         k(s) = e^{-kappa0 s} [U (1 - M)^-1]_{x x'},   M = e^{-nu kappa0} Gamma',
 
     equals P_tau (1 - e^{-nu kappa0} Gamma)^-1 P_tau'^-1 without inverting
-    the prefix P_tau' (push-through).  At equal times the identity winding is
-    dropped, leaving M (1 - M)^-1.  det(1 - M) is the weight's determinant.
+    the prefix P_tau' (push-through), and needs one column of the resolvent
+    (`_duhamel_kernels`).  At equal times the identity winding is dropped,
+    leaving M (1 - M)^-1.  det(1 - M) is the weight's determinant.
 
     On the shifted contour U scales by e^{c s} and M by e^{nu c}, so kappa0
-    becomes kappa0 - c in k; the ratio averages Re(k w) over Re w with the
-    weights of `estimate_xi_rel`.  extra carries c ("contour_shift") and the
-    mean modulus ("mean_abs_weight") and average sign ("avg_sign") of the
-    weights Re w, as in `estimate_xi_rel`.
+    becomes kappa0 - c in k.  The numerator samples are n = Re(k w) and the
+    weights w = Re F of `estimate_xi_rel`, and the estimate is
+
+        mean(n - g_n + E[g_n]) / mean(w - g_d + E[g_d])
+
+    over the same fields, with g_d `_gaussian_control` and g_n its
+    second-order counterpart for k w (`_kernel_control`), both at coefficient
+    1; errors are `ratio_estimate`'s of the corrected streams.  extra carries
+    c ("contour_shift"), E[g_n] / E[g_d] ("gauss_mean", the one-loop Green
+    function), the error of the plain ratio mean(n) / mean(w)
+    ("plain_stderr"), and the mean modulus ("mean_abs_weight") and average
+    sign ("avg_sign") of the raw weights; the ESS and the `unreliable` flag
+    are the plain ratio's.
     """
     nu = params.nu
     if not (0.0 <= tau_p <= tau < nu):
         raise ValueError("need 0 <= tau' <= tau < nu")
-    j_hi = grid.slice_index(tau)
     j_lo = grid.slice_index(tau_p)
-    s = tau - tau_p
+    lag = grid.slice_index(tau) - j_lo
     shift = contour_shift(params, geom, v)
     kappa = params.kappa0 - shift
-    rng = np.random.default_rng(seed)
-    n = geom.n_sites
-    eye = np.eye(n)
-    fug = np.exp(-nu * kappa)
 
     if params.lam == 0.0:
         # exact free evaluation, zero variance
-        sigma = np.zeros((1, grid.n_slices, n))
-    else:
-        sigma = np.roll(sample_sigma(params, geom, grid, v, n_samples, rng),
-                        -j_lo, axis=1)
-    gamma, prefixes = monodromy_batch(geom, grid, sigma,
-                                      keep_prefixes=[j_hi - j_lo])
-    resolvent = np.linalg.solve(eye - fug * gamma, np.broadcast_to(
-        np.eye(n, dtype=complex), gamma.shape).copy())
-    if s == 0.0:
-        core = fug * gamma @ resolvent
-    else:
-        core = np.exp(-kappa * s) * resolvent
-    kernels = (prefixes[j_hi - j_lo] @ core)[:, x, x_p]
-
-    if params.lam == 0.0:
-        return exact_estimate(kernels[0], n_samples, seed=seed,
-                              extra={**_sign_summary(np.ones(1)), "contour_shift": shift})
+        zero = np.zeros((1, grid.n_slices, geom.n_sites))
+        value = _duhamel_kernels(geom, grid, zero, kappa, x, x_p, lag)[0][0]
+        return exact_estimate(value, n_samples, seed=seed, extra={
+            **_sign_summary(np.ones(1)), "contour_shift": shift,
+            "gauss_mean": float(value.real), "plain_stderr": 0.0})
+    sigma = sample_sigma(params, geom, grid, v, n_samples, np.random.default_rng(seed))
+    if j_lo:
+        sigma = np.roll(sigma, -j_lo, axis=1)
+    kernels, gamma = _duhamel_kernels(geom, grid, sigma, kappa, x, x_p, lag)
     weights = _field_weights(params, geom, grid, v, sigma, gamma, shift)
-    est = ratio_estimate((kernels * weights).real, weights.real, seed=seed)
-    est.extra.update(_sign_summary(weights.real), contour_shift=shift)
+    numer = (kernels * weights).real
+    weights = weights.real
+    control, gauss_mean = _gaussian_control(params, geom, grid, v, sigma, shift)
+    numer_control, numer_mean = _kernel_control(params, geom, grid, v, sigma, shift,
+                                                x, x_p, lag, control)
+    est = ratio_estimate(numer - numer_control + numer_mean,
+                         weights - control + gauss_mean, seed=seed)
+    plain = ratio_estimate(numer, weights)
+    est.ess, est.unreliable = plain.ess, plain.unreliable
+    est.extra.update(_sign_summary(weights), contour_shift=shift,
+                     gauss_mean=numer_mean / gauss_mean, plain_stderr=plain.stderr)
     return est

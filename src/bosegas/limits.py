@@ -237,8 +237,9 @@ def largeN_check(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
     free_green at the renormalized rate kappa0 + s(N).  The k-th N draws its
     fields from seed + k, so the points are independent and their errors
     combine as such in the trend and extrapolation checks.
-    The discrepancy carries a genuine 1/N term, so the final verdict is taken
-    on its 1/N extrapolation (`_largeN_sweep`), which needs two N values.
+    The discrepancy carries genuine 1/N and 1/N^2 terms, so the final verdict
+    is taken on its extrapolation to 1/N = 0 (`_largeN_sweep`), which needs
+    two N values and takes the 1/N^2 term out with three.
     """
     if list(N_list) != sorted(N_list):
         raise ValueError("N_list must be increasing")
@@ -262,14 +263,19 @@ def largeN_check(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
 def _largeN_sweep(N_list, signed, errs, points=()) -> LimitSweep:
     """Sweep of |d_N| whose final verdict is on the 1/N-extrapolated discrepancy.
 
-    With d_N = a / N + b + O(1/N^2), the last two points (N_a, N_b) give
-    b = (N_b d_b - N_a d_a) / (N_b - N_a), with sigma propagated from theirs
-    as independent errors; final_ok holds when |b| < 3 sigma.  A saddle that is
-    right at N = infinity has b = 0, however large a is.
+    With d_N = b + a / N + c / N^2 + O(1/N^3), b is the value at 1/N = 0 of
+    the polynomial in 1/N through the last three points, or the line through
+    the last two when only two are given: b = sum_i w_i d_i with the Lagrange
+    weights w_i = prod_{j != i} x_j / (x_j - x_i), x = 1/N, and sigma
+    propagated from theirs as independent errors; final_ok holds when
+    |b| < 3 sigma.  A saddle that is right at N = infinity has b = 0, however
+    large a and c are.
     """
-    (na, nb), (da, db), (ea, eb) = N_list[-2:], signed[-2:], errs[-2:]
-    extrapolated = (nb * db - na * da) / (nb - na)
-    sigma = float(np.hypot(nb * eb, na * ea)) / (nb - na)
+    x = 1.0 / np.asarray(N_list[-3:], dtype=float)
+    weights = np.array([np.prod(np.delete(x, i) / (np.delete(x, i) - x[i]))
+                        for i in range(len(x))])
+    extrapolated = float(weights @ np.asarray(signed[-3:]))
+    sigma = float(np.sqrt(np.sum((weights * np.asarray(errs[-3:])) ** 2)))
     return LimitSweep(parameter_name="n_species", parameters=list(N_list),
                       discrepancies=[abs(d) for d in signed], errors=list(errs),
                       final_tolerance=3.0 * max(sigma, 1e-12),
@@ -311,7 +317,7 @@ def meanfield_sweep(lambda0: float, kappa0: float, nu_list, samples: int,
         scaled = nu * est.value.real
         discs.append(abs(scaled - ref))
         errs.append(nu * est.stderr)
-        info.append({"nu": nu, "n_tau": n_tau, "scaled_gamma1": scaled})
+        info.append({"nu": nu, "n_tau": n_tau, "rho": params.rho, "scaled_gamma1": scaled})
     return LimitSweep(parameter_name="nu", parameters=list(nu_list),
                       discrepancies=discs, errors=errs,
                       final_tolerance=3.0 * max(errs[-1], 1e-12) + 0.05,

@@ -95,6 +95,25 @@ def monodromy(geom: TorusGeometry, grid: TimeGrid, sigma: np.ndarray) -> np.ndar
     return gam
 
 
+def _slice_phases(grid: TimeGrid, sigma: np.ndarray):
+    """exp(-i eps sigma_j) of a field stack, slice by slice, each of shape (n_sites, S, 1).
+
+    cos and sin are written into the real and imaginary views of one complex
+    buffer: for a real stack, the same bits as the complex exp at less cost.
+    A complex stack also scales by e^{eps Im sigma}.  Every slice reuses the
+    buffer, so each yielded array holds only until the next.
+    """
+    angle = np.empty((sigma.shape[2], sigma.shape[0]))
+    phases = np.empty(angle.shape + (1,), dtype=complex)
+    for j in range(grid.n_slices):
+        np.multiply(sigma[:, j, :].real.T, -grid.eps, out=angle)
+        np.cos(angle, out=phases.real[..., 0])
+        np.sin(angle, out=phases.imag[..., 0])
+        if np.iscomplexobj(sigma):
+            phases *= np.exp(grid.eps * sigma[:, j, :].imag.T)[..., None]
+        yield phases
+
+
 def monodromy_batch(geom: TorusGeometry, grid: TimeGrid, sigma: np.ndarray,
                     keep_prefixes=None) -> np.ndarray:
     """Vectorized monodromy for a stack of fields, shape (S, n_slices, n_sites).
@@ -109,7 +128,7 @@ def monodromy_batch(geom: TorusGeometry, grid: TimeGrid, sigma: np.ndarray,
     product R_j = D_j K ... K D_1 H of the whole stack is held as one
     (n_sites, S, n_sites) complex array, so that viewed as real
     (n_sites, 2 S n_sites) each kinetic step is a single real GEMM for all S
-    fields, and each phase step is a broadcast multiply.
+    fields, and each phase step is a broadcast multiply by `_slice_phases`.
 
     keep_prefixes, when given, is a sorted list of slice counts; the return is
     then (result, {j: product over the first j slices}) for reuse by unequal-
@@ -131,22 +150,20 @@ def monodromy_batch(geom: TorusGeometry, grid: TimeGrid, sigma: np.ndarray,
         prod = (half @ flat(stack)).view(complex).reshape(n, S, n)
         return prod.transpose(1, 0, 2).copy()
 
-    def phases(j):
-        return np.exp(-1j * grid.eps * sigma[:, j, :]).T[:, :, None]
-
     keep = set(keep_prefixes or ())
     prefixes = {}
     if 0 in keep:
         prefixes[0] = np.broadcast_to(np.eye(n, dtype=complex), (S, n, n)).copy()
+    phases = _slice_phases(grid, sigma)
     run = np.empty((n, S, n), dtype=complex)
-    np.multiply(phases(0), half[:, None, :], out=run)
+    np.multiply(next(phases), half[:, None, :], out=run)
     spare = np.empty_like(run)
-    for j in range(1, grid.n_slices):
+    for j, phase in enumerate(phases, start=1):
         if j in keep:
             prefixes[j] = leading_half(run)
         np.matmul(full, flat(run), out=flat(spare))
         run, spare = spare, run
-        run *= phases(j)
+        run *= phase
     gam = leading_half(run)
     if grid.n_slices in keep:
         prefixes[grid.n_slices] = gam.copy()

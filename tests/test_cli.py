@@ -9,6 +9,8 @@ import pytest
 
 import bosegas
 from bosegas.cli import main
+from bosegas.hsfield import wick_rho
+from bosegas.lattice import TorusGeometry
 from bosegas.records import ExperimentRecord
 
 
@@ -205,6 +207,9 @@ def test_limit_command_csv(tmp_path, capsys):
     assert ran["parameters"]["limit"]["nu_list"] == "0.5,0.25"
     assert ran["parameters"]["model"]["lambda0"] == "0.5"
     assert ran["parameters"]["mc"]["samples"] == "4000"
+    # the sweep runs the Wick density at each nu, not the config's rho = 0
+    one_site = TorusGeometry(dimension=1, sites_per_side=1)
+    assert ran["ran"] == {"rho": [wick_rho(one_site, nu, 1.0) for nu in (0.5, 0.25)]}
 
 
 def test_validate_command(capsys):
@@ -268,6 +273,10 @@ def test_classical_limit_runs_at_zero_coupling(tmp_path, capsys):
     assert main(["limit", "--config", str(cfg), "--out", str(out_path)]) == 0
     assert "classical sweep" in capsys.readouterr().out
     assert len(out_path.read_text().strip().splitlines()) == 3
+    # the loop gas runs n_max capped at 5, not the config's 30
+    ran = json.loads((tmp_path / "sweep.csv.json").read_text())
+    assert ran["parameters"]["truncations"]["n_max"] == "30"
+    assert ran["ran"] == {"n_max": 5}
 
 
 def test_classical_limit_refuses_a_lattice(tmp_path, capsys):
@@ -290,8 +299,8 @@ def test_largen_limit_needs_two_species_numbers(tmp_path, capsys):
 
 
 def test_largen_limit_defaults_report_the_judged_extrapolation(tmp_path, capsys):
-    # the default n_list leaves N = 4, with its 1/N^2 term, out of the
-    # extrapolated pair
+    # the default n_list gives three points, whose extrapolation takes out
+    # the 1/N^2 term
     cfg = tmp_path / "lim.ini"
     cfg.write_text("[geometry]\nsites_per_side = 2\n"
                    "[model]\nlambda0 = 0.25\nrho_mode = wick\n"

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from bosegas.fock import duhamel_exact, gamma1_exact, xi_exact
-from bosegas.hsfield import (_field_weights, _gaussian_control, _weight_hessian,
+from bosegas.hsfield import (_duhamel_kernels, _field_weights, _gaussian_control,
+                             _kernel_control, _kernel_expansion, _weight_hessian,
                              contour_shift, det_identity_residual,
                              estimate_duhamel, estimate_xi_rel, sample_sigma,
                              wick_rho, winding_exponent)
 from bosegas.lattice import (ModelParams, TimeGrid, TorusGeometry,
                              delta_potential, wrapped_gaussian_potential)
-from bosegas.propagators import free_green, ideal_occupation, monodromy_batch
+from bosegas.propagators import (free_green, heat_propagator, ideal_occupation,
+                                 monodromy_batch)
 from bosegas.records import ExperimentConfig
+from bosegas.stats import ratio_estimate
 
 G1 = TorusGeometry(dimension=1, sites_per_side=1)
 G2 = TorusGeometry(dimension=1, sites_per_side=2)
@@ -118,6 +121,7 @@ def test_duhamel_free_is_exact():
     est = estimate_duhamel(FREE, G2, GRID, v, 0, 1, n_samples=10)
     assert est.value == pytest.approx(fg[0, 1], abs=1e-12)
     assert est.stderr == 0.0
+    assert est.extra["gauss_mean"] == est.value.real and est.extra["plain_stderr"] == 0.0
     # unequal times, single site: e^-s / (1 - e^-1)
     v1 = delta_potential(G1)
     est = estimate_duhamel(FREE, G1, GRID, v1, 0, 0, tau=0.5, n_samples=10)
@@ -146,22 +150,23 @@ def test_duhamel_free_long_time_is_exact():
 
 def test_duhamel_push_through_matches_prefix_inverse():
     # at nu = 1 the prefixes are well conditioned, so P_tau core P_tau'^-1
-    # built with the inverse is a sharp per-field reference
-    # on the shifted contour: kappa0 -> kappa0 - c, real parts averaged
+    # built with the inverse is a sharp per-field reference for the kernels
+    # of the rolled fields; on the shifted contour kappa0 -> kappa0 - c
     v = delta_potential(G2)
     c = contour_shift(BENCH, G2, v)
     sigma = sample_sigma(BENCH, G2, GRID, v, 200, np.random.default_rng(3))
     gamma, pre = monodromy_batch(G2, GRID, sigma, keep_prefixes=[8, 24])
     m = np.exp(-(1.0 - c)) * gamma
     resolvent = np.linalg.inv(np.eye(2) - m)
-    weights = _field_weights(BENCH, G2, GRID, v, sigma, gamma, c)
-    for tau, j_hi, core in [(0.75, 24, np.exp(-0.5 * (1.0 - c)) * resolvent),
-                            (0.25, 8, m @ resolvent)]:
-        kernels = (pre[j_hi] @ core @ np.linalg.inv(pre[8]))[:, 0, 1]
-        want = np.sum((kernels * weights).real) / np.sum(weights.real)
-        est = estimate_duhamel(BENCH, G2, GRID, v, 0, 1, tau=tau, tau_p=0.25,
-                               n_samples=200, seed=3)
-        assert est.value == pytest.approx(want, rel=1e-10)
+    rolled = np.roll(sigma, -8, axis=1)
+    for lag, j_hi, core in [(16, 24, np.exp(-0.5 * (1.0 - c)) * resolvent),
+                            (0, 8, m @ resolvent)]:
+        want = (pre[j_hi] @ core @ np.linalg.inv(pre[8]))[:, 0, 1]
+        got, rolled_gamma = _duhamel_kernels(G2, GRID, rolled, 1.0 - c, 0, 1, lag)
+        assert np.max(np.abs(got / want - 1.0)) < 1e-10
+        # the rolled monodromy is conjugate to the original: same weights
+        assert np.max(np.abs(_field_weights(BENCH, G2, GRID, v, rolled, rolled_gamma, c)
+                             / _field_weights(BENCH, G2, GRID, v, sigma, gamma, c) - 1.0)) < 1e-10
 
 
 def test_duhamel_matches_oracle():
@@ -385,15 +390,172 @@ def test_control_variate_errors_are_honest(geom, n_max):
     assert np.mean([e.extra["weights_stderr"] for e in ests]) > 2 * quoted
 
 
+# ---------------------------------------------------------------------------
+# the second-order control of estimate_duhamel
+
+
+def _dense_insertions(params, geom, grid, v):
+    """M = (1 + S Q)(1 - S Q)^-1 / 2 over (slice, site), Q = e^{-kappa eps} U(eps)."""
+    kappa = params.kappa0 - contour_shift(params, geom, v)
+    q = np.exp(-kappa * grid.eps) * heat_propagator(geom, grid.eps)
+    step = np.kron(np.roll(np.eye(grid.n_slices), 1, axis=0), q)  # slice j-1 -> j
+    eye = np.eye(len(step))
+    return 0.5 * (eye + step) @ np.linalg.inv(eye - step)
+
+
+def _dense_kernel_hessian(params, geom, grid, v, x, x_p, lag):
+    """k0, a and the Hessian -(eps^2 / k0)(T + T^t) + a a^t of log k, with a dense M."""
+    k0, a, left, right, _ = _kernel_expansion(params, geom, grid,
+                                              contour_shift(params, geom, v), x, x_p, lag)
+    t = left.reshape(-1, 1) * _dense_insertions(params, geom, grid, v) * right.reshape(1, -1)
+    a = a.ravel()
+    return k0, a, -grid.eps**2 / k0 * (t + t.T) + np.outer(a, a)
+
+
+def _dense_gaussian_mean(hess, cov, a):
+    """E[exp(s.B s / 2) cos(a.s)] over s ~ N(0, C), from a dense slogdet and solve."""
+    one = np.eye(len(hess)) - cov @ hess
+    sign, logdet = np.linalg.slogdet(one)
+    assert sign == 1.0
+    return np.exp(-0.5 * logdet - 0.5 * a @ np.linalg.solve(one, cov @ a))
+
+
+def _slice_covariance(params, grid, v):
+    return np.kron(np.eye(grid.n_slices), params.lam / (params.nu * grid.eps) * v.matrix())
+
+
+@pytest.mark.parametrize("geom, rho, x, x_p, tau, tau_p", [
+    (G2, 0.0, 0, 1, 0.25, 0.0), (G22, 0.0, 0, 3, 0.25, 0.0), (G2, 0.3, 0, 1, 0.25, 0.0),
+    (G2, 0.0, 0, 1, 0.75, 0.25), (G2, 0.0, 1, 1, 0.25, 0.25), (G2, 0.0, 0, 1, 0.5, 0.5),
+], ids=["2 sites", "2x2 torus", "rho 0.3", "tau' 0.25", "equal times, x = x'",
+        "equal times, x != x'"])
+def test_kernel_expansion_matches_finite_differences(geom, rho, x, x_p, tau, tau_p):
+    # central differences of log k at s = 0, in the frame rolled to tau': the
+    # gradient is i a, and the Hessian -(eps^2 / k0)(T + T^t) + a a^t with M
+    # built densely as (1 + S Q)(1 - S Q)^-1 / 2
+    p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, rho=rho)
+    v = delta_potential(geom)
+    kappa = p.kappa0 - contour_shift(p, geom, v)
+    lag = GRID.slice_index(tau) - GRID.slice_index(tau_p)
+    k0, a, hess = _dense_kernel_hessian(p, geom, GRID, v, x, x_p, lag)
+    dim = GRID.n_slices * geom.n_sites
+    step = 1e-3 * np.eye(dim)
+
+    def log_k(fields):
+        fields = fields.reshape(-1, GRID.n_slices, geom.n_sites)
+        return np.log(_duhamel_kernels(geom, GRID, fields, kappa, x, x_p, lag)[0])
+
+    assert np.exp(log_k(np.zeros(dim))[0]) == pytest.approx(k0, rel=1e-12)
+    first = (log_k(step) - log_k(-step)) / 2e-3
+    assert np.max(np.abs(a)) > 1e-2  # the gradient is not trivially small
+    assert np.max(np.abs(first.real)) < 1e-6
+    assert np.max(np.abs(first.imag - a)) < 1e-6
+    i, j = np.triu_indices(dim)
+    fields = np.concatenate([si * step[i] + sj * step[j]
+                             for si, sj in [(1, 1), (1, -1), (-1, 1), (-1, -1)]])
+    log_f = log_k(fields).reshape(4, -1)
+    second = (log_f[0] - log_f[1] - log_f[2] + log_f[3]) / (4 * 1e-3**2)
+    assert np.max(np.abs(hess)) > 1e-4
+    assert np.max(np.abs(second.imag)) < 1e-6
+    assert np.max(np.abs(second.real - hess[i, j])) < 1e-6
+
+
+@pytest.mark.parametrize("geom, n_slices, x, x_p, lag", [
+    (TorusGeometry(dimension=1, sites_per_side=3), 15, 0, 1, 4),
+    (TorusGeometry(dimension=1, sites_per_side=3), 15, 2, 2, 0),
+    (G2, 32, 0, 1, 8), (G22, 8, 0, 3, 3),
+], ids=["3 sites, odd slices", "3 sites, equal times", "2 sites", "2x2 torus"])
+def test_kernel_control_matches_dense_forms(geom, n_slices, x, x_p, lag):
+    # g_n per field against a dense B = H + Hessian of log k, and E[g_n]
+    # against a dense slogdet and solve of 1 - C B
+    p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, rho=0.3)
+    grid = TimeGrid(nu=1.0, n_slices=n_slices)
+    v = wrapped_gaussian_potential(geom, width=0.7)
+    c = contour_shift(p, geom, v)
+    sigma = sample_sigma(p, geom, grid, v, 300, np.random.default_rng(2))
+    control = _gaussian_control(p, geom, grid, v, sigma, c)[0]
+    got, got_mean = _kernel_control(p, geom, grid, v, sigma, c, x, x_p, lag, control)
+
+    k0, a, hess_k = _dense_kernel_hessian(p, geom, grid, v, x, x_p, lag)
+    hess = _dense_hessian(p, geom, grid, v) + hess_k
+    w0 = _zero_field_weight(p, geom, v, grid)
+    want = (k0 * w0 * np.exp(0.5 * _quadratic_form(hess, sigma))
+            * np.cos(sigma.reshape(len(sigma), -1) @ a))
+    assert np.max(np.abs(got / want - 1.0)) < 1e-12
+    want_mean = k0 * w0 * _dense_gaussian_mean(hess, _slice_covariance(p, grid, v), a)
+    assert got_mean == pytest.approx(want_mean, rel=1e-12)
+
+
+@pytest.mark.parametrize("geom, n_max, x, x_p, tau", [
+    (G2, 20, 0, 1, 0.25), (G2, 20, 0, 0, 0.0), (G22, 12, 0, 1, 0.25), (G22, 12, 0, 0, 0.0),
+], ids=["2 sites", "2 sites, equal times", "2x2 torus", "2x2 torus, equal times"])
+def test_duhamel_control_errors_are_honest(geom, n_max, x, x_p, tau):
+    # seeds 0-29 at the benchmark point: the quoted batch-means error of the
+    # corrected ratio matches the spread over seeds, and the seed mean sits on
+    # the exact two-point function
+    v = delta_potential(geom)
+    if tau == 0.0:
+        exact = gamma1_exact(BENCH, geom, v, n_max=n_max)[x, x_p]
+    else:
+        exact = duhamel_exact(BENCH, geom, v, n_max, tau, x, 0.0, x_p)
+    ests = [estimate_duhamel(BENCH, geom, GRID, v, x, x_p, tau=tau, n_samples=2000, seed=s)
+            for s in range(30)]
+    values = np.array([e.value.real for e in ests])
+    spread = values.std(ddof=1)
+    quoted = np.sqrt(np.mean([e.stderr**2 for e in ests]))
+    assert abs(quoted / spread - 1) < 0.25, (quoted, spread)
+    assert abs(values.mean() - exact) < 4 * spread / np.sqrt(len(values))
+    # the controls are what shrink the error: the plain ratio quotes wider
+    assert np.mean([e.extra["plain_stderr"] for e in ests]) > 1.5 * quoted
+
+
+def test_kernel_control_without_a_mean_is_refused(monkeypatch):
+    # a gradient a large enough that 1 - C B is indefinite: E[g_n] does not
+    # exist, and the estimator says so instead of returning a number
+    import bosegas.hsfield as hs
+
+    expansion = hs._kernel_expansion
+
+    def steep(*args):
+        k0, a, left, right, m_modes = expansion(*args)
+        return k0, 100.0 * a, left, right, m_modes
+
+    monkeypatch.setattr(hs, "_kernel_expansion", steep)
+    with pytest.raises(ValueError, match="not positive definite.*x' = 1"):
+        estimate_duhamel(BENCH, G2, GRID, delta_potential(G2), 0, 1, tau=0.25,
+                         n_samples=100, seed=0)
+
+
 def test_duhamel_reports_the_sign_and_keeps_its_estimate():
     v = delta_potential(G2)
     est = estimate_duhamel(BENCH, G2, GRID, v, 0, 1, tau=0.25, n_samples=500, seed=11)
-    # the estimate before the sign summary was added, at this seed
-    assert est.value == pytest.approx(0.2466029765863493, rel=1e-12)
-    assert est.stderr_re == pytest.approx(0.0009139740802344445, rel=1e-12)
+    # the estimate is the corrected ratio, recomputed from dense forms on the
+    # same fields (at tau' = 0 they need no roll)
+    c = contour_shift(BENCH, G2, v)
+    sigma = sample_sigma(BENCH, G2, GRID, v, 500, np.random.default_rng(11))
+    kernels, gamma = _duhamel_kernels(G2, GRID, sigma, BENCH.kappa0 - c, 0, 1, 8)
+    weights = _field_weights(BENCH, G2, GRID, v, sigma, gamma, c)
+    numer, weights = (kernels * weights).real, weights.real
+    w0 = _zero_field_weight(BENCH, G2, v)
+    cov = _slice_covariance(BENCH, GRID, v)
+    hess = _dense_hessian(BENCH, G2, GRID, v)
+    k0, a, hess_k = _dense_kernel_hessian(BENCH, G2, GRID, v, 0, 1, 8)
+    control = w0 * np.exp(0.5 * _quadratic_form(hess, sigma))
+    mean = w0 * _dense_gaussian_mean(hess, cov, np.zeros_like(a))
+    numer_control = (k0 * w0 * np.exp(0.5 * _quadratic_form(hess + hess_k, sigma))
+                     * np.cos(sigma.reshape(500, -1) @ a))
+    numer_mean = k0 * w0 * _dense_gaussian_mean(hess + hess_k, cov, a)
+    want = ratio_estimate(numer - numer_control + numer_mean, weights - control + mean)
+    assert est.value == pytest.approx(want.value, rel=1e-12)
+    assert est.stderr_re == pytest.approx(want.stderr_re, rel=1e-9)
+    assert est.extra["gauss_mean"] == pytest.approx(numer_mean / mean, rel=1e-12)
+    plain = ratio_estimate(numer, weights)
+    assert est.extra["plain_stderr"] == pytest.approx(plain.stderr, rel=1e-12)
+    assert est.stderr_re < plain.stderr
     assert est.value.imag == 0.0 and est.stderr_im == 0.0
     # at tau' = 0 the fields are those of estimate_xi_rel at the same seed
     w = estimate_xi_rel(BENCH, G2, GRID, v, 500, seed=11).extra["weights"]
+    assert est.ess == pytest.approx(plain.ess, rel=1e-12)
     assert est.extra["mean_abs_weight"] == pytest.approx(np.mean(np.abs(w)), rel=1e-12)
     assert est.extra["avg_sign"] == pytest.approx(
         min(1.0, abs(np.mean(w)) / np.mean(np.abs(w))), rel=1e-12)

@@ -122,6 +122,21 @@ def test_largeN_verdict_is_on_the_1_over_N_extrapolation():
     assert offset.extra["extrapolated"] == pytest.approx(-0.001, rel=1e-9)
 
 
+def test_largeN_extrapolation_takes_out_the_1_over_N2_term():
+    # d_N = a / N + c / N^2 extrapolates to 0 through three points; the line
+    # through (16, 64) alone reads -c / (16 * 64)
+    from bosegas.limits import _largeN_sweep
+
+    N = [4, 16, 64]
+    err = [4e-4, 1e-4, 2.5e-5]
+    signed = [0.08 / n - 0.068 / n**2 for n in N]
+    sweep = _largeN_sweep(N, signed, err)
+    assert sweep.extra["extrapolated"] == pytest.approx(0.0, abs=1e-15)
+    assert sweep.final_ok
+    pair = _largeN_sweep(N[1:], signed[1:], err[1:])
+    assert pair.extra["extrapolated"] == pytest.approx(0.068 / 1024, rel=1e-9)
+
+
 def test_largeN_requires_two_points():
     from bosegas.lattice import TimeGrid
 

@@ -4,7 +4,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from bosegas.lattice import TimeGrid, TorusGeometry
-from bosegas.propagators import (circle_heat_kernel, free_green,
+from bosegas.propagators import (_slice_phases, circle_heat_kernel, free_green,
                                  heat_propagator, ideal_occupation, monodromy,
                                  monodromy_batch)
 
@@ -98,3 +98,17 @@ def test_ideal_occupation_matches_green_diagonal():
     g = TorusGeometry(dimension=1, sites_per_side=4)
     occ = ideal_occupation(g, 0.8, 1.3)
     assert occ == pytest.approx(free_green(g, 0.8, 1.3)[0, 0], abs=1e-12)
+
+
+def test_slice_phases_match_the_complex_exp_bit_for_bit():
+    # cos and sin written into one complex buffer, against exp(-i eps sigma)
+    grid = TimeGrid(nu=1.0, n_slices=8)
+    rng = np.random.default_rng(0)
+    sigma = rng.standard_normal((300, 8, 3)) * np.array([1.0, 30.0, 3000.0])
+    got = np.stack([ph[..., 0].T.copy() for ph in _slice_phases(grid, sigma)], axis=1)
+    want = np.exp(-1j * grid.eps * sigma)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # a complex stack is a damped phase, exp(-i eps (a + i b))
+    z = sigma + 1j * rng.standard_normal(sigma.shape)
+    got = np.stack([ph[..., 0].T.copy() for ph in _slice_phases(grid, z)], axis=1)
+    assert np.max(np.abs(got / np.exp(-1j * grid.eps * z) - 1.0)) < 1e-13
