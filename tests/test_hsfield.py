@@ -509,6 +509,16 @@ def test_duhamel_control_errors_are_honest(geom, n_max, x, x_p, tau):
     assert np.mean([e.extra["plain_stderr"] for e in ests]) > 1.5 * quoted
 
 
+def test_duhamel_at_a_later_tau_p_matches_oracle():
+    # the controls of fields rolled to tau' = 0.25: G(0.75, 0; 0.25, 1)
+    v = delta_potential(G2)
+    want = duhamel_exact(BENCH, G2, v, 20, 0.75, 0, 0.25, 1)
+    est = estimate_duhamel(BENCH, G2, GRID, v, 0, 1, tau=0.75, tau_p=0.25,
+                           n_samples=20000, seed=12)
+    assert est.stderr_re < 0.5 * est.extra["plain_stderr"]
+    assert abs(est.value.real - want) < 4 * est.stderr_re
+
+
 def test_kernel_control_without_a_mean_is_refused(monkeypatch):
     # a gradient a large enough that 1 - C B is indefinite: E[g_n] does not
     # exist, and the estimator says so instead of returning a number
