@@ -16,7 +16,7 @@ from .lattice import (CapacityError, CirclePotential, ModelParams, TimeGrid,
                       delta_potential, validate_potential,
                       wrapped_gaussian_potential)
 from .propagators import (circle_heat_kernel, free_green, heat_propagator,
-                          ideal_occupation, monodromy, monodromy_batch)
+                          ideal_occupation, monodromy_batch)
 from .stats import (ComplexEstimate, batch_means, mean_estimate,
                     ratio_estimate, weight_ess)
 
@@ -38,7 +38,6 @@ __all__ = [
     "heat_propagator",
     "ideal_occupation",
     "mean_estimate",
-    "monodromy",
     "monodromy_batch",
     "ratio_estimate",
     "validate_potential",

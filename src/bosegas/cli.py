@@ -176,20 +176,6 @@ def _run_validate(cfg: ExperimentConfig) -> int:
     dvals = hsfield._log_det_ratio(g2, 1.0, 1.0, gam)
     check("Re(-D) <= 0 on all samples", bool(np.all(-dvals.real <= 1e-12)))
 
-    w, tail = hsfield.winding_exponent(g2, 1.0, 1.0, gam[0], l_max=60)
-    sign, logabs = np.linalg.slogdet(np.eye(2) - np.exp(-1.0) * gam[0])
-    direct = -(np.log(sign) + logabs)
-    check("winding sum reproduces -log det", abs(w - direct) < 1e-10 + tail)
-
-    worst = 0.0
-    for _ in range(10):
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        a += 4.0 * np.eye(4)
-        if np.linalg.eigvalsh(a + a.conj().T).min() <= 0.1:
-            continue
-        worst = max(worst, hsfield.det_identity_residual(a))
-    check("determinant identity", worst < 1e-8, f"max residual {worst:.2e}")
-
     s_min = 0.0
     for _ in range(200):
         eta = rng.standard_normal(2)
@@ -202,6 +188,18 @@ def _run_validate(cfg: ExperimentConfig) -> int:
     check("auxiliary field matches exact trace",
           abs(hs.value.real - oracle.xi_rel) < 3 * sig,
           f"{hs.value.real:.5f} vs {oracle.xi_rel:.5f}")
+
+    want = fock.duhamel_exact(p, g2, v2, 14, 0.25, 0, 0.0, 1)
+    duh = hsfield.estimate_duhamel(p, g2, grid, v2, 0, 1, tau=0.25, n_samples=4000, seed=1)
+    z = abs(duh.value.real - want) / duh.stderr
+    check("auxiliary-field G(0.25; 0, 1) matches exact Duhamel", z < 4,
+          f"{duh.value.real:.5f} vs {want:.5f}, z = {z:.2f}")
+
+    loops = loopgas.xi_rel_series(p, g2, grid, v2, 6, 8, 2000, seed=1)
+    gap = abs(loops.value.real - oracle.xi_rel)
+    check("loop gas matches exact trace",
+          gap < 4 * loops.stderr + loops.extra["winding_tail"],
+          f"{loops.value.real:.5f} vs {oracle.xi_rel:.5f}, z = {gap / loops.stderr:.2f}")
 
     # free modes decay as e^{-l} and e^{-3l}: b_1 = -log(1 - e^-1) - log(1 - e^-3)
     b1 = mayer.ursell_coefficient(1, p0, g2, grid, v2, 60, 64)

@@ -85,10 +85,8 @@ from .stats import (ComplexEstimate, batch_means, exact_estimate, mean_estimate,
                     ratio_estimate, weight_ess)
 
 __all__ = [
-    "det_identity_residual",
     "wick_rho",
     "sample_sigma",
-    "winding_exponent",
     "contour_shift",
     "estimate_xi_rel",
     "estimate_duhamel",
@@ -98,31 +96,6 @@ NEGATIVE_EIG_TOL = 1e-10
 # fields per block of the control variate's quadratic form: the transformed
 # block is reused from cache instead of faulting in a stack-sized array
 CONTROL_CHUNK = 256
-
-
-def det_identity_residual(a: np.ndarray) -> float:
-    """Residual of 1/det(A) = exp(int_0^inf tr[(A+t)^-1 - (1+t)^-1] dt).
-
-    Valid whenever A + A^* is positive definite.  The integral is done by
-    adaptive quadrature on both real and imaginary parts.
-    """
-    from scipy.integrate import quad
-
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    herm = np.linalg.eigvalsh(a + a.conj().T)
-    if herm.min() <= 0:
-        raise ValueError("A + A* must be positive definite")
-
-    def integrand(t):
-        inv = np.linalg.inv(a + t * np.eye(n))
-        return np.trace(inv) - n / (1.0 + t)
-
-    re, _ = quad(lambda t: integrand(t).real, 0.0, np.inf, limit=400)
-    im, _ = quad(lambda t: integrand(t).imag, 0.0, np.inf, limit=400)
-    lhs = 1.0 / np.linalg.det(a)
-    rhs = np.exp(re + 1j * im)
-    return float(abs(lhs - rhs) / abs(lhs))
 
 
 def wick_rho(geom: TorusGeometry, nu: float, kappa0: float) -> float:
@@ -164,24 +137,6 @@ def _log_det_ratio(geom: TorusGeometry, nu: float, kappa0: float,
     occ_free = np.exp(-nu * kappa0 + 0.5 * nu * _spectral_data(geom)[0])
     log_free = np.sum(np.log1p(-occ_free))
     return np.log(sign) + logabs - log_free
-
-
-def winding_exponent(geom: TorusGeometry, nu: float, kappa0: float,
-                     gamma: np.ndarray, l_max: int = 64):
-    """-log det(1 - e^{-nu kappa0} Gamma) as a winding sum, with its tail bound.
-
-    Returns (partial sum over l = 1..l_max of e^{-nu kappa0 l} tr(Gamma^l) / l,
-    geometric bound on the dropped tail).  The bound uses |tr(Gamma^l)| <= n
-    for a contraction Gamma.
-    """
-    fug = np.exp(-nu * kappa0)
-    total = 0.0 + 0.0j
-    power = np.eye(geom.n_sites, dtype=complex)
-    for ell in range(1, l_max + 1):
-        power = power @ gamma
-        total += fug**ell * np.trace(power) / ell
-    tail = geom.n_sites * fug ** (l_max + 1) / ((l_max + 1) * (1.0 - fug))
-    return total, float(tail)
 
 
 def contour_shift(params: ModelParams, geom: TorusGeometry, v) -> float:
@@ -469,8 +424,8 @@ def _duhamel_kernels(geom: TorusGeometry, grid: TimeGrid, sigma: np.ndarray,
     """
     fug = np.exp(-grid.nu * kappa)
     if lag:
-        gamma, prefixes = monodromy_batch(geom, grid, sigma, keep_prefixes=[lag])
-        row = np.exp(-kappa * lag * grid.eps) * prefixes[lag][:, x]
+        gamma, head = monodromy_batch(geom, grid, sigma, prefix=lag)
+        row = np.exp(-kappa * lag * grid.eps) * head[:, x]
     else:
         gamma = monodromy_batch(geom, grid, sigma)
         row = fug * gamma[:, x]

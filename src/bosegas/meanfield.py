@@ -30,7 +30,6 @@ from .stats import ComplexEstimate, batch_means, mean_estimate, weight_ess
 
 __all__ = [
     "wick_constant",
-    "field_action",
     "sample_gibbs_field",
     "FieldChain",
     "action_S_eta_closed",
@@ -66,14 +65,6 @@ def _energy(x: np.ndarray, params: ModelParams, terms) -> float:
         params.n_species + 1.0) * (dens @ vmat @ dens))
 
 
-def field_action(phi: np.ndarray, params: ModelParams, geom: TorusGeometry,
-                 v) -> float:
-    """Energy functional h(phi); phi has shape (N, n_sites), complex."""
-    phi = np.atleast_2d(np.asarray(phi, dtype=complex))
-    return _energy(np.stack([phi.real, phi.imag]), params,
-                   _action_terms(params, geom, v))
-
-
 @dataclass
 class FieldChain:
     """Metropolis chain output for the classical field Gibbs measure."""
@@ -83,12 +74,6 @@ class FieldChain:
     step_size: float
     tuning_failed: bool
     seed: int
-
-    def two_point(self):
-        """<phibar_a(x) phi_b(y)> with batch-means errors on the diagonal."""
-        outer = np.einsum("sax,sby->saxby", self.samples.conj(), self.samples)
-        mean, s_re, s_im = batch_means(outer)
-        return mean, np.hypot(s_re, s_im)
 
 
 def sample_gibbs_field(params: ModelParams, geom: TorusGeometry, v,

@@ -11,7 +11,7 @@ from .lattice import TimeGrid, TorusGeometry, UnsupportedModeError
 __all__ = [
     "heat_propagator",
     "circle_heat_kernel",
-    "monodromy",
+    "monodromy_batch",
     "free_green",
     "ideal_occupation",
     "hartree_shift",
@@ -74,27 +74,6 @@ def _half_step(geom: TorusGeometry, eps: float) -> np.ndarray:
     return heat_propagator(geom, 0.5 * eps)
 
 
-def monodromy(geom: TorusGeometry, grid: TimeGrid, sigma: np.ndarray) -> np.ndarray:
-    """Strang-split time-ordered propagator over one period with potential i*sigma.
-
-    sigma has shape (n_slices, n_sites); the result is the product over slices
-    j = n_slices..1 of exp(eps*Lap/4) diag(exp(-i eps sigma_j)) exp(eps*Lap/4),
-    a contraction (operator norm <= 1) for every real sigma.
-    """
-    sigma = np.asarray(sigma)
-    if sigma.shape != (grid.n_slices, geom.n_sites):
-        raise ValueError(
-            f"sigma shape {sigma.shape} does not match "
-            f"({grid.n_slices}, {geom.n_sites})"
-        )
-    half = _half_step(geom, grid.eps)
-    gam = np.eye(geom.n_sites, dtype=complex)
-    for j in range(grid.n_slices):
-        phases = np.exp(-1j * grid.eps * sigma[j])
-        gam = half @ (phases[:, None] * (half @ gam))
-    return gam
-
-
 def _slice_phases(grid: TimeGrid, sigma: np.ndarray):
     """exp(-i eps sigma_j) of a field stack, slice by slice, each of shape (n_sites, S, 1).
 
@@ -115,12 +94,15 @@ def _slice_phases(grid: TimeGrid, sigma: np.ndarray):
 
 
 def monodromy_batch(geom: TorusGeometry, grid: TimeGrid, sigma: np.ndarray,
-                    keep_prefixes=None) -> np.ndarray:
-    """Vectorized monodromy for a stack of fields, shape (S, n_slices, n_sites).
+                    prefix: int | None = None) -> np.ndarray:
+    """Strang-split time-ordered propagators over one period for a stack of fields.
 
-    Returns the same (S, n_sites, n_sites) products as `monodromy`, with the
-    adjacent Strang halves fused: with H = exp(eps Lap/4), K = H^2 and D_j the
-    slice phases,
+    sigma has shape (S, n_slices, n_sites), and each field's potential is
+    i sigma.  The result, of shape (S, n_sites, n_sites), is per field the
+    product over slices j = n_slices..1 of
+    exp(eps Lap/4) diag(exp(-i eps sigma_j)) exp(eps Lap/4), a contraction
+    (operator norm <= 1) for every real sigma.  The adjacent Strang halves are
+    fused: with H = exp(eps Lap/4), K = H^2 and D_j the slice phases,
 
         Gamma = H D_n K D_{n-1} ... K D_1 H,
 
@@ -130,15 +112,16 @@ def monodromy_batch(geom: TorusGeometry, grid: TimeGrid, sigma: np.ndarray,
     (n_sites, 2 S n_sites) each kinetic step is a single real GEMM for all S
     fields, and each phase step is a broadcast multiply by `_slice_phases`.
 
-    keep_prefixes, when given, is a sorted list of slice counts; the return is
-    then (result, {j: product over the first j slices}) for reuse by unequal-
-    time estimators.  The prefix over j >= 1 slices is H R_j, over 0 slices
-    the identity.
+    prefix, when given, is a slice count 0 < prefix < n_slices; the return is
+    then (result, H R_prefix), the product over the first `prefix` slices,
+    for the unequal-time kernels.
     """
     sigma = np.asarray(sigma)
     S = sigma.shape[0]
     if sigma.shape[1:] != (grid.n_slices, geom.n_sites):
         raise ValueError("sigma stack has the wrong slice/site shape")
+    if prefix is not None and not 0 < prefix < grid.n_slices:
+        raise ValueError(f"prefix must lie in 1..{grid.n_slices - 1}, not {prefix}")
     n = geom.n_sites
     half = _half_step(geom, grid.eps)
     full = heat_propagator(geom, grid.eps)
@@ -150,25 +133,19 @@ def monodromy_batch(geom: TorusGeometry, grid: TimeGrid, sigma: np.ndarray,
         prod = (half @ flat(stack)).view(complex).reshape(n, S, n)
         return prod.transpose(1, 0, 2).copy()
 
-    keep = set(keep_prefixes or ())
-    prefixes = {}
-    if 0 in keep:
-        prefixes[0] = np.broadcast_to(np.eye(n, dtype=complex), (S, n, n)).copy()
     phases = _slice_phases(grid, sigma)
     run = np.empty((n, S, n), dtype=complex)
     np.multiply(next(phases), half[:, None, :], out=run)
     spare = np.empty_like(run)
     for j, phase in enumerate(phases, start=1):
-        if j in keep:
-            prefixes[j] = leading_half(run)
+        if j == prefix:
+            head = leading_half(run)
         np.matmul(full, flat(run), out=flat(spare))
         run, spare = spare, run
         run *= phase
     gam = leading_half(run)
-    if grid.n_slices in keep:
-        prefixes[grid.n_slices] = gam.copy()
-    if keep_prefixes is not None:
-        return gam, prefixes
+    if prefix is not None:
+        return gam, head
     return gam
 
 

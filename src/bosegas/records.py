@@ -167,11 +167,11 @@ class ExperimentConfig:
         raise ConfigError(f"unknown potential kind {kind!r}")
 
     def mc(self) -> dict:
-        return {
-            "samples": self._get("mc", "samples", int),
-            "seed": self._get("mc", "seed", int),
-            "chains": self._get("mc", "chains", int),
-        }
+        mc = {key: self._get("mc", key, int) for key in ("samples", "seed", "chains")}
+        for key in ("samples", "chains"):
+            if mc[key] < 1:
+                raise ConfigError(f"mc.{key} must be at least 1, not {mc[key]}")
+        return mc
 
     def truncations(self) -> dict:
         return {
@@ -210,12 +210,6 @@ class ExperimentRecord:
         data = json.loads(text)
         data.pop("moments", None)
         return cls(**data)
-
-    def deterministic_view(self) -> dict:
-        """Everything except timing, for rerun-identity checks."""
-        data = asdict(self)
-        data.pop("wall_seconds")
-        return data
 
 
 def record_from_estimate(command: str, parameters: dict, est: ComplexEstimate,

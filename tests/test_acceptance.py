@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from bosegas.fock import gamma1_exact, xi_exact
-from bosegas.hsfield import (det_identity_residual, estimate_duhamel,
-                             estimate_xi_rel, sample_sigma, wick_rho,
-                             _log_det_ratio)
+from bosegas.hsfield import (estimate_duhamel, estimate_xi_rel, sample_sigma,
+                             wick_rho, _log_det_ratio)
 from bosegas.lattice import (CirclePotential, ModelParams, TimeGrid,
                              TorusGeometry, delta_potential)
 from bosegas.limits import (classical_limit_sweep, largeN_check,
@@ -20,6 +19,8 @@ from bosegas.mayer import log_xi_rel_partial, ursell_coefficient
 from bosegas.meanfield import (action_S_eta_closed, field_quadrature_1site,
                                sample_gibbs_field, z_via_eta)
 from bosegas.propagators import free_green, monodromy_batch
+from determinant_identities import det_identity_residual
+from field_reference import two_point
 
 G2 = TorusGeometry(dimension=1, sites_per_side=2)
 V2 = delta_potential(G2)
@@ -158,7 +159,7 @@ def test_criterion_meanfield_limit():
     p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5)
     g1 = TorusGeometry(dimension=1, sites_per_side=1)
     v1 = delta_potential(g1)
-    mean, err = sample_gibbs_field(p, g1, v1, 20_000, seed=0).two_point()
+    mean, err = two_point(sample_gibbs_field(p, g1, v1, 20_000, seed=0).samples)
     gap = mean[0, 0, 0, 0].real - field_quadrature_1site(p, v1)["phi2"]
     cross_check = abs(gap) < 5 * err[0, 0, 0, 0]
     ok = sweep.monotone_decreasing and sweep.final_ok and cross_check

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bosegas
+from bosegas import hsfield, loopgas
 from bosegas.cli import main
 from bosegas.hsfield import wick_rho
 from bosegas.lattice import TorusGeometry
@@ -184,9 +186,22 @@ def test_cli_reruns_are_deterministic(tmp_path):
     for tag in ("a", "b"):
         path = tmp_path / f"{tag}.jsonl"
         assert main(["hs", "--config", str(cfg), "--out", str(path)]) == 0
-        rec = ExperimentRecord.from_json(path.read_text().strip())
-        outs.append(rec.deterministic_view())
+        rec = asdict(ExperimentRecord.from_json(path.read_text().strip()))
+        del rec["wall_seconds"]
+        outs.append(rec)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--chains", "0"], "mc.chains"), (["--chains", "-1"], "mc.chains"),
+    (["--samples", "0"], "mc.samples"),
+], ids=["chains 0", "chains -1", "samples 0"])
+def test_counts_below_one_exit_3(capsys, flags, named):
+    # refused before any chain runs, naming the key
+    assert main(["hs", *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
 
 
 def test_limit_command_csv(tmp_path, capsys):
@@ -216,6 +231,35 @@ def test_validate_command(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def _kernels_off_on_nonzero_fields(duhamel_kernels):
+    # 1 % too large wherever the field is nonzero: the free evaluation, which
+    # the ideal-gas line checks, stays exact
+    def planted(geom, grid, sigma, *args):
+        kernels, gamma = duhamel_kernels(geom, grid, sigma, *args)
+        return (1.01 if np.any(sigma) else 1.0) * kernels, gamma
+    return planted
+
+
+def _pair_sum_at_half_step(pair_sum):
+    def planted(phi, M, eps):
+        return pair_sum(phi, M, 0.5 * eps)
+    return planted
+
+
+@pytest.mark.parametrize("module, name, plant, line", [
+    (hsfield, "_duhamel_kernels", _kernels_off_on_nonzero_fields,
+     "auxiliary-field G(0.25; 0, 1) matches exact Duhamel"),
+    (loopgas, "_pair_sum", _pair_sum_at_half_step, "loop gas matches exact trace"),
+], ids=["duhamel kernels", "loop pair sum"])
+def test_validate_line_fails_on_its_planted_bug(capsys, monkeypatch, module, name,
+                                                plant, line):
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    assert main(["validate"]) == 3
+    failed = [row for row in capsys.readouterr().out.splitlines()
+              if row.startswith("FAIL")]
+    assert len(failed) == 1 and failed[0].startswith(f"FAIL  {line}  (")
 
 
 @pytest.mark.parametrize("model, named", [

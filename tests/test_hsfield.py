@@ -4,15 +4,15 @@ import pytest
 from bosegas.fock import duhamel_exact, gamma1_exact, xi_exact
 from bosegas.hsfield import (_duhamel_kernels, _field_weights, _gaussian_control,
                              _kernel_control, _kernel_expansion, _weight_hessian,
-                             contour_shift, det_identity_residual,
-                             estimate_duhamel, estimate_xi_rel, sample_sigma,
-                             wick_rho, winding_exponent)
+                             contour_shift, estimate_duhamel, estimate_xi_rel,
+                             sample_sigma, wick_rho)
 from bosegas.lattice import (ModelParams, TimeGrid, TorusGeometry,
                              delta_potential, wrapped_gaussian_potential)
 from bosegas.propagators import (free_green, heat_propagator, ideal_occupation,
                                  monodromy_batch)
 from bosegas.records import ExperimentConfig
 from bosegas.stats import ratio_estimate
+from determinant_identities import det_identity_residual, winding_exponent
 
 G1 = TorusGeometry(dimension=1, sites_per_side=1)
 G2 = TorusGeometry(dimension=1, sites_per_side=2)
@@ -155,7 +155,8 @@ def test_duhamel_push_through_matches_prefix_inverse():
     v = delta_potential(G2)
     c = contour_shift(BENCH, G2, v)
     sigma = sample_sigma(BENCH, G2, GRID, v, 200, np.random.default_rng(3))
-    gamma, pre = monodromy_batch(G2, GRID, sigma, keep_prefixes=[8, 24])
+    gamma, head = monodromy_batch(G2, GRID, sigma, prefix=8)
+    pre = {8: head, 24: monodromy_batch(G2, GRID, sigma, prefix=24)[1]}
     m = np.exp(-(1.0 - c)) * gamma
     resolvent = np.linalg.inv(np.eye(2) - m)
     rolled = np.roll(sigma, -8, axis=1)
@@ -211,9 +212,9 @@ def test_conjugate_field_conjugates_weight_and_kernel(n_species, rho):
     sigma = sample_sigma(p, G2, GRID, v, 50, np.random.default_rng(8))
     pairs = []
     for s in (sigma, -sigma):
-        gamma, pre = monodromy_batch(G2, GRID, s, keep_prefixes=[8])
+        gamma, head = monodromy_batch(G2, GRID, s, prefix=8)
         m = np.exp(-(1.0 - c)) * gamma
-        kernels = (pre[8] @ np.linalg.inv(np.eye(2) - m))[:, 0, 1]
+        kernels = (head @ np.linalg.inv(np.eye(2) - m))[:, 0, 1]
         pairs.append((_field_weights(p, G2, GRID, v, s, gamma, c), kernels))
     (w, k), (w_neg, k_neg) = pairs
     assert np.max(np.abs(w.imag)) > 1e-3  # the symmetry is not trivial

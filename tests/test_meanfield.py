@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from bosegas.lattice import ModelParams, TorusGeometry, delta_potential
-from bosegas.meanfield import (GIBBS_THIN, action_S_eta_closed, field_action,
+from bosegas.meanfield import (GIBBS_THIN, action_S_eta_closed,
                                field_quadrature_1site, sample_gibbs_field,
                                wick_constant, z_via_eta)
 from bosegas.stats import batch_means
 from eta_quadrature import action_S_eta
+from field_reference import field_action, two_point
 
 G1 = TorusGeometry(dimension=1, sites_per_side=1)
 G2 = TorusGeometry(dimension=1, sites_per_side=2)
@@ -45,7 +46,7 @@ def test_gibbs_free_moment():
     p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.0)
     chain = sample_gibbs_field(p, G1, delta_potential(G1), steps=6000, seed=0)
     assert not chain.tuning_failed
-    mean, se = chain.two_point()
+    mean, se = two_point(chain.samples)
     assert mean.shape == (1, 1, 1, 1)
     assert abs(mean[0, 0, 0, 0] - 1.0) < 5 * se[0, 0, 0, 0]
 
@@ -53,7 +54,7 @@ def test_gibbs_free_moment():
 def test_two_point_errors_match_per_entry_batch_means():
     p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, n_species=2.0)
     chain = sample_gibbs_field(p, G2, delta_potential(G2), steps=400, seed=2)
-    mean, se = chain.two_point()
+    mean, se = two_point(chain.samples)
     assert se.shape == (2, 2, 2, 2)
     for a, x, b, y in np.ndindex(se.shape):
         series = chain.samples[:, a, x].conj() * chain.samples[:, b, y]

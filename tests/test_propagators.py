@@ -5,8 +5,18 @@ from scipy.linalg import expm
 
 from bosegas.lattice import TimeGrid, TorusGeometry
 from bosegas.propagators import (_slice_phases, circle_heat_kernel, free_green,
-                                 heat_propagator, ideal_occupation, monodromy,
-                                 monodromy_batch)
+                                 heat_propagator, ideal_occupation, monodromy_batch)
+
+
+def monodromy(g, grid, sigma):
+    """Reference loop: the product over slices j = n_slices..1 of
+    exp(eps Lap/4) diag(exp(-i eps sigma_j)) exp(eps Lap/4), one field of
+    shape (n_slices, n_sites)."""
+    half = heat_propagator(g, 0.5 * grid.eps)
+    gam = np.eye(g.n_sites, dtype=complex)
+    for j in range(grid.n_slices):
+        gam = half @ (np.exp(-1j * grid.eps * sigma[j])[:, None] * (half @ gam))
+    return gam
 
 
 def test_heat_two_sites():
@@ -36,7 +46,7 @@ def test_circle_heat_kernel_normalized():
 def test_monodromy_zero_field_is_heat():
     g = TorusGeometry(dimension=1, sites_per_side=3)
     grid = TimeGrid(nu=1.0, n_slices=8)
-    gam = monodromy(g, grid, np.zeros((8, 3)))
+    gam = monodromy_batch(g, grid, np.zeros((1, 8, 3)))[0]
     assert np.allclose(gam, heat_propagator(g, 1.0), atol=1e-13)
 
 
@@ -48,7 +58,7 @@ def test_monodromy_second_order_in_step():
     errs = []
     for n in (8, 16, 32):
         grid = TimeGrid(nu=1.0, n_slices=n)
-        gam = monodromy(g, grid, np.tile(sigma_profile, (n, 1)))
+        gam = monodromy_batch(g, grid, np.tile(sigma_profile, (1, n, 1)))[0]
         errs.append(np.max(np.abs(gam - exact)))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
@@ -58,7 +68,7 @@ def test_monodromy_contraction():
     g = TorusGeometry(dimension=1, sites_per_side=4)
     grid = TimeGrid(nu=1.0, n_slices=16)
     rng = np.random.default_rng(0)
-    gam = monodromy(g, grid, 3.0 * rng.standard_normal((16, 4)))
+    gam = monodromy_batch(g, grid, 3.0 * rng.standard_normal((1, 16, 4)))[0]
     assert np.linalg.norm(gam, 2) <= 1.0 + 1e-12
 
 
@@ -72,14 +82,18 @@ def test_monodromy_batch_matches_loop():
         sig = 2.0 * rng.standard_normal((S, 8, g.n_sites))
         batch = monodromy_batch(g, grid, sig)
         assert batch.shape == (S, g.n_sites, g.n_sites)
-        full, pref = monodromy_batch(g, grid, sig, keep_prefixes=[0, 1, 5, 8])
-        assert sorted(pref) == [0, 1, 5, 8]
-        assert np.array_equal(full, batch)
+        pref = {}
+        for j in (1, 5, 7):
+            full, pref[j] = monodromy_batch(g, grid, sig, prefix=j)
+            assert np.array_equal(full, batch)
+        for j in (0, 8):
+            # the empty product and the whole period are not prefixes
+            with pytest.raises(ValueError, match="prefix must lie in 1..7"):
+                monodromy_batch(g, grid, sig, prefix=j)
         for s in range(S):
             assert np.allclose(batch[s], monodromy(g, grid, sig[s]),
                                rtol=0, atol=1e-13)
-            assert np.array_equal(pref[0][s], np.eye(g.n_sites))
-            for j in (1, 5, 8):
+            for j in (1, 5, 7):
                 # eps = 1/8 is exact, so the j-slice grid has the same step
                 head = monodromy(g, TimeGrid(nu=j / 8, n_slices=j), sig[s, :j])
                 assert np.allclose(pref[j][s], head, rtol=0, atol=1e-13)
