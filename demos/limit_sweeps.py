@@ -5,7 +5,7 @@
 2. mean field: nu * gamma_1 with coupling lambda0 nu^2 / (N+1) against the
    deterministic radial field integral;
 3. large N: gamma_1 at growing species number against the saddle-point
-   renormalized free gas, judged on the 1/N extrapolation of the last two
+   renormalized free gas, judged on the 1/N extrapolation of the last three
    points.
 
 Exits 1 when any sweep's verdict (monotone decrease and final tolerance)

@@ -16,8 +16,6 @@ open path with fixed endpoints, its winding stratified the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import gammainc, gammaln
 
@@ -391,52 +389,17 @@ def _series_coefficients(n_species: float, A: float, n_max: int) -> np.ndarray:
     return np.exp(n * np.log(n_species * A) - gammaln(n + 1))
 
 
-@dataclass
-class LoopSeries:
-    """Sampled partial series and its bookkeeping (shared by Xi and Duhamel)."""
+def _loop_groups(geom, grid, form, act, n_max, samples, rng) -> np.ndarray:
+    """(n_max, samples, n_tau, F) slice densities of the n-loop groups, n = 1..n_max.
 
-    series_samples: np.ndarray      # per-sample raw partial sums, n=0 term included
-    activity: float
-    q_free: float
-    tail_rel: float
-
-
-def _raw_series_samples(params, geom, grid, v, n_max, l_max, samples, rng,
-                        open_density=None):
-    """Per-sample values of sum_n (N^n/n!) A^n W_n, optionally with an open path.
-
-    All loops come from one `_loop_densities` call, one group per sample and
-    loop number n; the groups of n loops are the n-th row of `samples` groups,
-    so each sample's n-loop density is read off its group, never summed from
+    One `_loop_densities` call: row n holds one group of n loops per sample,
+    so a sample's n-loop density is read off its group, never summed from
     per-loop densities, and loop i of the n-loop groups is one winding slot
-    stratified over the samples.  open_density holds the open path's slice
-    densities; when given, the returned pair is (loops-only, with-open) so
-    ratio estimators stay aligned.
+    stratified over the samples.
     """
-    kappa = kappa_eff(params, v)
-    act = activity_table(geom, grid.nu, kappa, l_max)
-    A = float(act.sum())
-    coef = _series_coefficients(params.n_species, A, n_max)
-    form = _pair_form(geom, v)
-    M = form[1]
-    lam_over_nu = params.lam / params.nu
     counts = np.repeat(np.arange(1, n_max + 1)[:, None], samples, axis=1)
-    phi = _loop_densities(geom, grid, form, act, counts, rng).reshape(
-        n_max, samples, grid.n_slices, len(M))
-    series = 1.0 + coef @ np.exp(-lam_over_nu * _pair_sum(phi, M, grid.eps))
-    if open_density is not None:
-        # n = 0 term with the open path's self-energy
-        series_open = np.exp(-lam_over_nu * _pair_sum(open_density, M, grid.eps))
-        series_open += coef @ np.exp(-lam_over_nu * _pair_sum(phi + open_density, M,
-                                                               grid.eps))
-    q0 = free_loop_sum(geom, grid.nu, params.kappa0, l_max)
-    # Poisson tail beyond n_max loops: 1 - e^{-NA} sum_{k <= n_max} (NA)^k / k!
-    tail = gammainc(n_max + 1, params.n_species * A)
-    ls = LoopSeries(series_samples=series, activity=A, q_free=q0,
-                    tail_rel=float(tail))
-    if open_density is not None:
-        return ls, series_open
-    return ls
+    return _loop_densities(geom, grid, form, act, counts, rng).reshape(
+        n_max, samples, grid.n_slices, len(form[1]))
 
 
 def xi_rel_series(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
@@ -450,27 +413,31 @@ def xi_rel_series(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
     the activity beyond l_max at kappa_eff: 1.9e-4 on 2 sites at kappa0 1,
     lambda0 0.5, n_tau 32, l_max 6, where 3000 seeds put the bias of Xi_rel
     at 1.3e-4 +- 0.15e-4.
-    lam = 0 short-circuits to the closed form (exact 1 at rho = 0), whose raw
-    series sum_{n <= n_max} (N A)^n / n! is exact too.
+    The activity A, the tails and Q are computed once for both branches:
+    lam = 0 short-circuits to the closed form const * e^{N (A - Q)} (exact 1
+    at rho = 0), whose raw series sum_{n <= n_max} (N A)^n / n! is exact too.
     """
+    kappa = kappa_eff(params, v)
+    act = activity_table(geom, grid.nu, kappa, l_max)
+    A = float(act.sum())
+    coef = _series_coefficients(params.n_species, A, n_max)
+    q0 = free_loop_sum(geom, grid.nu, params.kappa0, l_max)
+    # Poisson tail beyond n_max loops: 1 - e^{-NA} sum_{k <= n_max} (NA)^k / k!
+    tail = float(gammainc(n_max + 1, params.n_species * A))
+    winding_tail = params.n_species * _winding_tail(geom, grid.nu, kappa, l_max)
     const = np.exp(_rho_log_constant(params, geom, v))
-    winding_tail = params.n_species * _winding_tail(geom, grid.nu, kappa_eff(params, v),
-                                                    l_max)
     if params.lam == 0.0:
-        q0 = free_loop_sum(geom, grid.nu, params.kappa0, l_max)
-        A = free_loop_sum(geom, grid.nu, kappa_eff(params, v), l_max)
-        tail = float(gammainc(n_max + 1, params.n_species * A))
         est = exact_estimate(const * np.exp(params.n_species * (A - q0)), samples,
                              seed=seed)
-        raw = 1.0 + float(_series_coefficients(params.n_species, A, n_max).sum())
-        raw_se = 0.0
+        raw, raw_se = 1.0 + float(coef.sum()), 0.0
     else:
-        rng = np.random.default_rng(seed)
-        ls = _raw_series_samples(params, geom, grid, v, n_max, l_max, samples, rng)
-        A, q0, tail = ls.activity, ls.q_free, ls.tail_rel
-        norm = const * np.exp(-params.n_species * q0)
-        est = mean_estimate(norm * ls.series_samples, seed=seed)
-        raw_est = mean_estimate(ls.series_samples)
+        form = _pair_form(geom, v)
+        phi = _loop_groups(geom, grid, form, act, n_max, samples,
+                           np.random.default_rng(seed))
+        series = 1.0 + coef @ np.exp(-(params.lam / params.nu)
+                                     * _pair_sum(phi, form[1], grid.eps))
+        est = mean_estimate(const * np.exp(-params.n_species * q0) * series, seed=seed)
+        raw_est = mean_estimate(series)
         raw, raw_se = raw_est.value.real, raw_est.stderr_re
     est.extra.update(
         activity=A,
@@ -487,14 +454,12 @@ def xi_rel_series(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
 def _open_weights(params, geom, grid, v, s: float, x, x_p, l_max: int):
     """b_l0 = e^{-kappa T} p_T(x, x') for T = s + l0 nu, l0 = 0..l_max."""
     kappa = kappa_eff(params, v)
-    out = []
-    for l0 in range(0, l_max + 1):
+    out = np.zeros(l_max + 1)
+    for l0 in range(l_max + 1):
         T = s + l0 * grid.nu
-        if T <= 0:
-            out.append(0.0)
-            continue
-        out.append(np.exp(-kappa * T) * _transition(geom, T, x, x_p))
-    return np.asarray(out)
+        if T > 0:
+            out[l0] = np.exp(-kappa * T) * _transition(geom, T, x, x_p)
+    return out
 
 
 def duhamel_loopgas(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
@@ -502,11 +467,14 @@ def duhamel_loopgas(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
                     samples: int, seed: int = 0) -> ComplexEstimate:
     """Two-point function from one open path immersed in the loop gas.
 
-    numerator = sum_{l0} b_{l0} E[e^{-(lam/nu) sum_{i,j=0..n} V}], denominator
-    the loop-only series, loops shared between the two.  The open winding l0
-    is drawn from b by stratified uniforms, like the loops' windings.  Equal
-    times drop the l0 = 0 (zero-duration) term, matching the other routes'
-    convention.
+    numerator = B E[e^{-(lam/nu) V_0} + sum_n (N A)^n / n! e^{-(lam/nu) V_0n}],
+    B = sum_{l0 <= l_max} b_l0 (`_open_weights`), V_0 the open path's
+    self-energy and V_0n its pair sum with an n-loop group; denominator the
+    loop-only series, loops shared between the two.  The open winding l0 is
+    drawn from b by stratified uniforms, like the loops' windings.  lam = 0
+    returns B: the winding sum truncated at l_max, like every loop-gas value.
+    Equal times drop the l0 = 0 (zero-duration) term, matching the other
+    routes' convention.
     """
     nu = params.nu
     if not (0.0 <= tau_p <= tau < nu):
@@ -517,32 +485,30 @@ def duhamel_loopgas(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
     B = float(bvec.sum())
 
     if params.lam == 0.0:
-        # closed form: extend the winding sum until terms vanish
-        total, l0 = 0.0, 0
-        while True:
-            T = s + l0 * nu
-            if T > 0:
-                term = np.exp(-params.kappa0 * T) * _transition(geom, T, x, x_p)
-                total += term
-                if term < 1e-16 and l0 > 1:
-                    break
-            l0 += 1
-        return exact_estimate(total, samples, seed=seed,
-                              extra={"species_diagonal": True})
+        return exact_estimate(B, samples, seed=seed, extra={"species_diagonal": True})
 
     rng = np.random.default_rng(seed)
     # sample the open winding l0, then all pinned paths in one bridge pass
     l0s = _inverse_cdf(bvec, _stratified_uniforms(rng, (samples,)))
     n_tau = grid.n_slices
     form = _pair_form(geom, v)
-    phi0 = np.zeros((samples, n_tau, len(form[1])))
+    M = form[1]
+    phi0 = np.zeros((samples, n_tau, len(M)))
     steps = j_hi - j_lo + l0s * n_tau
     moving = np.nonzero(steps > 0)[0]
     if len(moving):
         phi0[moving] = _path_densities(geom, grid, form, np.full(len(moving), x_p),
                                        np.full(len(moving), x), steps[moving], j_lo, rng)
-    ls, series_open = _raw_series_samples(params, geom, grid, v, n_max, l_max,
-                                          samples, rng, open_density=phi0)
-    est = ratio_estimate(B * series_open, ls.series_samples, seed=seed)
-    est.extra.update(species_diagonal=True, open_weight=B, tail_rel=ls.tail_rel)
+    act = activity_table(geom, grid.nu, kappa_eff(params, v), l_max)
+    A = float(act.sum())
+    coef = _series_coefficients(params.n_species, A, n_max)
+    phi = _loop_groups(geom, grid, form, act, n_max, samples, rng)
+    lam_over_nu = params.lam / nu
+    series = 1.0 + coef @ np.exp(-lam_over_nu * _pair_sum(phi, M, grid.eps))
+    # n = 0 term with the open path's self-energy
+    series_open = np.exp(-lam_over_nu * _pair_sum(phi0, M, grid.eps))
+    series_open += coef @ np.exp(-lam_over_nu * _pair_sum(phi + phi0, M, grid.eps))
+    est = ratio_estimate(B * series_open, series, seed=seed)
+    est.extra.update(species_diagonal=True, open_weight=B,
+                     tail_rel=float(gammainc(n_max + 1, params.n_species * A)))
     return est

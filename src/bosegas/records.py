@@ -40,17 +40,6 @@ class ConfigError(Exception):
     """Malformed or invalid experiment configuration."""
 
 
-ALLOWED_KEYS = {
-    "geometry": {"mode", "dimension", "sites_per_side", "circumference"},
-    "model": {"nu", "kappa0", "lambda0", "n_species", "coupling_mode",
-              "rho_mode", "rho"},
-    "grid": {"n_tau"},
-    "mc": {"samples", "seed", "chains"},
-    "truncations": {"n_max", "l_max"},
-    "potential": {"kind", "strength", "width"},
-    "limit": {"kind", "nu_list", "n_list", "z"},
-}
-
 DEFAULTS = {
     "geometry": {"mode": "lattice", "dimension": "1", "sites_per_side": "1",
                  "circumference": "0"},
@@ -64,6 +53,8 @@ DEFAULTS = {
     "limit": {"kind": "classical", "nu_list": "0.4,0.2,0.1,0.05",
               "n_list": "4,16,64", "z": "0.5"},
 }
+
+ALLOWED_KEYS = {sec: set(vals) for sec, vals in DEFAULTS.items()}
 
 
 @dataclass
@@ -174,10 +165,11 @@ class ExperimentConfig:
         return mc
 
     def truncations(self) -> dict:
-        return {
-            "n_max": self._get("truncations", "n_max", int),
-            "l_max": self._get("truncations", "l_max", int),
-        }
+        trunc = {key: self._get("truncations", key, int) for key in ("n_max", "l_max")}
+        for key, val in trunc.items():
+            if val < 1:
+                raise ConfigError(f"truncations.{key} must be at least 1, not {val}")
+        return trunc
 
     def float_list(self, section, key):
         return [float(tok) for tok in self.raw[section][key].split(",") if tok]

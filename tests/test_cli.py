@@ -204,6 +204,25 @@ def test_counts_below_one_exit_3(capsys, flags, named):
     assert named in captured.err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["loopgas", "--lmax", "0"], "truncations.l_max"),
+    (["mayer", "--lmax", "0"], "truncations.l_max"),
+    (["loopgas", "--nmax", "0"], "truncations.n_max"),
+    (["mayer", "--nmax", "0"], "truncations.n_max"),
+    (["oracle", "--nmax", "0"], "truncations.n_max"),
+], ids=["loopgas lmax 0", "mayer lmax 0", "loopgas nmax 0", "mayer nmax 0",
+        "oracle nmax 0"])
+def test_truncations_below_one_exit_3(tmp_path, capsys, argv, named):
+    # refused before any estimate is made, naming the key
+    cfg = tmp_path / "two.ini"
+    cfg.write_text("[geometry]\nsites_per_side = 2\n[model]\nlambda0 = 0.5\n"
+                   "[mc]\nsamples = 100\n")
+    assert main([*argv, "--config", str(cfg)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
+
+
 def test_limit_command_csv(tmp_path, capsys):
     cfg = tmp_path / "lim.ini"
     cfg.write_text("[model]\nlambda0 = 0.5\nkappa0 = 1.0\n"

@@ -224,6 +224,18 @@ def test_duhamel_loopgas_free():
                                            abs=1e-10)
 
 
+def test_duhamel_loopgas_free_truncates_at_lmax():
+    # lam = 0 is the winding sum over l0 <= l_max, like every loop-gas value
+    v = delta_potential(G2)
+    for tau, tau_p in ((0.5, 0.25), (0.25, 0.25)):
+        s = tau - tau_p
+        want = sum(np.exp(-FREE.kappa0 * (s + l0)) * heat_propagator(G2, s + l0)[0, 1]
+                   for l0 in range(3) if s + l0 > 0)
+        est = duhamel_loopgas(FREE, G2, GRID, v, tau, 0, tau_p, 1, 4, 2, 10)
+        assert est.value.real == pytest.approx(want, abs=1e-14)
+        assert est.stderr_re == 0.0
+
+
 def test_duhamel_loopgas_matches_oracle():
     v = delta_potential(G2)
     want = duhamel_exact(BENCH, G2, v, 16, 0.25, 0, 0.0, 1)
