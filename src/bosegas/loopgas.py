@@ -82,75 +82,57 @@ def _base_points(geom: TorusGeometry, size: int, rng) -> np.ndarray:
     return rng.random(size) * geom.circumference
 
 
-def _bridges(geom: TorusGeometry, grid: TimeGrid, starts, ends, steps,
-             rng) -> np.ndarray:
-    """Paths of steps[i] grid steps pinned at starts[i] and ends[i], end-aligned.
+def _bridge_densities(geom: TorusGeometry, grid: TimeGrid, form, starts, ends, steps,
+                      group, start: int, rng) -> np.ndarray:
+    """(G, n_tau, F) slice densities of pinned paths summed per group, one bridge pass.
 
-    Returns (S, k_max + 1) positions with k_max = max(steps): path i fills
-    columns k_max - steps[i] .. k_max and holds its start point in the columns
-    before, so every path ends on the last column.  Lattice paths are drawn in
-    one forward pass over the whole batch (`_lattice_bridges`) and stored as
-    the smallest unsigned integer that holds a site; circle paths are
-    Gaussian bridges, one vectorized group per step count.
+    Path i takes steps[i] grid steps from starts[i] to ends[i], begins on
+    phase start and belongs to group group[i]; the groups run 0..G-1 in
+    non-decreasing order, none empty, and the steps agree mod n_tau, so a
+    group of several paths is loops of whole periods begun on phase 0.  A
+    path's final (pinned) position is left out of its density.  Lattice: one
+    forward pass counts each site as it draws it (`_lattice_bridges`).
+    Circle: Gaussian bridges, one vectorized group per step count, written
+    straight into each group's walk, its paths end to end; walks are
+    bucketed by length and each bucket is one `density` call.
     """
-    steps = np.asarray(steps)
-    starts = np.asarray(starts)
-    ends = np.asarray(ends)
     if geom.mode == "lattice":
-        return _lattice_bridges(geom, starts, ends, steps, grid.eps, rng)
-    k_max = int(steps.max())
-    pos = np.repeat(starts.astype(float)[:, None], k_max + 1, axis=1)
-    for K in np.unique(steps):
-        rows = np.nonzero(steps == K)[0]
-        pos[rows, k_max - K:] = _circle_bridges(geom.circumference, starts[rows],
-                                                ends[rows], K * grid.eps, K, rng)
-    return pos
-
-
-def _path_densities(geom: TorusGeometry, grid: TimeGrid, form, starts, ends,
-                    steps, start: int, rng) -> np.ndarray:
-    """(S, n_tau, F) slice densities of pinned paths begun on phase start.
-
-    One bridge pass for all paths; the density of each step count's
-    end-aligned block leaves out its final (pinned) position.
-    """
+        return _lattice_bridges(geom, grid, starts, ends, steps, group, start, rng)
     density, M = form
-    pos = _bridges(geom, grid, starts, ends, steps, rng)
-    k_end = pos.shape[1] - 1
-    phi = np.empty((len(steps), grid.n_slices, len(M)))
+    first = np.cumsum(steps) - steps
+    walks = np.empty(first[-1] + steps[-1])
     for K in np.unique(steps):
         rows = np.nonzero(steps == K)[0]
-        phi[rows] = density(pos[rows, k_end - K:k_end], start, grid.n_slices)
+        walks[first[rows, None] + np.arange(K)] = _circle_bridges(
+            geom.circumference, starts[rows], ends[rows], K * grid.eps, K, rng)[:, :K]
+    length = np.bincount(group, weights=steps).astype(int)
+    offset = np.cumsum(length) - length
+    phi = np.empty((len(length), grid.n_slices, len(M)))
+    for w in np.unique(length):
+        rows = np.nonzero(length == w)[0]
+        phi[rows] = density(walks[offset[rows, None] + np.arange(w)], start, grid.n_slices)
     return phi
 
 
 def _pair_form(geom: TorusGeometry, v):
     """Slice-density map and matrix M with sum_{a in A, b in B} v(a - b) = phi(A).M.phi(B).
 
-    density(pos, start, n_tau) maps paths pos (S, P), whose first position
-    sits on phase start, to their (S, n_tau, F) feature sums per phase.  A
-    row may be a group walk: loops of whole periods from phase 0 laid end to
-    end, whose density is the sum of the loops' densities.
-    Lattice: visit counts per site (one `bincount`), M = v(x - y).  Circle:
-    the count and the cos / sin (2 pi k x / L) sums for k = 1..K,
-    M = diag(v_0, 2 v_k, 2 v_k), with K taken where the Fourier coefficients
-    fall below _MODE_CUTOFF * v_0; mode k is the k-th power of one
+    Lattice: phi is the visit count per site and M = v(x - y); the map is
+    None, because the bridge pass counts each site as it draws it
+    (`_lattice_bridges`).  Circle: density(pos, start, n_tau) maps paths pos
+    (S, P), whose first position sits on phase start, to their (S, n_tau, F)
+    feature sums per phase: the count and the cos / sin (2 pi k x / L) sums
+    for k = 1..K, with M = diag(v_0, 2 v_k, 2 v_k) and K taken where the
+    Fourier coefficients fall below _MODE_CUTOFF * v_0.  A row may be a group
+    walk: loops of whole periods from phase 0 laid end to end, whose density
+    is the sum of the loops' densities.  Mode k is the k-th power of one
     exp(2 pi i x / L) per position, summed per phase by folding the
     zero-padded positions into block-major (blocks, S, n_tau) slabs, which is
     the product with the (positions x n_tau) phase one-hot without its
     multiplications by zero.
     """
     if geom.mode == "lattice":
-        n = geom.n_sites
-
-        def counts(pos, start, n_tau):
-            S, P = pos.shape
-            phases = (start + np.arange(P)) % n_tau
-            cell = (np.arange(S)[:, None] * n_tau + phases) * n + pos
-            return np.bincount(cell.ravel(), minlength=S * n_tau * n).reshape(
-                S, n_tau, n).astype(float)
-
-        return counts, v.matrix()
+        return None, v.matrix()
     k_max = 32
     vhat = v.fourier_coefficients(k_max)
     while abs(vhat[-1]) > _MODE_CUTOFF * abs(vhat[0]):
@@ -233,42 +215,52 @@ def _winding_tail(geom: TorusGeometry, nu: float, kappa: float, l_max: int) -> f
 # bridge sampling
 
 
-def _lattice_bridges(geom: TorusGeometry, starts: np.ndarray, ends: np.ndarray,
-                     steps: np.ndarray, eps: float, rng: np.random.Generator) -> np.ndarray:
-    """Site paths pinned at both ends, exact conditional law, one pass for all.
+def _lattice_bridges(geom: TorusGeometry, grid: TimeGrid, starts: np.ndarray,
+                     ends: np.ndarray, steps: np.ndarray, group: np.ndarray, start: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """(G, n_tau, n_sites) visit counts of pinned site paths per group, one pass for all.
 
-    Path i takes steps[i] steps from starts[i] to ends[i].  The paths are
-    sorted by length and aligned at their end: at global step g every live
-    path has k_max - g steps left, so all of them draw the next site from
-    p_eps(cur, .) p_{(k_max - g) eps}(., end) with the same kernel power, and
-    they are the leading rows [:m] of the sorted batch.  The powers
-    p_{k eps}, k = 0..k_max, come from one spectral stack.  Returns the
-    end-aligned (S, k_max + 1) layout of `_bridges`, rows in input order.
+    Exact conditional law; paths as in `_bridge_densities`, group ids in any
+    order.  The paths are sorted by length and aligned at their end: at
+    global step g every live path has k_max - g steps left, so all of them
+    draw the next site from p_eps(cur, .) p_{(k_max - g) eps}(., end) with
+    the same kernel power, and they are the leading rows [:m] of the sorted
+    batch.  The powers p_{k eps}, k = 0..k_max, come from one spectral stack.
+    No position is kept.  Global step g is phase (start + g) mod n_tau, and a
+    path of K steps begins on step k_max - K, so on phase start when the step
+    counts agree mod n_tau.  The site of each row begun by step g (its start
+    point until it draws) becomes a (group, phase, site) cell in one buffer,
+    counted by one `bincount`; the pinned final step k_max is never counted.
     """
+    n, n_tau = geom.n_sites, grid.n_slices
     k_max = int(steps.max())
     evals, evecs = _spectral_data(geom)
-    decay = np.exp(0.5 * eps * np.arange(k_max + 1)[:, None] * evals)
+    decay = np.exp(0.5 * grid.eps * np.arange(k_max + 1)[:, None] * evals)
     ker = (evecs * decay[:, None, :]) @ evecs.T
     order = np.argsort(-steps, kind="stable")
     longest = -steps[order]
-    starts, ends = starts[order], ends[order]
-    if np.any(ker[-longest, starts, ends] < UNDERFLOW):
+    sites, ends = starts[order], ends[order]
+    if np.any(ker[-longest, sites, ends] < UNDERFLOW):
         raise ValueError("endpoint unreachable: p_T(x, y) underflows")
     live = np.searchsorted(longest, np.arange(k_max + 1) - k_max)
     hop = ker[1].T.copy()  # hop[x, u] = p_eps(u, x)
-    lower = np.tril(np.ones((geom.n_sites, geom.n_sites)))  # cdf by GEMM: np.cumsum is slower
-    # sites at global step g in row g; rows not yet started hold their start
-    site = np.min_scalar_type(geom.n_sites - 1)  # most of the padded layout is copies
-    pos = np.tile(starts.astype(site), (k_max + 1, 1))
-    pos[-1] = ends
-    for g in range(1, k_max):
-        m = live[g]
-        probs = hop.take(pos[g - 1, :m], axis=1) * ker[k_max - g].take(ends[:m], axis=1)
-        cdf = lower @ probs
-        pos[g, :m] = (cdf < rng.random(m) * cdf[-1]).sum(axis=0)
-    out = np.empty((len(steps), k_max + 1), dtype=site)
-    out[order] = pos.T
-    return out
+    lower = np.tril(np.ones((n, n)))  # cdf by GEMM: np.cumsum is slower
+    base = group[order] * (n_tau * n)
+    cells = np.empty(int(steps.sum()), dtype=np.intp)
+    done = 0
+    for g in range(k_max):
+        if g:
+            m = live[g]
+            probs = hop.take(sites[:m], axis=1) * ker[k_max - g].take(ends[:m], axis=1)
+            cdf = lower @ probs
+            sites[:m] = (cdf < rng.random(m) * cdf[-1]).sum(axis=0)
+        present = live[g + 1]  # every row of more than k_max - g - 1 steps
+        cell = cells[done:done + present]
+        np.add(base[:present], sites[:present], out=cell)
+        cell += (start + g) % n_tau * n
+        done += present
+    return np.bincount(cells, minlength=(int(group.max()) + 1) * n_tau * n).reshape(
+        -1, n_tau, n).astype(float)
 
 
 def _circle_bridges(L: float, starts: np.ndarray, ends: np.ndarray, T: float,
@@ -299,8 +291,9 @@ def _circle_bridges(L: float, starts: np.ndarray, ends: np.ndarray, T: float,
 
 
 # ---------------------------------------------------------------------------
-# loop ensemble (batched): paths become slice densities phi of shape
-# (..., n_tau, F), and a pair sum is (eps/2) sum_t phi_t . M . phi'_t
+# loop ensemble (batched): one bridge pass draws every path of an ensemble
+# straight into the slice densities phi of shape (..., n_tau, F) of its groups,
+# and a pair sum is (eps/2) sum_t phi_t . M . phi'_t
 
 
 def _stratified_uniforms(rng, shape) -> np.ndarray:
@@ -340,33 +333,19 @@ def _loop_densities(geom, grid, form, act, counts, rng) -> np.ndarray:
     drawn from the activity by the inverse CDF of `_stratified_uniforms`
     along the row, so in every batch of b groups the count of windings up to
     l is within one loop of b * (a_1 + ... + a_l) / A.  Then the base points,
-    and all loops in one bridge pass.  A loop is whole periods begun on phase 0, so a group's
-    loops laid end to end form one walk of the group's total winding whose
-    density is the sum of theirs; walks are bucketed by total winding and
-    each bucket is one `density` call.
+    and all loops in one `_bridge_densities` pass.  A loop is whole periods
+    begun on phase 0, so a group's density is the sum of its loops'.
     """
-    density, M = form
-    n_tau = grid.n_slices
     counts = np.atleast_2d(counts)
     rows, m = counts.shape
     slots = int(counts.max())
     u = _stratified_uniforms(rng, (rows, slots, m)).transpose(0, 2, 1)
     # loop i of group (r, g), groups row-major and loops in order within each
     W = 1 + _inverse_cdf(act, u[np.arange(slots) < counts[..., None]])
-    counts = counts.ravel()
     starts = _base_points(geom, W.size, rng)
-    steps = W * n_tau
-    pos = _bridges(geom, grid, starts, starts, steps, rng)
-    k_end = pos.shape[1] - 1
-    # each loop's own columns, final (pinned) position left out, in row order
-    walks = pos[:, :k_end][np.arange(k_end) >= k_end - steps[:, None]]
-    total = np.add.reduceat(W, np.cumsum(counts) - counts)
-    offset = (np.cumsum(total) - total) * n_tau
-    phi = np.empty((len(counts), n_tau, len(M)))
-    for w in np.unique(total):
-        rows = np.nonzero(total == w)[0]
-        phi[rows] = density(walks[offset[rows, None] + np.arange(w * n_tau)], 0, n_tau)
-    return phi
+    group = np.repeat(np.arange(rows * m), counts.ravel())
+    return _bridge_densities(geom, grid, form, starts, starts, W * grid.n_slices,
+                             group, 0, rng)
 
 
 def _pair_sum(phi: np.ndarray, M: np.ndarray, eps: float) -> np.ndarray:
@@ -488,17 +467,14 @@ def duhamel_loopgas(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
         return exact_estimate(B, samples, seed=seed, extra={"species_diagonal": True})
 
     rng = np.random.default_rng(seed)
-    # sample the open winding l0, then all pinned paths in one bridge pass
+    # sample the open winding l0, then all pinned paths in one bridge pass; at
+    # equal times b_0 = 0, so every path takes at least one step
     l0s = _inverse_cdf(bvec, _stratified_uniforms(rng, (samples,)))
-    n_tau = grid.n_slices
     form = _pair_form(geom, v)
     M = form[1]
-    phi0 = np.zeros((samples, n_tau, len(M)))
-    steps = j_hi - j_lo + l0s * n_tau
-    moving = np.nonzero(steps > 0)[0]
-    if len(moving):
-        phi0[moving] = _path_densities(geom, grid, form, np.full(len(moving), x_p),
-                                       np.full(len(moving), x), steps[moving], j_lo, rng)
+    phi0 = _bridge_densities(geom, grid, form, np.full(samples, x_p), np.full(samples, x),
+                             j_hi - j_lo + l0s * grid.n_slices, np.arange(samples),
+                             j_lo, rng)
     act = activity_table(geom, grid.nu, kappa_eff(params, v), l_max)
     A = float(act.sum())
     coef = _series_coefficients(params.n_species, A, n_max)

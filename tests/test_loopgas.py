@@ -7,13 +7,15 @@ from bosegas.hsfield import estimate_duhamel
 from bosegas.lattice import (CirclePotential, ModelParams, TimeGrid,
                              TorusGeometry, delta_potential,
                              wrapped_gaussian_potential)
-from bosegas.loopgas import (_lattice_bridges, _loop_densities, _open_weights,
+from bosegas.loopgas import (_bridge_densities, _circle_bridges, _lattice_bridges,
+                             _loop_densities, _open_weights,
                              _pair_form, _pair_sum, _winding_tail,
                              activity_table,
                              duhamel_loopgas, free_loop_sum, kappa_eff,
                              xi_rel_series)
 from bosegas.propagators import circle_heat_kernel, free_green, heat_propagator
 from bosegas.stats import batch_layout
+from bridge_reference import bridges, loop_densities, path_densities, reference_form
 from pair_reference import loop_interaction_Vnu
 
 G1 = TorusGeometry(dimension=1, sites_per_side=1)
@@ -51,9 +53,10 @@ def test_kappa_eff_counterterm():
 
 
 def test_bridge_midpoint_marginal():
-    # one end-aligned pass over mixed lengths, loops and x != y paths: every
-    # group keeps its pinned ends, and its midpoint follows the conditional
-    # law P(mid = u) ~ p_{T/2}(x, u) p_{T/2}(u, y)
+    # one end-aligned pass over mixed lengths, loops and x != y paths, counted
+    # per group: on 64 phases of GRID's step global step g is phase g, so a
+    # path of K steps sits on phases 48 - K .. 47, begins on its start, and
+    # its midpoint follows the conditional law P(mid = u) ~ p_{T/2}(x, u) p_{T/2}(u, y)
     rng = np.random.default_rng(4)
     groups = [(16, 0, 0), (16, 0, 1), (32, 1, 1), (32, 1, 0), (48, 0, 0), (48, 0, 1)]
     S = 20000
@@ -61,47 +64,75 @@ def test_bridge_midpoint_marginal():
     steps = np.array([groups[i][0] for i in label])
     starts = np.array([groups[i][1] for i in label])
     ends = np.array([groups[i][2] for i in label])
-    pos = _lattice_bridges(G2, starts, ends, steps, GRID.eps, rng)
+    grid = TimeGrid(nu=2.0, n_slices=64)
+    counts = _lattice_bridges(G2, grid, starts, ends, steps, label, 0, rng)
     k_max = 48
-    assert pos.shape == (len(label), k_max + 1)
+    assert grid.eps == GRID.eps and counts.shape == (len(groups), 64, 2)
     for i, (n_steps, x, y) in enumerate(groups):
-        rows = pos[label == i]
-        assert np.all(rows[:, k_max - n_steps] == x) and np.all(rows[:, -1] == y)
+        assert counts[i, k_max - n_steps, x] == S
+        assert np.all(counts[i].sum(axis=1) == S * (np.arange(64) >= k_max - n_steps)
+                      * (np.arange(64) < k_max))
         half = heat_propagator(G2, n_steps * GRID.eps / 2)
         probs = half[x, :] * half[:, y]
         probs /= probs.sum()
-        frac = np.mean(rows[:, k_max - n_steps // 2] == 0)
+        frac = counts[i, k_max - n_steps // 2, 0] / S
         se = np.sqrt(probs[0] * (1 - probs[0]) / S)
         assert abs(frac - probs[0]) < 5 * se
 
 
 def test_circle_bridge_midpoint_marginal():
-    # one pass over three step counts on the circle: each path starts at x,
-    # ends on y mod L, and its wrapped midpoint follows
-    # p_{T/2}(x, u) p_{T/2}(u, y) over 8 bins (the winding-sector pick matters
-    # when T is large against L or x, y sit near opposite sides)
+    # three step counts on the circle, drawn in increasing order as one
+    # bridge pass draws them: each path starts at x, ends on y mod L, and its
+    # wrapped midpoint follows p_{T/2}(x, u) p_{T/2}(u, y) over 8 bins (the
+    # winding-sector pick matters when T is large against L or x, y sit near
+    # opposite sides)
     L, S, n_bins = 4.0, 40000, 8
-    geom = TorusGeometry(dimension=1, mode="circle", circumference=L)
     grid = TimeGrid(nu=0.4, n_slices=16)
     groups = [(0.3, 2.9, 0.55), (0.3, 0.3, 0.4), (1.0, 3.5, 2.0)]
-    steps = np.repeat([grid.slice_index(T) for _, _, T in groups], S)
-    starts = np.repeat([x for x, _, _ in groups], S)
-    ends = np.repeat([y for _, y, _ in groups], S)
-    pos = loopgas._bridges(geom, grid, starts, ends, steps,
-                           np.random.default_rng(5))
-    k_max = steps.max()
+    rng = np.random.default_rng(5)
+    pos = {K: _circle_bridges(L, np.full(S, float(x)), np.full(S, float(y)), K * grid.eps,
+                              K, rng)
+           for K, x, y in sorted((grid.slice_index(T), x, y) for x, y, T in groups)}
     u = (np.arange(40 * n_bins) + 0.5) * L / (40 * n_bins)
-    for i, (x, y, T) in enumerate(groups):
-        rows = pos[i * S:(i + 1) * S]
+    for x, y, T in groups:
         K = grid.slice_index(T)
-        assert np.all(rows[:, k_max - K] == x)
+        rows = pos[K]
+        assert np.all(rows[:, 0] == x)
         assert np.max(np.abs(np.mod(rows[:, -1] - y + L / 2, L) - L / 2)) < 1e-12
         dens = circle_heat_kernel(L, T / 2, x, u) * circle_heat_kernel(L, T / 2, u, y)
         probs = dens.reshape(n_bins, -1).sum(axis=1) / dens.sum()
-        counts = np.bincount((np.mod(rows[:, k_max - K // 2], L) // (L / n_bins))
+        counts = np.bincount((np.mod(rows[:, K // 2], L) // (L / n_bins))
                              .astype(int), minlength=n_bins)
         z = (counts - S * probs) / np.sqrt(S * probs * (1 - probs))
         assert np.max(np.abs(z)) < 5, z
+
+
+@pytest.mark.parametrize("geom, v, ends", [
+    (G2, delta_potential(G2), (0, 1)),
+    (G22, wrapped_gaussian_potential(G22, width=0.7), (0, 3)),
+    (TorusGeometry(dimension=1, mode="circle", circumference=4.0),
+     CirclePotential(4.0, strength=1.0, width=0.5), (0.3, 2.9)),
+], ids=["2 sites", "2x2 torus", "circle"])
+def test_bridge_densities_match_the_padded_layout(geom, v, ends):
+    # the one-pass densities equal, bit for bit, those cut out of the padded
+    # end-aligned layout from the same draws: groups of 1-4 loops of windings
+    # 1-6, and open paths of 16 or 40 steps plus 0-2 periods from slices 0 and 5
+    form, ref = _pair_form(geom, v), reference_form(geom, v)
+    act = np.ones(6)
+    counts = np.random.default_rng(0).integers(1, 5, (3, 40))
+    for seed in (1, 2):
+        got = _loop_densities(geom, GRID, form, act, counts, np.random.default_rng(seed))
+        want = loop_densities(geom, GRID, ref, act, counts, np.random.default_rng(seed))
+        assert got.shape == want.shape and np.all(got == want)
+    x, y = ends
+    starts, stops = np.full(60, x), np.full(60, y)
+    for seed, (start, K) in enumerate(((0, 16), (0, 40), (5, 16), (5, 40))):
+        steps = K + GRID.n_slices * np.random.default_rng(seed).integers(0, 3, 60)
+        got = _bridge_densities(geom, GRID, form, starts, stops, steps, np.arange(60), start,
+                                np.random.default_rng(seed))
+        want = path_densities(geom, GRID, ref, starts, stops, steps, start,
+                              np.random.default_rng(seed))
+        assert got.shape == want.shape and np.all(got == want)
 
 
 def test_circle_mode_sums_match_direct_features():
@@ -147,20 +178,21 @@ def test_loop_interaction_phase_alignment():
 ])
 def test_slice_densities_reproduce_pair_interaction(geom, v, grid, ends, duration):
     # phi_i . M . phi_j summed over phases equals the direct pair sum V_nu,
-    # self-pairs included; on the circle the tolerance pins the Fourier
-    # cutoff at double precision (dropping modes below 1e-13 v_0 misses it)
+    # self-pairs included, for the densities of the bridge pass and the
+    # positions of the padded reference, which makes the same draws; on the
+    # circle the tolerance pins the Fourier cutoff at double precision
+    # (dropping modes below 1e-13 v_0 misses it)
     n_tau = grid.n_slices
     x, y = ends
-
-    def bridge(a, b, T, seed):
-        steps = np.array([grid.slice_index(T)])
-        return loopgas._bridges(geom, grid, np.array([a]), np.array([b]), steps,
-                                np.random.default_rng(seed))[0]
-
-    paths = [(bridge(x, x, grid.nu, 1), 0), (bridge(y, y, 2 * grid.nu, 2), 0),
-             (bridge(x, y, duration, 3), 5)]
-    density, M = _pair_form(geom, v)
-    phi = [density(pos[None, :-1], start, n_tau)[0] for pos, start in paths]
+    form = _pair_form(geom, v)
+    M = form[1]
+    paths, phi = [], []
+    for a, b, T, start, seed in ((x, x, grid.nu, 0, 1), (y, y, 2 * grid.nu, 0, 2),
+                                 (x, y, duration, 5, 3)):
+        one = (np.array([a]), np.array([b]), np.array([grid.slice_index(T)]))
+        paths.append((bridges(geom, grid, *one, np.random.default_rng(seed))[0], start))
+        phi.append(_bridge_densities(geom, grid, form, *one, np.zeros(1, dtype=int), start,
+                                     np.random.default_rng(seed))[0])
     for i, pi in enumerate(paths):
         for j, pj in enumerate(paths):
             want = loop_interaction_Vnu(pi, pj, n_tau, v, geom, grid.eps)
@@ -267,8 +299,8 @@ def test_off_grid_times_raise_in_both_routes(tau, tau_p):
      CirclePotential(4.0, strength=1.0, width=0.5), TimeGrid(nu=0.4, n_slices=16)),
 ], ids=["lattice", "circle"])
 def test_group_density_is_the_sum_of_its_loops(geom, v, grid):
-    # one group of n loops is the same draws as n groups of one loop; its walk
-    # laid end to end has the summed density (windings 1..4 equally likely)
+    # one group of n loops is the same draws as n groups of one loop, and its
+    # density is the sum of theirs (windings 1..4 equally likely)
     form = _pair_form(geom, v)
     act = np.ones(4)
     for n in (1, 3, 7):
@@ -281,13 +313,13 @@ def test_group_density_is_the_sum_of_its_loops(geom, v, grid):
 
 def test_one_bridge_pass_per_loop_ensemble(monkeypatch):
     calls = []
-    bridges = loopgas._bridges
+    bridge_densities = loopgas._bridge_densities
 
     def counted(*args):
-        calls.append(len(args[2]))
-        return bridges(*args)
+        calls.append(len(args[3]))
+        return bridge_densities(*args)
 
-    monkeypatch.setattr(loopgas, "_bridges", counted)
+    monkeypatch.setattr(loopgas, "_bridge_densities", counted)
     v = delta_potential(G2)
     xi_rel_series(BENCH, G2, GRID, v, 4, 4, 50, seed=1)
     assert calls == [50 * (1 + 2 + 3 + 4)]
@@ -322,13 +354,13 @@ def test_xi_rel_series_reports_its_winding_tail():
 def _capture_windings(monkeypatch):
     """Record each bridge pass's whole periods, steps // n_tau, in row order."""
     passes = []
-    bridges = loopgas._bridges
+    bridge_densities = loopgas._bridge_densities
 
-    def capture(geom, grid, starts, ends, steps, rng):
+    def capture(geom, grid, form, starts, ends, steps, group, start, rng):
         passes.append(np.asarray(steps) // grid.n_slices)
-        return bridges(geom, grid, starts, ends, steps, rng)
+        return bridge_densities(geom, grid, form, starts, ends, steps, group, start, rng)
 
-    monkeypatch.setattr(loopgas, "_bridges", capture)
+    monkeypatch.setattr(loopgas, "_bridge_densities", capture)
     return passes
 
 
