@@ -184,7 +184,7 @@ def _run_validate(cfg: ExperimentConfig) -> int:
 
     oracle = fock.xi_exact(p, g2, v2, n_max=14)
     hs = hsfield.estimate_xi_rel(p, g2, grid, v2, 20000, seed=1)
-    sig = max(hs.combined_sigma(), 1e-12)
+    sig = max(hs.stderr, 1e-12)
     check("auxiliary field matches exact trace",
           abs(hs.value.real - oracle.xi_rel) < 3 * sig,
           f"{hs.value.real:.5f} vs {oracle.xi_rel:.5f}")

@@ -15,11 +15,13 @@ shifted density.
 H conserves each species' particle number.  The basis is ordered by sector:
 total number N = 0..n_max first, then n_0 (the species-0 number).  H is then
 block-diagonal in contiguous sectors, and the trace at cutoff n_max - 1 is the
-sum over the sectors with N < n_max.  Every operator is a sparse CSR array
-built from one move primitive, `OccupationBasis.hop`; a dense array exists
-only for one sector block at a time, when its spectrum is taken.  The one-body
-functions use the block-diagonal Boltzmann operators e^{-p (H - E_0)}, so an
-annihilator only ever couples the block pair (N, n_0) -> (N - 1, n_0 - 1).
+sum over the sectors with N < n_max.  `xi_rel` divides by the untruncated
+free trace, so the top sector's share of Xi is its whole truncation error.
+Every operator is a sparse CSR array built from one move primitive,
+`OccupationBasis.hop`; a dense array exists only for one sector block at a
+time, when its spectrum is taken.  The one-body functions use the
+block-diagonal Boltzmann operators e^{-p (H - E_0)}, so an annihilator only
+ever couples the block pair (N, n_0) -> (N - 1, n_0 - 1).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import numpy as np
 from scipy import sparse
 
 from .lattice import CapacityError, ModelParams, TorusGeometry, TwoBodyPotential
+from .propagators import _spectral_data, free_log_trace
 
 __all__ = [
     "OccupationBasis",
@@ -120,22 +123,16 @@ class TruncatedOperator:
         return float(abs(self.matrix - self.matrix.T.conj()).max())
 
 
-def _interaction(basis, params, v) -> sparse.csr_array:
-    """Quartic term, diagonal in the occupation basis."""
-    shift = basis.n_species * params.rho / params.nu
-    dens = basis.site_occupations() - shift
-    w = 0.5 * params.lam * np.einsum("bx,xy,by->b", dens, v.matrix(), dens)
-    idx = np.arange(len(basis))
-    return sparse.csr_array((w, (idx, idx)), shape=(len(basis), len(basis)))
-
-
 def build_hamiltonian(params: ModelParams, geom: TorusGeometry,
                       v: TwoBodyPotential, n_max: int) -> TruncatedOperator:
     """Sparse symmetric Hamiltonian diag(W) + nu sum_a sum_xy h1[x, y] b_x^dag b_y."""
     basis = OccupationBasis(geom, params.n_species, n_max)
     n_sites = geom.n_sites
     h1 = -0.5 * geom.laplacian_matrix() + params.kappa0 * np.eye(n_sites)
-    H = _interaction(basis, params, v)
+    dens = basis.site_occupations() - basis.n_species * params.rho / params.nu
+    w = 0.5 * params.lam * np.einsum("bx,xy,by->b", dens, v.matrix(), dens)
+    idx = np.arange(len(basis))
+    H = sparse.csr_array((w, (idx, idx)), shape=(len(basis), len(basis)))
     for a in range(basis.n_species):
         for x, y in zip(*np.nonzero(h1)):
             H = H + params.nu * h1[x, y] * basis.hop(a * n_sites + x, a * n_sites + y)
@@ -157,26 +154,29 @@ class XiResult:
 
 def xi_exact(params: ModelParams, geom: TorusGeometry, v: TwoBodyPotential,
              n_max: int) -> XiResult:
-    """Grand partition function, its free counterpart, and their ratio.
+    """Grand partition function Xi, its truncated free counterpart, and Xi / Xi_free.
 
-    The truncation drift compares the cutoffs n_max and n_max - 1, which is
-    the share of the top sector N = n_max in Xi, and flags the result when it
-    exceeds DRIFT_TOL.
+    xi_rel divides by the untruncated free trace exp(N `free_log_trace`);
+    xi_free sums e^{-nu sum_k n_k (kappa0 - l_k / 2)} over the basis read as
+    eigenmode occupations, and is xi itself at lam = 0.  The truncation drift,
+    the top sector N = n_max's share of Xi, flags the result above DRIFT_TOL.
     """
     op = build_hamiltonian(params, geom, v, n_max)
-    hams = [op.matrix]
-    if params.lam != 0.0:  # the free H drops the diagonal quartic term
-        hams.append(op.matrix - _interaction(op.basis, params, v))
-    # Tr e^{-h} restricted to each sector block, one row per Hamiltonian
-    traces = np.array([[np.exp(-np.linalg.eigvalsh(h[s, s].toarray())).sum()
-                        for s in op.basis.sectors] for h in hams])
-    xi, xi_free = float(traces[0].sum()), float(traces[-1].sum())
-    top = [op.basis.states[s.start].sum() == n_max for s in op.basis.sectors]
-    drift = float(traces[0, top].sum() / xi) if n_max >= 1 else 0.0
+    states = op.basis.states
+    # Tr e^{-H} restricted to each sector block
+    traces = np.array([np.exp(-np.linalg.eigvalsh(op.matrix[s, s].toarray())).sum()
+                       for s in op.basis.sectors])
+    xi = xi_free = float(traces.sum())
+    if params.lam != 0.0:
+        levels = params.nu * (params.kappa0 - 0.5 * _spectral_data(geom)[0])
+        xi_free = float(np.exp(-states @ np.tile(levels, op.basis.n_species)).sum())
+    top = [states[s.start].sum() == n_max for s in op.basis.sectors]
+    drift = float(traces[top].sum() / xi) if n_max >= 1 else 0.0
+    log_free = params.n_species * free_log_trace(geom, params.nu, params.kappa0)
     return XiResult(
         xi=xi,
         xi_free=xi_free,
-        xi_rel=xi / xi_free,
+        xi_rel=xi * math.exp(-log_free),
         truncation_drift=drift,
         drift_warning=drift > DRIFT_TOL,
     )

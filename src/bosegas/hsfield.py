@@ -79,8 +79,8 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import ModelParams, TimeGrid, TorusGeometry
-from .propagators import (_spectral_data, hartree_shift, heat_propagator,
-                          ideal_occupation, monodromy_batch)
+from .propagators import (_spectral_data, free_log_trace, hartree_shift,
+                          heat_propagator, ideal_occupation, monodromy_batch)
 from .stats import (ComplexEstimate, batch_means, exact_estimate, mean_estimate,
                     ratio_estimate, weight_ess)
 
@@ -134,9 +134,7 @@ def _log_det_ratio(geom: TorusGeometry, nu: float, kappa0: float,
     """
     eye = np.eye(geom.n_sites)
     sign, logabs = np.linalg.slogdet(eye - np.exp(-nu * (kappa0 - shift)) * gamma_stack)
-    occ_free = np.exp(-nu * kappa0 + 0.5 * nu * _spectral_data(geom)[0])
-    log_free = np.sum(np.log1p(-occ_free))
-    return np.log(sign) + logabs - log_free
+    return np.log(sign) + logabs + free_log_trace(geom, nu, kappa0)
 
 
 def contour_shift(params: ModelParams, geom: TorusGeometry, v) -> float:

@@ -8,14 +8,13 @@ monotonicity verdict.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import gammainc, gammaln
 
 from .hsfield import estimate_duhamel, wick_rho
-from .lattice import ModelParams, TimeGrid, TorusGeometry
+from .lattice import ModelParams, TimeGrid, TorusGeometry, UnsupportedModeError
 from .loopgas import xi_rel_series
 from .meanfield import field_quadrature_1site
 from .propagators import free_green, hartree_shift, ideal_occupation
@@ -79,37 +78,30 @@ class LimitSweep:
 
 def classical_xi(z: float, lambda0: float, n_species: float,
                  geom: TorusGeometry, v, n_max: int) -> dict:
-    """Truncated classical grand partition function with self-terms included.
+    """Truncated classical grand partition function on the circle, self-terms included.
 
     Xi_cl = sum_{n <= n_max} ((z N)^n / n!) * integral over n positions of
-    exp(-(lambda0/2) sum_{i,j} v(u_i - u_j)).  Lattice positions are summed
-    exactly; circle positions use translation invariance (first point fixed,
-    one factor of the circumference) and composite Gauss-Legendre panels,
-    doubled until the change is below QUAD_TOL or MAX_PANELS is reached.
-    tail_rel is the Poisson tail of the free gas beyond n_max particles.
+    exp(-(lambda0/2) sum_{i,j} v(u_i - u_j)).  The integral uses translation
+    invariance (first point fixed, one factor of the circumference) and
+    composite Gauss-Legendre panels, doubled until the change is below
+    QUAD_TOL or MAX_PANELS is reached.  tail_rel is the Poisson tail of the
+    free gas beyond n_max particles.
     """
     if n_max > 8:
         raise ValueError("n_max above 8 is not supported")
+    if geom.mode == "lattice":
+        raise UnsupportedModeError("the classical point gas lives on the circle")
     zn = z * n_species
     per_n = [1.0]
     converged = True
-    if geom.mode == "lattice":
-        vmat = v.matrix()
     for n in range(1, n_max + 1):
-        if geom.mode == "lattice":
-            integral = 0.0
-            for pos in itertools.product(range(geom.n_sites), repeat=n):
-                integral += np.exp(-0.5 * lambda0 * vmat[np.ix_(pos, pos)].sum())
-        else:
-            integral, ok = _classical_integral_circle(geom.circumference, v,
-                                                      lambda0, n)
-            converged = converged and ok
+        integral, ok = _classical_integral_circle(geom.circumference, v, lambda0, n)
+        converged = converged and ok
         per_n.append(float(np.exp(n * np.log(zn) - gammaln(n + 1)) * integral))
-    vol = geom.n_sites if geom.mode == "lattice" else geom.circumference
     return {
         "value": float(sum(per_n)),
         "per_n": per_n,
-        "tail_rel": float(gammainc(n_max + 1, zn * vol)),
+        "tail_rel": float(gammainc(n_max + 1, zn * geom.circumference)),
         "quadrature_converged": converged,
     }
 

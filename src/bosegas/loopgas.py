@@ -20,7 +20,8 @@ import numpy as np
 from scipy.special import gammainc, gammaln
 
 from .lattice import ModelParams, TimeGrid, TorusGeometry
-from .propagators import circle_heat_kernel, heat_propagator, _spectral_data
+from .propagators import (circle_heat_kernel, free_log_trace, heat_propagator,
+                          _spectral_data)
 from .stats import (ComplexEstimate, batch_layout, exact_estimate, mean_estimate,
                     ratio_estimate)
 
@@ -191,24 +192,8 @@ def activity_table(geom: TorusGeometry, nu: float, kappa: float, l_max: int) -> 
 
 
 def _winding_tail(geom: TorusGeometry, nu: float, kappa: float, l_max: int) -> float:
-    """Single-loop activity beyond winding l_max, sum_{l > l_max} a_l.
-
-    Over all windings the activity sums to -sum_k log(1 - e^{-nu (kappa - l_k / 2)}),
-    l_k the Laplacian eigenvalues: the lattice spectrum, or -(2 pi k / L)^2 on
-    the circle for every k whose term is above rounding.  Infinite when a mode
-    has kappa - l_k / 2 <= 0.
-    """
-    if geom.mode == "lattice":
-        evals, _ = _spectral_data(geom)
-    else:
-        k_max = int(geom.circumference / (2.0 * np.pi)
-                    * np.sqrt(2.0 * (50.0 / nu + max(-kappa, 0.0)))) + 1
-        evals = -(2.0 * np.pi * np.arange(-k_max, k_max + 1) / geom.circumference) ** 2
-    rates = kappa - 0.5 * evals
-    if np.any(rates <= 0):
-        return float("inf")
-    total = -float(np.sum(np.log1p(-np.exp(-nu * rates))))
-    return total - float(activity_table(geom, nu, kappa, l_max).sum())
+    """Single-loop activity beyond winding l_max, the free log trace less sum_{l <= l_max} a_l."""
+    return free_log_trace(geom, nu, kappa) - float(activity_table(geom, nu, kappa, l_max).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ __all__ = [
     "circle_heat_kernel",
     "monodromy_batch",
     "free_green",
+    "free_log_trace",
     "ideal_occupation",
     "hartree_shift",
 ]
@@ -160,6 +161,23 @@ def free_green(geom: TorusGeometry, nu: float, kappa0: float) -> np.ndarray:
     evals, evecs = _spectral_data(geom)
     occ = np.exp(-nu * kappa0 + 0.5 * nu * evals)
     return (evecs * (occ / (1.0 - occ))) @ evecs.T
+
+
+def free_log_trace(geom: TorusGeometry, nu: float, kappa: float) -> float:
+    """log Xi_free = -sum_k log(1 - e^{-nu (kappa - l_k / 2)}) of one species, untruncated.
+
+    l_k: the lattice Laplacian spectrum, or -(2 pi k / L)^2 on the circle for
+    every k above rounding.  Infinite when a mode has kappa - l_k / 2 <= 0.
+    """
+    if geom.mode == "lattice":
+        evals, _ = _spectral_data(geom)
+    else:
+        k_max = int(geom.circumference / (2.0 * np.pi)
+                    * np.sqrt(2.0 * (50.0 / nu + max(-kappa, 0.0)))) + 1
+        evals = -(2.0 * np.pi * np.arange(-k_max, k_max + 1) / geom.circumference) ** 2
+    if np.any(kappa - 0.5 * evals <= 0):
+        return float("inf")
+    return -float(np.sum(np.log1p(-np.exp(-nu * kappa + 0.5 * nu * evals))))
 
 
 def ideal_occupation(geom: TorusGeometry, nu: float, kappa: float) -> float:

@@ -41,9 +41,6 @@ class ComplexEstimate:
     def stderr(self) -> float:
         return float(np.hypot(self.stderr_re, self.stderr_im))
 
-    def combined_sigma(self, other_stderr: float = 0.0) -> float:
-        return float(np.hypot(self.stderr, other_stderr))
-
 
 def batch_layout(n: int) -> tuple[int, int]:
     """(n_batches, batch_size) of the batch-means partition of n samples.

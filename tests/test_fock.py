@@ -5,7 +5,7 @@ from bosegas.fock import (MAX_BASIS, OccupationBasis, build_hamiltonian,
                           duhamel_exact, gamma1_exact, xi_exact)
 from bosegas.lattice import (CapacityError, ModelParams, TorusGeometry,
                              delta_potential)
-from bosegas.propagators import free_green
+from bosegas.propagators import free_green, free_log_trace
 
 G1 = TorusGeometry(dimension=1, sites_per_side=1)
 G2 = TorusGeometry(dimension=1, sites_per_side=2)
@@ -53,6 +53,7 @@ def test_xi_ideal_two_sites():
     want = 1.0 / ((1 - np.exp(-1)) * (1 - np.exp(-3)))
     res = xi_exact(IDEAL, G2, delta_potential(G2), n_max=30)
     assert res.xi == pytest.approx(want, abs=1e-12)
+    assert np.exp(free_log_trace(G2, 1.0, 1.0)) == pytest.approx(want, rel=1e-12)
 
 
 def test_xi_two_species_factorizes_when_free():
@@ -122,6 +123,18 @@ def test_interacting_benchmark_regression():
     assert gam[0, 0] == pytest.approx(0.182975, abs=5e-6)
     assert duhamel_exact(p, G2, v, 20, 0.25, 0, 0.0, 1) == pytest.approx(
         0.247280, abs=5e-6)
+
+
+def test_xi_rel_divides_by_the_untruncated_free_trace():
+    # strong repulsion at kappa0 0.5: Xi converges fast in n_max, the free
+    # trace slowly, so a truncated free trace drifts while the reported drift
+    # stays tiny; the untruncated one leaves Xi's truncation as the only error
+    v = delta_potential(G2)
+    p = ModelParams(nu=1.0, kappa0=0.5, lambda0=2.0)
+    low, high = xi_exact(p, G2, v, n_max=14), xi_exact(p, G2, v, n_max=18)
+    assert abs(low.xi_rel - high.xi_rel) <= low.truncation_drift * low.xi_rel + 1e-12
+    free = xi_exact(ModelParams(nu=1.0, kappa0=0.5, lambda0=0.0), G2, v, n_max=14)
+    assert low.xi_free == pytest.approx(free.xi, rel=1e-12)
 
 
 def test_capacity_cap_value():

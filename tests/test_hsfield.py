@@ -295,6 +295,19 @@ def test_shifted_estimators_match_oracle(geom, rho, n_max):
     assert abs(duh.value.real - want) < 4 * duh.stderr_re
 
 
+@pytest.mark.parametrize("geom, n_species", [
+    (G2, 2.0), (TorusGeometry(dimension=2, sites_per_side=2), 1.0),
+], ids=["2 sites, N 2", "2x2 torus, N 1"])
+def test_estimate_xi_rel_matches_oracle_at_low_kappa0(geom, n_species):
+    # at kappa0 0.5 the free trace converges slowly in n_max, so the oracle
+    # holds only if it divides by the untruncated one
+    p = ModelParams(nu=1.0, kappa0=0.5, lambda0=2.0, n_species=n_species)
+    v = delta_potential(geom)
+    est = estimate_xi_rel(p, geom, GRID, v, 4000, seed=1)
+    want = xi_exact(p, geom, v, n_max=8).xi_rel
+    assert abs(est.value.real - want) < 4 * est.stderr
+
+
 # ---------------------------------------------------------------------------
 # the Gaussian control variate of estimate_xi_rel
 

@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from bosegas.hsfield import wick_rho
 from bosegas.lattice import (CirclePotential, ModelParams, TorusGeometry,
-                             delta_potential)
+                             UnsupportedModeError, delta_potential)
 from bosegas.limits import (LimitSweep, activity_to_kappa, classical_xi,
                             largeN_check, saddle_point)
 from bosegas.propagators import ideal_occupation
 
 G1 = TorusGeometry(dimension=1, sites_per_side=1)
 G2 = TorusGeometry(dimension=1, sites_per_side=2)
+CIRCLE4 = TorusGeometry(dimension=1, mode="circle", circumference=4.0)
 
 
 def test_sweep_verdict_logic():
@@ -21,23 +23,6 @@ def test_sweep_verdict_logic():
     assert not flat.monotone_decreasing
     bad_final = LimitSweep("nu", [0.4, 0.2], [0.5, 0.3], [0.01, 0.01], 0.1)
     assert not bad_final.final_ok
-
-
-def test_classical_xi_free_single_site():
-    # lattice, lambda0 = 0: Xi = sum z^n / n! = e^z truncated
-    out = classical_xi(0.7, 0.0, 1.0, G1, delta_potential(G1), n_max=8)
-    assert out["value"] == pytest.approx(np.exp(0.7), rel=1e-5)
-    assert out["tail_rel"] < 1e-4
-
-
-def test_classical_xi_interacting_single_site():
-    # one site: integral is exp(-lambda0 n^2 v(0) / 2), summable directly
-    lam, z = 0.5, 0.6
-    v = delta_potential(G1)
-    want = sum(z**n / math.factorial(n) * np.exp(-0.5 * lam * n * n)
-               for n in range(6))
-    out = classical_xi(z, lam, 1.0, G1, v, n_max=5)
-    assert out["value"] == pytest.approx(want, rel=1e-12)
 
 
 def test_classical_xi_circle_free():
@@ -53,10 +38,26 @@ def test_classical_xi_circle_free():
 
 def test_classical_xi_species_scaling():
     # n_species enters only through z N
-    v = delta_potential(G2)
-    a = classical_xi(0.4, 0.3, 2.0, G2, v, n_max=4)
-    b = classical_xi(0.8, 0.3, 1.0, G2, v, n_max=4)
+    v = CirclePotential(4.0, strength=1.0, width=0.5)
+    a = classical_xi(0.4, 0.3, 2.0, CIRCLE4, v, n_max=4)
+    b = classical_xi(0.8, 0.3, 1.0, CIRCLE4, v, n_max=4)
     assert a["value"] == pytest.approx(b["value"], rel=1e-12)
+
+
+@pytest.mark.parametrize("lambda0", [0.5, 2.0])
+def test_classical_xi_circle_pair_integral(lambda0):
+    # two particles: the integral is L e^{-lambda0 v(0)} int_0^L e^{-lambda0 v(u)} du
+    L, z = 4.0, 0.3
+    v = CirclePotential(L, strength=1.0, width=0.5)
+    pair, _ = quad(lambda u: np.exp(-lambda0 * v(u)), 0.0, L, epsabs=0.0, epsrel=1e-13)
+    want = L * np.exp(-lambda0 * v(0.0)) * pair
+    out = classical_xi(z, lambda0, 1.0, CIRCLE4, v, n_max=2)
+    assert out["per_n"][2] == pytest.approx(0.5 * z**2 * want, rel=1e-8)
+
+
+def test_classical_xi_refuses_a_lattice():
+    with pytest.raises(UnsupportedModeError):
+        classical_xi(0.5, 0.0, 1.0, G2, delta_potential(G2), n_max=4)
 
 
 def test_classical_xi_order_cap():

@@ -67,7 +67,6 @@ def test_empty_input_raises_no_samples():
 def test_complex_estimate_helpers():
     est = ComplexEstimate(value=1.0, stderr_re=3.0, stderr_im=4.0, n_samples=10)
     assert est.stderr == pytest.approx(5.0)
-    assert est.combined_sigma(12.0) == pytest.approx(13.0)
 
 
 def _plain_chain(seed, x):
