@@ -1,12 +1,13 @@
 """Drive the three limiting regimes and watch the discrepancies shrink.
 
 1. classical particles: loops at shrinking period nu, activity held at
-   e^{-kappa nu} nu^{-1/2} = z, against the classical point gas on a circle;
+   e^{-kappa nu} nu^{-1/2} = z, against the classical point gas on a circle
+   (trapezoid rule, at most 5 particles);
 2. mean field: nu * gamma_1 with coupling lambda0 nu^2 / (N+1) against the
    deterministic radial field integral;
-3. large N: gamma_1 at growing species number against the saddle-point
-   renormalized free gas, judged on the 1/N extrapolation of the last three
-   points.
+3. large N: gamma_1 at growing species number against the free gas at the
+   auxiliary field's contour-shifted fugacity, judged on the 1/N
+   extrapolation of the last three points.
 
 Exits 1 when any sweep's verdict (monotone decrease and final tolerance)
 is False.
@@ -45,7 +46,7 @@ verdicts = [
     show("mean-field limit (single site, lambda0 = 0.5, kappa0 = 1)",
          meanfield_sweep(0.5, 1.0, [0.5, 0.25, 0.125, 0.0625],
                          samples=40_000, seed=0)),
-    show("large-N saddle point (two sites, lambda0 = 0.25, Wick density)",
+    show("large-N limit (two sites, lambda0 = 0.25, Wick density)",
          largeN_check(params, g2, TimeGrid(nu=1.0, n_slices=32),
                       delta_potential(g2), [4, 16, 64], samples=512, seed=0)),
 ]

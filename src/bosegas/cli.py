@@ -92,7 +92,7 @@ def _run_limit(cfg: ExperimentConfig, out_path):
         if geom.mode != "circle":
             raise ConfigError("limit kind = classical runs on the circle, where loops "
                               "have a classical limit, not a lattice geometry")
-        ran["n_max"] = min(trunc["n_max"], 5)
+        ran["n_max"] = min(trunc["n_max"], limits.MAX_PARTICLES)
         sweep = limits.classical_limit_sweep(
             float(cfg.raw["limit"]["z"]), params.lambda0,
             cfg.float_list("limit", "nu_list"), geom, v,
@@ -145,7 +145,7 @@ def _run_limit(cfg: ExperimentConfig, out_path):
 def _run_validate(cfg: ExperimentConfig) -> int:
     from .lattice import (ModelParams, TorusGeometry, delta_potential,
                           validate_potential)
-    from .propagators import free_green, monodromy_batch
+    from .propagators import free_green, ideal_occupation, monodromy_batch
 
     checks = []
 
@@ -207,11 +207,11 @@ def _run_validate(cfg: ExperimentConfig) -> int:
     check("first cluster equals single-loop activity", abs(b1.value - q) < 1e-12,
           f"{b1.value:.12f} vs {q:.12f}")
 
-    sd = limits.saddle_point(ModelParams(nu=1.0, kappa0=1.0, lambda0=1.0,
-                                         rho=hsfield.wick_rho(g2, 1.0, 1.0)),
-                             g2, v2)
-    check("saddle anchor at Wick density", abs(sd.shift) < 1e-10
-          and sd.residual < 1e-10)
+    ph = ModelParams(nu=1.0, kappa0=1.0, lambda0=1.0, rho=0.3)
+    c = hsfield.contour_shift(ph, g2, v2)
+    gap = abs(c + ph.lam * v2.total() * (ideal_occupation(g2, 1.0, 1.0 - c) - ph.rho))
+    check("contour shift solves the Hartree equation", gap < 1e-10,
+          f"c = {c:.6f}, residual {gap:.1e}")
 
     # the oracle's own annihilator: [b, b^dag] = 1 below the cutoff, and the
     # top state carries the truncation artifact -n_max

@@ -57,8 +57,6 @@ class OccupationBasis:
     """
 
     def __init__(self, geom: TorusGeometry, n_species: float, n_max: int):
-        if geom.n_sites > 4:
-            raise CapacityError("oracle restricted to at most 4 sites")
         if n_species not in (1, 2):
             raise CapacityError(f"oracle supports 1 or 2 species, not {n_species}")
         self.geom = geom
@@ -68,6 +66,9 @@ class OccupationBasis:
         dim = math.comb(n_max + self.n_modes, self.n_modes)
         if dim > MAX_BASIS:
             raise CapacityError(f"basis of {dim} states exceeds {MAX_BASIS}")
+        if (n_max + 1) ** (self.n_modes + 2) > np.iinfo(np.int64).max:
+            raise CapacityError(f"sort codes of {self.n_modes} modes at n_max {n_max} "
+                                "overflow int64")
         # stars and bars: the gaps before n_modes bars placed among n_max +
         # n_modes slots are the occupations; the slots after the last are unused
         bars = itertools.combinations(range(n_max + self.n_modes), self.n_modes)
@@ -86,7 +87,8 @@ class OccupationBasis:
         """Integer codes that sort by sector (N, n_0), then by occupations."""
         counts = states.reshape(len(states), self.n_species, -1).sum(axis=2)
         digits = np.column_stack([counts.sum(axis=1), counts[:, 0], states])
-        return np.ravel_multi_index(digits.T, (self.n_max + 1,) * (self.n_modes + 2))
+        powers = np.arange(self.n_modes + 1, -1, -1, dtype=np.int64)
+        return digits @ (self.n_max + 1) ** powers
 
     def _locate(self, states: np.ndarray) -> np.ndarray:
         """Basis indices of occupation vectors that lie in the basis."""

@@ -170,14 +170,12 @@ def test_criterion_meanfield_limit():
 
 
 def test_criterion_large_N():
-    """gamma_1 collapses onto the saddle-point free gas as N grows."""
+    """gamma_1 collapses onto the contour-shifted free gas as N grows."""
     p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.25,
                     rho=wick_rho(G2, 1.0, 1.0))
     sweep = largeN_check(p, G2, GRID32, V2, [4, 16, 64], samples=512, seed=0)
-    residuals = [pt["residual"] for pt in sweep.extra["points"]]
-    ok = (sweep.monotone_decreasing and sweep.final_ok
-          and max(residuals) < 1e-10)
-    _report("large-N saddle point", ok,
+    ok = sweep.monotone_decreasing and sweep.final_ok
+    _report("large-N limit", ok,
             "discrepancies " + ", ".join(f"{d:.5f}" for d in sweep.discrepancies)
             + f", 1/N-extrapolated {sweep.extra['extrapolated']:.5f}"
             + f", 3 sigma {sweep.final_tolerance:.5f}")

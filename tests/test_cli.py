@@ -70,6 +70,23 @@ def test_oracle_reads_the_wick_density(tmp_path, capsys):
     assert float(rec.parameters["model"]["rho"]) == rho
 
 
+def test_oracle_reads_a_gaussian_potential(tmp_path, capsys):
+    from bosegas.fock import xi_exact
+    from bosegas.lattice import ModelParams, wrapped_gaussian_potential
+
+    g2 = TorusGeometry(dimension=1, sites_per_side=2)
+    cfg = tmp_path / "gauss.ini"
+    cfg.write_text("[geometry]\nsites_per_side = 2\n[model]\nlambda0 = 0.5\n"
+                   "[potential]\nkind = gaussian\nwidth = 1.0\n")
+    assert main(["oracle", "--config", str(cfg), "--nmax", "12"]) == 0
+    want = xi_exact(ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5), g2,
+                    wrapped_gaussian_potential(g2, 1.0, 1.0), n_max=12).xi
+    assert json.loads(capsys.readouterr().out)["estimate"] == [want, 0.0]
+    cfg.write_text("[geometry]\nsites_per_side = 2\n[potential]\nkind = square\n")
+    assert main(["oracle", "--config", str(cfg)]) == 3
+    assert "'square'" in capsys.readouterr().err
+
+
 def test_wick_density_on_the_circle_exits_3(tmp_path):
     cfg = tmp_path / "circle.ini"
     cfg.write_text("[geometry]\nmode = circle\ncircumference = 4\n"
@@ -267,11 +284,19 @@ def _pair_sum_at_half_step(pair_sum):
     return planted
 
 
+def _twice_the_root(hartree_shift):
+    # the shifted-contour estimates stay exact for any c; only the equation fails
+    def planted(*args):
+        return 2.0 * hartree_shift(*args)
+    return planted
+
+
 @pytest.mark.parametrize("module, name, plant, line", [
     (hsfield, "_duhamel_kernels", _kernels_off_on_nonzero_fields,
      "auxiliary-field G(0.25; 0, 1) matches exact Duhamel"),
     (loopgas, "_pair_sum", _pair_sum_at_half_step, "loop gas matches exact trace"),
-], ids=["duhamel kernels", "loop pair sum"])
+    (hsfield, "hartree_shift", _twice_the_root, "contour shift solves the Hartree equation"),
+], ids=["duhamel kernels", "loop pair sum", "hartree root"])
 def test_validate_line_fails_on_its_planted_bug(capsys, monkeypatch, module, name,
                                                 plant, line):
     monkeypatch.setattr(module, name, plant(getattr(module, name)))

@@ -3,8 +3,10 @@ import pytest
 
 from bosegas.fock import (MAX_BASIS, OccupationBasis, build_hamiltonian,
                           duhamel_exact, gamma1_exact, xi_exact)
-from bosegas.lattice import (CapacityError, ModelParams, TorusGeometry,
+from bosegas.hsfield import estimate_xi_rel
+from bosegas.lattice import (CapacityError, ModelParams, TimeGrid, TorusGeometry,
                              delta_potential)
+from bosegas.loopgas import xi_rel_series
 from bosegas.propagators import free_green, free_log_trace
 
 G1 = TorusGeometry(dimension=1, sites_per_side=1)
@@ -16,8 +18,9 @@ def test_basis_counting():
     basis = OccupationBasis(G2, 1, 4)
     # occupation vectors (n0, n1) with n0 + n1 <= 4
     assert len(basis) == 15
-    with pytest.raises(CapacityError):
-        OccupationBasis(TorusGeometry(dimension=1, sites_per_side=5), 1, 2)
+    # 65 states, but their sort codes need 66 base-2 digits: past int64
+    with pytest.raises(CapacityError, match="overflow int64"):
+        OccupationBasis(TorusGeometry(dimension=3, sites_per_side=4), 1, 1)
     with pytest.raises(CapacityError):
         OccupationBasis(G2, 3, 2)
     with pytest.raises(CapacityError):
@@ -135,6 +138,21 @@ def test_xi_rel_divides_by_the_untruncated_free_trace():
     assert abs(low.xi_rel - high.xi_rel) <= low.truncation_drift * low.xi_rel + 1e-12
     free = xi_exact(ModelParams(nu=1.0, kappa0=0.5, lambda0=0.0), G2, v, n_max=14)
     assert low.xi_free == pytest.approx(free.xi, rel=1e-12)
+
+
+def test_oracle_referees_both_routes_on_the_3x3_torus():
+    # the first torus with 3 sites per side, where bonds are not doubled:
+    # 2002 states at n_max 5, truncation drift 1.8e-5
+    g33 = TorusGeometry(dimension=2, sites_per_side=3)
+    v = delta_potential(g33)
+    p = ModelParams(nu=1.0, kappa0=2.0, lambda0=0.5)
+    res = xi_exact(p, g33, v, n_max=5)
+    slack = res.truncation_drift * res.xi_rel
+    hs = estimate_xi_rel(p, g33, TimeGrid(nu=1.0, n_slices=8), v, 2000, seed=1)
+    assert abs(hs.value.real - res.xi_rel) < 4 * hs.stderr + slack
+    loops = xi_rel_series(p, g33, TimeGrid(nu=1.0, n_slices=16), v, 6, 6, 2000, seed=1)
+    assert (abs(loops.value.real - res.xi_rel)
+            < 4 * loops.stderr + slack + loops.extra["winding_tail"])
 
 
 def test_capacity_cap_value():

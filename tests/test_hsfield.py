@@ -251,13 +251,18 @@ def test_avg_sign_never_exceeds_one():
 
 
 def test_contour_shift_solves_the_hartree_equation():
+    # one species at fixed coupling, and 8 species in meanfield mode, where
+    # lam vhat(0) N / nu^2 = lambda0 vhat(0) N / (N + 1)
     v = delta_potential(G2)
-    for rho, sign in [(0.0, -1.0), (0.3, -1.0), (5.0, 1.0)]:
-        p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, rho=rho)
-        c = contour_shift(p, G2, v)
-        assert sign * c > 0.0 and c < p.kappa0
-        rhs = -p.lam * (ideal_occupation(G2, 1.0, p.kappa0 - c) - rho)
-        assert c == pytest.approx(rhs, abs=1e-12)
+    for lambda0, n_species, mode in [(0.5, 1.0, "fixed"), (0.7, 8.0, "meanfield")]:
+        for rho, sign in [(0.0, -1.0), (0.3, -1.0), (5.0, 1.0)]:
+            p = ModelParams(nu=1.0, kappa0=1.0, lambda0=lambda0, n_species=n_species,
+                            coupling_mode=mode, rho=rho)
+            c = contour_shift(p, G2, v)
+            assert sign * c > 0.0 and c < p.kappa0
+            coupling = p.lam * v.total() * n_species
+            rhs = -coupling * (ideal_occupation(G2, 1.0, p.kappa0 - c) - rho)
+            assert c == pytest.approx(rhs, abs=1e-12)
     # exactly zero without coupling and at the Wick density
     assert contour_shift(FREE, G2, v) == 0.0
     wick = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, rho=wick_rho(G2, 1.0, 1.0))

@@ -268,6 +268,26 @@ def test_duhamel_loopgas_free_truncates_at_lmax():
         assert est.stderr_re == 0.0
 
 
+@pytest.mark.parametrize("tau, x, tau_p, x_p", [
+    (0.25, 0.3, 0.0, 2.9), (0.1, 1.0, 0.1, 1.0), (0.35, 0.0, 0.05, 3.7),
+], ids=["forward", "equal-time", "wrapping"])
+def test_duhamel_loopgas_free_circle_is_the_mode_sum(tau, x, tau_p, x_p):
+    # Poisson dual of the wrapped heat kernel:
+    # (1/L) sum_k cos(q_k (x - x')) sum_{l0 <= l_max, T > 0} e^{-(kappa0 + q_k^2/2) T}
+    L, kappa0, l_max = 4.0, 1.3, 3
+    circle = TorusGeometry(dimension=1, mode="circle", circumference=L)
+    p = ModelParams(nu=0.4, kappa0=kappa0, lambda0=0.0)
+    T = np.array([tau - tau_p + l0 * p.nu for l0 in range(l_max + 1)])
+    T = T[T > 0]
+    q = 2.0 * np.pi * np.arange(-60, 61) / L
+    decay = np.exp(-np.outer(kappa0 + 0.5 * q**2, T)).sum(axis=1)
+    want = np.sum(np.cos(q * (x - x_p)) * decay) / L
+    est = duhamel_loopgas(p, circle, TimeGrid(nu=p.nu, n_slices=16),
+                          CirclePotential(L), tau, x, tau_p, x_p, 4, l_max, 10)
+    assert est.value.real == pytest.approx(want, abs=1e-13)
+    assert est.stderr_re == 0.0
+
+
 def test_duhamel_loopgas_matches_oracle():
     v = delta_potential(G2)
     want = duhamel_exact(BENCH, G2, v, 16, 0.25, 0, 0.0, 1)
