@@ -56,10 +56,11 @@ def _estimate(command, cfg, chain_seed):
     trunc = cfg.truncations()
     if command == "oracle":
         res = fock.xi_exact(params, geom, v, n_max=trunc["n_max"])
-        return exact_estimate(res.xi, 1, seed=chain_seed,
-                              extra={"xi_rel": res.xi_rel,
-                                     "truncation_drift": res.truncation_drift,
-                                     "drift_warning": res.drift_warning})
+        est = exact_estimate(res.xi, 1, seed=chain_seed,
+                             extra={"xi_rel": res.xi_rel,
+                                    "truncation_drift": res.truncation_drift})
+        est.unreliable = res.drift_warning
+        return est
     if command == "hs":
         return hsfield.estimate_xi_rel(params, geom, grid, v,
                                        n_samples=mc["samples"], seed=chain_seed)
@@ -176,11 +177,13 @@ def _run_validate(cfg: ExperimentConfig) -> int:
     dvals = hsfield._log_det_ratio(g2, 1.0, 1.0, gam)
     check("Re(-D) <= 0 on all samples", bool(np.all(-dvals.real <= 1e-12)))
 
-    s_min = 0.0
-    for _ in range(200):
-        eta = rng.standard_normal(2)
-        s_min = min(s_min, meanfield.action_S_eta_closed(eta, g2, 1.0).real)
-    check("Re S(eta) >= 0", s_min >= -1e-12)
+    g1 = TorusGeometry(dimension=1, sites_per_side=1)
+    pf = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, rho=0.3)  # rho: Im S counts
+    field = meanfield.z_via_eta(pf, g1, delta_potential(g1), 4000, seed=1)
+    want = meanfield.field_quadrature_1site(pf, delta_potential(g1))["z_rel"]
+    z = (field.value.real - want) / field.stderr
+    check("eta route matches one-site field quadrature", abs(z) < 4,
+          f"{field.value.real:.5f} vs {want:.5f}, z = {z:.2f}")
 
     oracle = fock.xi_exact(p, g2, v2, n_max=14)
     hs = hsfield.estimate_xi_rel(p, g2, grid, v2, 20000, seed=1)

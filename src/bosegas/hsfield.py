@@ -78,7 +78,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import ModelParams, TimeGrid, TorusGeometry
+from .lattice import ModelParams, TimeGrid, TorusGeometry, check_grid_period
 from .propagators import (_spectral_data, free_log_trace, hartree_shift,
                           heat_propagator, ideal_occupation, monodromy_batch)
 from .stats import (ComplexEstimate, batch_means, exact_estimate, mean_estimate,
@@ -130,7 +130,8 @@ def _log_det_ratio(geom: TorusGeometry, nu: float, kappa0: float,
     """log det(1 - e^{-nu (kappa0 - c)} Gamma_s) - log det(1 - e^{-nu kappa0} Gamma_0).
 
     Gamma_s is the monodromy of the real field s; e^{nu c} Gamma_s is that of
-    the shifted field s + i c.
+    the shifted field s + i c.  slogdet's principal branch gives the analytic
+    weight for an integer N or on at most 2 sites; ROADMAP item 12 lifts this.
     """
     eye = np.eye(geom.n_sites)
     sign, logabs = np.linalg.slogdet(eye - np.exp(-nu * (kappa0 - shift)) * gamma_stack)
@@ -393,6 +394,7 @@ def estimate_xi_rel(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
     estimate's count, mean and batch-means error, never the stream
     (`records.record_from_estimate`).
     """
+    check_grid_period(grid, params)
     shift = contour_shift(params, geom, v)
     if params.lam == 0.0:
         weights = np.ones(n_samples)
@@ -465,6 +467,7 @@ def estimate_duhamel(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v
     sign ("avg_sign") of the raw weights; the ESS and the `unreliable` flag
     are the plain ratio's.
     """
+    check_grid_period(grid, params)
     nu = params.nu
     if not (0.0 <= tau_p <= tau < nu):
         raise ValueError("need 0 <= tau' <= tau < nu")

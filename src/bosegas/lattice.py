@@ -8,6 +8,7 @@ continuous circle of circumference L_c for the d = 1 continuum experiments.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,6 +132,12 @@ class TimeGrid:
         if abs(j - j_round) > 1e-9:
             raise ValueError(f"time {t} is not on the slice grid (eps = {self.eps})")
         return j_round
+
+
+def check_grid_period(grid: TimeGrid, params: ModelParams) -> None:
+    """Refuse (ValueError) a time grid whose period is not the model's nu."""
+    if not math.isclose(grid.nu, params.nu, rel_tol=1e-12):
+        raise ValueError(f"time grid period {grid.nu:g} is not the model's nu {params.nu:g}")
 
 
 # ---------------------------------------------------------------------------

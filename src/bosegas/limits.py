@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 MAX_PARTICLES = 5      # largest particle number of the classical point gas
-MAX_NODES = 32         # node count at which the circle integral stops doubling
+MAX_POINTS = 32 ** 4   # grid points at which the circle integral stops doubling
 QUAD_TOL = 1e-8        # relative change at which the node doubling stops
 CLASSICAL_EPS = 0.025  # target slice width of the classical-limit sweep
 MEANFIELD_EPS = 1.0 / 64.0  # slice width shared by every mean-field point
@@ -84,9 +84,9 @@ def classical_xi(z: float, lambda0: float, n_species: float,
     The integral uses translation invariance (first point fixed, one factor
     of the circumference) and the trapezoid rule on uniform nodes, which
     converges spectrally for the periodic integrand; the node count doubles
-    until the change is below QUAD_TOL, or stops at MAX_NODES with
-    quadrature_converged False.  tail_rel is the Poisson tail of the free gas
-    beyond n_max particles.
+    until the change is below QUAD_TOL, or stops before its grid passes
+    MAX_POINTS with quadrature_converged False.  tail_rel is the Poisson
+    tail of the free gas beyond n_max particles.
     """
     if n_max > MAX_PARTICLES:
         raise ValueError(f"n_max above {MAX_PARTICLES} is not supported")
@@ -113,7 +113,7 @@ def _classical_integral_circle(L, v, lambda0, n):
     Self-terms contribute a constant exp(-(lambda0/2) n v(0)).  The first
     position sits at node 0 and each other runs over M uniform nodes of
     weight L / M; v is taken once on the node differences and gathered for
-    every pair.  M starts at 8 and doubles up to MAX_NODES.
+    every pair.  M starts at 8 and doubles while the M^(n-1) grid stays within MAX_POINTS.
     """
     self_part = np.exp(-0.5 * lambda0 * n * v(0.0))
     if n == 1:
@@ -128,7 +128,7 @@ def _classical_integral_circle(L, v, lambda0, n):
         val = L * self_part * (L / m) ** (n - 1) * float(np.sum(np.exp(-lambda0 * energy)))
         if prev is not None and abs(val - prev) <= QUAD_TOL * max(abs(val), 1.0):
             return val, True
-        if m >= MAX_NODES:
+        if (2 * m) ** (n - 1) > MAX_POINTS:
             return val, False
         prev, m = val, 2 * m
 

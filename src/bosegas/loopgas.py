@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from .lattice import ModelParams, TimeGrid, TorusGeometry
+from .lattice import ModelParams, TimeGrid, TorusGeometry, check_grid_period
 from .propagators import (circle_heat_kernel, free_log_trace, heat_propagator,
                           _spectral_data)
 from .stats import (ComplexEstimate, batch_layout, exact_estimate, mean_estimate,
@@ -381,6 +381,7 @@ def xi_rel_series(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
     lam = 0 short-circuits to the closed form const * e^{N (A - Q)} (exact 1
     at rho = 0), whose raw series sum_{n <= n_max} (N A)^n / n! is exact too.
     """
+    check_grid_period(grid, params)
     kappa = kappa_eff(params, v)
     act = activity_table(geom, grid.nu, kappa, l_max)
     A = float(act.sum())
@@ -440,6 +441,7 @@ def duhamel_loopgas(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
     Equal times drop the l0 = 0 (zero-duration) term, matching the other
     routes' convention.
     """
+    check_grid_period(grid, params)
     nu = params.nu
     if not (0.0 <= tau_p <= tau < nu):
         raise ValueError("need 0 <= tau' <= tau < nu")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .lattice import CapacityError, ModelParams, TimeGrid, TorusGeometry
+from .lattice import CapacityError, ModelParams, TimeGrid, TorusGeometry, check_grid_period
 from .loopgas import (
     _loop_densities,
     _pair_form,
@@ -102,6 +102,7 @@ def ursell_coefficient(n: int, params: ModelParams, geom: TorusGeometry,
     <= 1 whenever every f lies in [-1, 0], and an attractive f can push it
     above 1.
     """
+    check_grid_period(grid, params)
     if n > MAX_CLUSTER:
         raise CapacityError(f"cluster order {n} exceeds {MAX_CLUSTER}")
     kappa = kappa_eff(params, v)
@@ -141,6 +142,7 @@ def log_xi_rel_partial(params: ModelParams, geom: TorusGeometry, grid: TimeGrid,
     before its interaction weights.  const is the density-shift factor of the
     loop series (1 at rho = 0).
     """
+    check_grid_period(grid, params)
     q0 = free_loop_sum(geom, grid.nu, params.kappa0, l_max)
     total, var = -params.n_species * q0 + _rho_log_constant(params, geom, v), 0.0
     per_order = {}

@@ -8,8 +8,9 @@ The energy functional for a complex N-component field phi is
 
 with :|phi|^2: = |phi|^2 - N c and c the free covariance diagonal.  The same
 partition function can be written as a Gaussian average over a real field eta
-with covariance C = (lambda0/(N+1)) v of exp(-N S(eta)), where S has
-nonnegative real part; both forms are implemented and cross-checked.
+with covariance C = (lambda0/(N+1)) v of exp(-N S(eta)), S analytic in eta
+with nonnegative real part.  The eta form takes any N >= 0 on any lattice;
+the Gibbs chain draws N components and needs an integer N.
 
 The eta average subtracts a Gaussian control variate from each weight and
 adds back its exact mean: g(eta) = exp(-(N/2) eta.Q eta) cos(rho sum eta),
@@ -32,16 +33,11 @@ __all__ = [
     "wick_constant",
     "sample_gibbs_field",
     "FieldChain",
-    "action_S_eta_closed",
     "z_via_eta",
     "field_quadrature_1site",
 ]
 
 GIBBS_THIN = 4  # the Gibbs chain keeps every GIBBS_THIN-th state
-
-
-def _one_body(geom: TorusGeometry, kappa0: float) -> np.ndarray:
-    return -0.5 * _laplacian(geom) + kappa0 * np.eye(geom.n_sites)
 
 
 def wick_constant(geom: TorusGeometry, kappa0: float) -> float:
@@ -54,7 +50,8 @@ def wick_constant(geom: TorusGeometry, kappa0: float) -> float:
 
 def _action_terms(params: ModelParams, geom: TorusGeometry, v):
     """The matrices of h: one-body matrix, Wick constant and v."""
-    return _one_body(geom, params.kappa0), wick_constant(geom, params.kappa0), v.matrix()
+    hmat = -0.5 * _laplacian(geom) + params.kappa0 * np.eye(geom.n_sites)
+    return hmat, wick_constant(geom, params.kappa0), v.matrix()
 
 
 def _energy(x: np.ndarray, params: ModelParams, terms) -> float:
@@ -127,23 +124,20 @@ def sample_gibbs_field(params: ModelParams, geom: TorusGeometry, v,
                       seed=seed)
 
 
-def _s_eta(etas: np.ndarray, r: np.ndarray):
-    """S for a stack of eta of shape (..., n_sites), given R."""
-    m = r * etas[..., None, :]  # R @ diag(eta)
-    sign, logabs = np.linalg.slogdet(np.eye(len(r)) - 1j * m)
-    return np.log(sign) + logabs + 1j * np.einsum("...ii->...", m)
+def _s_eta(etas: np.ndarray, root: np.ndarray):
+    """S = log det(1 - i R eta) + i tr(R eta) for eta of shape (..., n_sites), given R^1/2.
 
-
-def action_S_eta_closed(eta: np.ndarray, geom: TorusGeometry, kappa0: float):
-    """Closed form S(eta) = log det(1 - i R eta) + i tr(R eta), R = (-Lap/2+kappa0)^-1.
-
-    eta of shape (..., n_sites) gives S of the same leading shape: one complex
-    number for one field, an array for a stack of them.  The total phase of
-    the determinant is taken on the principal branch, which is the analytic
-    S on at most 2 sites only (see `z_via_eta`).
+    S = sum_k [log1p(l_k^2) / 2 + i (l_k - atan l_k)] over the eigenvalues l_k of
+    the real symmetric R^1/2 diag(eta) R^1/2: analytic in eta, Re S >= 0 term by term.
     """
-    r = np.linalg.inv(_one_body(geom, kappa0))
-    return _s_eta(np.asarray(eta, dtype=float), r)
+    ls = np.linalg.eigvalsh((root * etas[..., None, :]) @ root)
+    return np.sum(0.5 * np.log1p(ls * ls) + 1j * (ls - np.arctan(ls)), axis=-1)
+
+
+def _resolvent_root(geom: TorusGeometry, kappa0: float) -> np.ndarray:
+    """R^1/2 with R = (-Lap/2 + kappa0)^-1, from the Laplacian's eigenbasis."""
+    evals, evecs = _spectral_data(geom)
+    return (evecs / np.sqrt(kappa0 - 0.5 * evals)) @ evecs.T
 
 
 def _gaussian_mean(q: np.ndarray, cov: np.ndarray, n_species: float,
@@ -180,37 +174,26 @@ def z_via_eta(params: ModelParams, geom: TorusGeometry, v, samples: int,
     so the estimate stays unbiased; the estimate's imaginary part is 0.
     The ESS is that of the raw weights w.  `extra` carries E[g] as
     `gauss_mean` and the batch-means error of w alone as `weights_stderr`.
-    At lambda0 = 0 every eta is 0 and every sample exactly 1.
-
-    The determinant's total phase is taken on the principal branch.  On more
-    than 2 sites it can differ from the analytic S by 2 pi i, which only an
-    integer N hides, so a non-integer N on more than 2 sites raises
-    ValueError.
+    At lambda0 = 0 every eta is 0 and every sample exactly 1.  S is analytic
+    in eta (`_s_eta`), so any N >= 0 runs on any lattice.
     """
     n_species = params.n_species
-    if geom.n_sites > 2 and n_species != int(n_species):
-        raise ValueError(f"the eta route takes a non-integer species number "
-                         f"({n_species:g}) on at most 2 sites, not {geom.n_sites}: "
-                         "the principal log-det branch can wrap")
     rng = np.random.default_rng(seed)
     cov = params.lambda0 / (n_species + 1.0) * v.matrix()
     evals, evecs = np.linalg.eigh(cov)
     root = evecs * np.sqrt(np.clip(evals, 0.0, None))
     etas = rng.standard_normal((samples, geom.n_sites)) @ root.T
-    r = np.linalg.inv(_one_body(geom, params.kappa0))
-    s_vals = _s_eta(etas, r)
-    if np.any(s_vals.real < -1e-10):
-        raise AssertionError("Re S(eta) went negative")
+    r_root = _resolvent_root(geom, params.kappa0)
+    s_vals = _s_eta(etas, r_root)
     phase = params.rho * etas.sum(axis=1)
     weights = np.exp(-n_species * s_vals - 1j * phase).real
-    q = r * r
+    q = (r_root @ r_root) ** 2
     control = (np.exp(-0.5 * n_species * np.sum((etas @ q) * etas, axis=1))
                * np.cos(phase))
     gauss_mean = _gaussian_mean(q, cov, n_species, params.rho)
     est = mean_estimate(weights - control + gauss_mean, seed=seed)
     est.ess = weight_ess(weights)
-    est.extra.update(min_re_S=float(s_vals.real.min()), gauss_mean=gauss_mean,
-                     weights_stderr=float(batch_means(weights)[1]))
+    est.extra.update(gauss_mean=gauss_mean, weights_stderr=float(batch_means(weights)[1]))
     return est
 
 

@@ -1,7 +1,9 @@
-"""Quadrature form of the eta-field action S, the reference for its closed form."""
+"""The eta-field action S: its closed form and the quadrature that referees it."""
 
 import numpy as np
 from scipy.integrate import quad
+
+from bosegas.meanfield import _resolvent_root, _s_eta
 
 ETA_QUAD_TOL = 1e-9  # absolute and relative tolerance of the S(eta) quadrature
 
@@ -29,3 +31,12 @@ def action_S_eta(eta, geom, kappa0):
                    epsabs=ETA_QUAD_TOL, epsrel=ETA_QUAD_TOL)
     flag = max(ere, eim) > 100 * ETA_QUAD_TOL
     return complex(re + 1j * im), flag
+
+
+def action_S_eta_closed(eta, geom, kappa0):
+    """Closed form S(eta) = log det(1 - i R eta) + i tr(R eta), R = (-Lap/2+kappa0)^-1.
+
+    eta of shape (..., n_sites) gives S of the same leading shape: one complex
+    number for one field, an array for a stack of them.
+    """
+    return _s_eta(np.asarray(eta, dtype=float), _resolvent_root(geom, kappa0))

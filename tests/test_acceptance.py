@@ -16,10 +16,10 @@ from bosegas.limits import (classical_limit_sweep, largeN_check,
                             meanfield_sweep)
 from bosegas.loopgas import xi_rel_series
 from bosegas.mayer import log_xi_rel_partial, ursell_coefficient
-from bosegas.meanfield import (action_S_eta_closed, field_quadrature_1site,
-                               sample_gibbs_field, z_via_eta)
+from bosegas.meanfield import field_quadrature_1site, sample_gibbs_field, z_via_eta
 from bosegas.propagators import free_green, monodromy_batch
 from determinant_identities import det_identity_residual
+from eta_quadrature import action_S_eta_closed
 from field_reference import two_point
 
 G2 = TorusGeometry(dimension=1, sites_per_side=2)

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import bosegas
-from bosegas import hsfield, loopgas
+from bosegas import hsfield, loopgas, meanfield
 from bosegas.cli import main
+from bosegas.fock import DRIFT_TOL
 from bosegas.hsfield import wick_rho
 from bosegas.lattice import TorusGeometry
 from bosegas.records import ExperimentRecord
@@ -291,12 +292,19 @@ def _twice_the_root(hartree_shift):
     return planted
 
 
+def _conjugate_action(s_eta):
+    def planted(*args):
+        return np.conj(s_eta(*args))
+    return planted
+
+
 @pytest.mark.parametrize("module, name, plant, line", [
     (hsfield, "_duhamel_kernels", _kernels_off_on_nonzero_fields,
      "auxiliary-field G(0.25; 0, 1) matches exact Duhamel"),
     (loopgas, "_pair_sum", _pair_sum_at_half_step, "loop gas matches exact trace"),
     (hsfield, "hartree_shift", _twice_the_root, "contour shift solves the Hartree equation"),
-], ids=["duhamel kernels", "loop pair sum", "hartree root"])
+    (meanfield, "_s_eta", _conjugate_action, "eta route matches one-site field quadrature"),
+], ids=["duhamel kernels", "loop pair sum", "hartree root", "conjugate eta action"])
 def test_validate_line_fails_on_its_planted_bug(capsys, monkeypatch, module, name,
                                                 plant, line):
     monkeypatch.setattr(module, name, plant(getattr(module, name)))
@@ -410,8 +418,27 @@ def test_field_records_carry_the_control_variate(tmp_path):
     assert rec.extra["weights_stderr"] > rec.stderr_re > 0
 
 
-def test_field_non_integer_species_past_two_sites_exits_3(tmp_path):
+def test_field_non_integer_species_past_two_sites_runs(tmp_path, capsys):
     cfg = tmp_path / "half.ini"
     cfg.write_text("[geometry]\nsites_per_side = 3\n"
                    "[model]\nlambda0 = 0.5\nn_species = 0.5\n")
-    assert main(["field", "--config", str(cfg), "--samples", "10"]) == 3
+    assert main(["field", "--config", str(cfg), "--samples", "10"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert np.isfinite(out["estimate"][0]) and out["stderr"][0] > 0.0
+
+
+@pytest.mark.parametrize("geometry, model, nmax, drifts", [
+    ("dimension = 2\nsites_per_side = 3\n", "kappa0 = 2\nlambda0 = 0.5\n", "5", True),
+    ("sites_per_side = 2\n", "kappa0 = 0.5\nlambda0 = 2\n", "14", False),
+], ids=["3x3 torus", "2 sites"])
+def test_oracle_flags_a_drifting_truncation(tmp_path, capsys, geometry, model, nmax,
+                                            drifts):
+    cfg = tmp_path / "oracle.ini"
+    cfg.write_text(f"[geometry]\n{geometry}[model]\n{model}")
+    out_path = tmp_path / "oracle.jsonl"
+    assert main(["oracle", "--config", str(cfg), "--nmax", nmax,
+                 "--out", str(out_path)]) == 0
+    rec = ExperimentRecord.from_json(out_path.read_text())
+    assert json.loads(capsys.readouterr().out)["unreliable"] is drifts
+    assert rec.unreliable is drifts
+    assert (rec.extra["truncation_drift"] > DRIFT_TOL) is drifts

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from bosegas import hsfield, loopgas, mayer
 from bosegas.lattice import (CirclePotential, ModelParams, TimeGrid,
                              TorusGeometry, TwoBodyPotential,
-                             UnsupportedModeError, delta_potential,
-                             validate_potential, wrapped_gaussian_potential)
+                             UnsupportedModeError, check_grid_period,
+                             delta_potential, validate_potential,
+                             wrapped_gaussian_potential)
 
 
 def test_geometry_counts_and_coords():
@@ -51,6 +53,30 @@ def test_time_grid():
     assert grid.eps == pytest.approx(0.25)
     with pytest.raises(ValueError):
         TimeGrid(nu=-1.0, n_slices=8)
+
+
+def test_grid_period_within_rounding_passes():
+    check_grid_period(TimeGrid(nu=0.1 * 3, n_slices=8), ModelParams(nu=0.3, kappa0=1.0))
+    with pytest.raises(ValueError, match="0.5 is not the model's nu 1"):
+        check_grid_period(TimeGrid(nu=0.5, n_slices=8), ModelParams(nu=1.0, kappa0=1.0))
+
+
+@pytest.mark.parametrize("route", [
+    lambda p, g, grid, v: hsfield.estimate_xi_rel(p, g, grid, v, 16),
+    lambda p, g, grid, v: hsfield.estimate_duhamel(p, g, grid, v, 0, 1, n_samples=16),
+    lambda p, g, grid, v: loopgas.xi_rel_series(p, g, grid, v, 4, 6, 16),
+    lambda p, g, grid, v: loopgas.duhamel_loopgas(p, g, grid, v, 0.0, 0, 0.0, 1, 4, 6, 16),
+    lambda p, g, grid, v: mayer.ursell_coefficient(1, p, g, grid, v, 6, 16),
+    lambda p, g, grid, v: mayer.log_xi_rel_partial(p, g, grid, v, 2, 6, 16),
+], ids=["estimate_xi_rel", "estimate_duhamel", "xi_rel_series", "duhamel_loopgas",
+        "ursell_coefficient", "log_xi_rel_partial"])
+def test_routes_refuse_a_grid_of_another_period(route):
+    # unchecked, on this grid the routes read about 0.96 (auxiliary field)
+    # and 0.72 (loop gas), where the model's exact Xi_rel is 0.84856
+    g = TorusGeometry(dimension=1, sites_per_side=2)
+    p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5)
+    with pytest.raises(ValueError, match="is not the model's nu"):
+        route(p, g, TimeGrid(nu=0.5, n_slices=16), delta_potential(g))
 
 
 def test_potential_validation():

@@ -66,6 +66,15 @@ def test_classical_xi_converged_only_within_its_tolerance():
     assert not out["quadrature_converged"] or error <= QUAD_TOL
 
 
+@pytest.mark.parametrize("lambda0", [0.5, 2.0])
+def test_classical_xi_narrow_pair_integral_is_flagged_converged(lambda0):
+    # two particles form a one-dimensional grid, which may double past 32 nodes
+    v = CirclePotential(4.0, strength=1.0, width=0.3)
+    out = classical_xi(0.3, lambda0, 1.0, CIRCLE4, v, n_max=2)
+    assert out["quadrature_converged"]
+    assert abs(out["per_n"][2] / _pair_term(0.3, lambda0, v) - 1.0) <= QUAD_TOL
+
+
 def test_classical_xi_refuses_a_lattice():
     with pytest.raises(UnsupportedModeError):
         classical_xi(0.5, 0.0, 1.0, G2, delta_potential(G2), n_max=4)

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from bosegas.lattice import ModelParams, TorusGeometry, delta_potential
-from bosegas.meanfield import (GIBBS_THIN, action_S_eta_closed,
-                               field_quadrature_1site, sample_gibbs_field,
-                               wick_constant, z_via_eta)
+from bosegas.meanfield import (GIBBS_THIN, field_quadrature_1site,
+                               sample_gibbs_field, wick_constant, z_via_eta)
 from bosegas.stats import batch_means
-from eta_quadrature import action_S_eta
+from eta_quadrature import action_S_eta, action_S_eta_closed
 from field_reference import field_action, two_point
 
 G1 = TorusGeometry(dimension=1, sites_per_side=1)
@@ -184,7 +183,6 @@ def test_z_via_eta_matches_quadrature():
     want = field_quadrature_1site(p, v)["z_rel"]
     est = z_via_eta(p, G1, v, 40000, seed=3)
     assert abs(est.value.real - want) < 4 * max(est.stderr_re, 1e-4)
-    assert est.extra["min_re_S"] >= 0.0
 
 
 @pytest.mark.parametrize("rho", [0.3, 1.0])
@@ -216,9 +214,12 @@ def test_quadrature_free_limit():
 G3 = TorusGeometry(dimension=3, sites_per_side=3)
 
 
+def _r_matrix(geom, kappa0):
+    return np.linalg.inv(kappa0 * np.eye(geom.n_sites) - 0.5 * geom.laplacian_matrix())
+
+
 def _q_matrix(geom, kappa0):
-    r = np.linalg.inv(kappa0 * np.eye(geom.n_sites) - 0.5 * geom.laplacian_matrix())
-    return r * r
+    return _r_matrix(geom, kappa0) ** 2
 
 
 def _eta_stack(params, v, samples, seed):
@@ -262,7 +263,8 @@ def test_gauss_mean_matches_sampled_mean_on_2x2_torus():
     (G2, ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, rho=0.3)),
     (G2, ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, n_species=2.0)),
     (G2, ModelParams(nu=1.0, kappa0=0.5, lambda0=2.0, n_species=0.5)),
-], ids=["2sites", "27sites", "rho0.3", "N2", "N0.5_2sites"])
+    (G3, ModelParams(nu=1.0, kappa0=0.2, lambda0=2.0, n_species=0.5)),
+], ids=["2sites", "27sites", "rho0.3", "N2", "N0.5_2sites", "N0.5_27sites"])
 def test_control_variate_matches_plain_weight_mean(geom, params):
     # plain mean of the weights w on an independent eta stack
     v = delta_potential(geom)
@@ -283,20 +285,31 @@ def test_control_variate_cuts_the_error_at_the_cli_field_point(seed):
     assert est.extra["weights_stderr"] / est.stderr_re >= 3.0
 
 
-def test_closed_form_eta_action_wraps_on_27_sites():
-    # this field's det(1 - i R eta) winds past the principal branch: the
-    # quadrature (the analytic S) and the closed form share Re S, and their
-    # Im S differ by a nonzero multiple of 2 pi
+def test_closed_form_eta_action_is_analytic_on_27_sites():
+    # this field's det(1 - i R eta) winds past the principal branch; the
+    # quadrature follows S analytically from eta = 0, and so does the closed form
     eta = np.sqrt(2.0 / 1.5) * np.random.default_rng(7).standard_normal(27)
     closed = action_S_eta_closed(eta, G3, 0.2)
     analytic, flag = action_S_eta(eta, G3, 0.2)
     assert not flag
     assert analytic.real == pytest.approx(closed.real, abs=1e-7)
-    turns = (analytic.imag - closed.imag) / (2 * np.pi)
-    assert round(turns) != 0 and abs(turns - round(turns)) < 1e-6
+    assert analytic.imag == pytest.approx(closed.imag, abs=1e-7)
 
 
-def test_z_via_eta_refuses_non_integer_species_past_two_sites():
+def test_closed_form_eta_action_follows_the_ray_from_zero():
+    # log det(1 - i t R eta) continued in t from 0 to 1: 128 steps unwrap the
+    # principal phase of each step, on fields whose determinant winds
     p = ModelParams(nu=1.0, kappa0=0.2, lambda0=2.0, n_species=0.5)
-    with pytest.raises(ValueError):
-        z_via_eta(p, G3, delta_potential(G3), 100)
+    etas = _eta_stack(p, delta_potential(G3), 2000, seed=0)[:64]
+    m = _r_matrix(G3, 0.2) * etas[:, None, :]
+    ts = np.arange(1, 129) / 128.0
+    sign, logabs = np.linalg.slogdet(np.eye(27) - 1j * ts[:, None, None, None] * m)
+    phase = np.unwrap(np.angle(sign), axis=0)[-1]
+    ray = logabs[-1] + 1j * (phase + np.einsum("sii->s", m))
+    assert np.max(np.abs(action_S_eta_closed(etas, G3, 0.2) - ray)) < 1e-10
+
+
+def test_z_via_eta_takes_non_integer_species_past_two_sites():
+    p = ModelParams(nu=1.0, kappa0=0.2, lambda0=2.0, n_species=0.5)
+    est = z_via_eta(p, G3, delta_potential(G3), 100)
+    assert np.isfinite(est.value.real) and est.stderr_re > 0.0
