@@ -15,6 +15,7 @@ top vertex (Brydges, "A short course on cluster expansions", Les Houches
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -40,6 +41,33 @@ __all__ = [
 MAX_CLUSTER = 5
 
 
+@lru_cache(maxsize=MAX_CLUSTER)
+def _subset_layers(n: int):
+    """Bitmask index arrays of `_rooted_sum`, one layer per subset size 2..n.
+
+    Each layer is (sets, top, blocks, rest): every set S of that size, its top
+    vertex v, the blocks B (rows) in submask order, and S - B.  All sets of
+    size k have 2^(k-2) blocks, so each layer is a regular array.
+    """
+    layers = []
+    for k in range(2, n + 1):
+        sets = [s for s in range(1 << n) if s.bit_count() == k]
+        top, blocks = [], []
+        for s in sets:
+            v = s.bit_length() - 1
+            u = s ^ (1 << v)
+            low = u & -u
+            rest = u ^ low
+            subs = [rest]  # every submask of the rest of U, down to 0
+            while subs[-1]:
+                subs.append((subs[-1] - 1) & rest)
+            top.append(v)
+            blocks.append([b | low for b in subs])
+        sets, blocks = np.array(sets), np.array(blocks)
+        layers.append((sets, np.array(top)[:, None], blocks, sets[:, None] ^ blocks))
+    return layers
+
+
 def _rooted_sum(x: np.ndarray, link) -> np.ndarray:
     """Sum over connected structures on all n vertices, per sample.
 
@@ -47,24 +75,15 @@ def _rooted_sum(x: np.ndarray, link) -> np.ndarray:
     set S is rooted at its top vertex v: removing v leaves blocks B of
     U = S - {v}, each a structure of its own, joined to v by the factor
     L_v(B) = link(sum_{i in B} x[:, i, v]).  Over bitmasks, C({v}) = 1 and
-    C(S) = sum_{B ∋ min U, B ⊆ U} C(B) L_v(B) C(S - B).
+    C(S) = sum_{B ∋ min U, B ⊆ U} C(B) L_v(B) C(S - B).  A set needs only
+    smaller sets, so all sets of one size are summed in one pass.
     """
     samples, n, _ = x.shape
     bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
     links = link(np.moveaxis(bits @ x, 0, -1))  # (2^n, v, samples)
     c = np.ones((1 << n, samples))
-    for s in range(3, 1 << n):
-        v = s.bit_length() - 1
-        u = s ^ (1 << v)
-        if u == 0:
-            continue
-        low = u & -u
-        rest = u ^ low
-        subs = [rest]  # every submask of the rest of U, down to 0
-        while subs[-1]:
-            subs.append((subs[-1] - 1) & rest)
-        blocks = np.array(subs) | low
-        c[s] = np.sum(c[blocks] * links[blocks, v] * c[s ^ blocks], axis=0)
+    for sets, top, blocks, rest in _subset_layers(n):
+        c[sets] = np.sum(c[blocks] * links[blocks, top] * c[rest], axis=1)
     return c[-1]
 
 

@@ -48,18 +48,38 @@ def wick_constant(geom: TorusGeometry, kappa0: float) -> float:
     return float(np.mean(1.0 / (kappa0 - 0.5 * evals)))
 
 
-def _action_terms(params: ModelParams, geom: TorusGeometry, v):
-    """The matrices of h: one-body matrix, Wick constant and v."""
-    hmat = -0.5 * _laplacian(geom) + params.kappa0 * np.eye(geom.n_sites)
-    return hmat, wick_constant(geom, params.kappa0), v.matrix()
+def _action_terms(params: ModelParams, geom: TorusGeometry, v) -> np.ndarray:
+    """h as one quadratic form: h = t.A t for t = (x, x o x, 1), x = (Re phi, Im phi).
+
+    x has 2N n_sites entries (N = int(n_species)).  The density shifted by
+    N c + rho is fold (x o x, 1), fold summing each site's 2N squares and
+    subtracting N c + rho, so A holds I_2N kron hmat on x and
+    coup fold^T v fold on (x o x, 1), with coup = lambda0 / (2(N+1)).
+    """
+    n_comp, n = int(params.n_species), geom.n_sites
+    m = 2 * n_comp * n
+    hmat = -0.5 * _laplacian(geom) + params.kappa0 * np.eye(n)
+    shift = n_comp * wick_constant(geom, params.kappa0) + params.rho
+    fold = np.hstack([np.tile(np.eye(n), 2 * n_comp), np.full((n, 1), -shift)])
+    form = np.zeros((2 * m + 1, 2 * m + 1))
+    form[:m, :m] = np.kron(np.eye(2 * n_comp), hmat)
+    form[m:, m:] = 0.5 * params.lambda0 / (params.n_species + 1.0) * (
+        fold.T @ v.matrix() @ fold)
+    return form
+
+
+def _form_energy(t: np.ndarray, form: np.ndarray):
+    """h at the state vector t = (x, x o x, 1)."""
+    return np.dot(t, np.dot(form, t))
 
 
 def _energy(x: np.ndarray, params: ModelParams, terms) -> float:
-    """h(phi) for the real state x = (Re phi, Im phi) of shape (2, N, n_sites)."""
-    hmat, c, vmat = terms
-    dens = (x * x).sum(axis=(0, 1)) - (x.shape[1] * c + params.rho)
-    return float(np.vdot(x, x @ hmat) + 0.5 * params.lambda0 / (
-        params.n_species + 1.0) * (dens @ vmat @ dens))
+    """h(phi) for the real state x = (Re phi, Im phi) of shape (2, N, n_sites).
+
+    terms is `_action_terms`'s form, which already carries params.
+    """
+    x = x.ravel()
+    return float(_form_energy(np.concatenate([x, x * x, [1.0]]), terms))
 
 
 @dataclass
@@ -85,31 +105,46 @@ def sample_gibbs_field(params: ModelParams, geom: TorusGeometry, v,
     (2, N, n_sites).  Each proposal x + step * standard_normal(x.shape) draws
     the real parts, then the imaginary parts, so a seed gives the same chain
     as a complex-state sampler adding step * (normal + 1j * normal) to phi.
+
+    h is the quadratic form t.A t in t = (x, x o x, 1), A built once per chain
+    by `_action_terms`: the quartic term is quadratic in the squares x o x.
+    Each step draws the proposal into a reused buffer, writes its squares
+    beside it, evaluates h with two dot products and swaps buffers on
+    acceptance.
     """
     n_species = params.n_species
     if n_species < 1 or n_species != int(n_species):
         raise ValueError(f"Gibbs sampling needs a positive integer species "
                          f"number, not {n_species}")
     rng = np.random.default_rng(seed)
-    x = np.zeros((2, int(n_species), geom.n_sites))
-    terms = _action_terms(params, geom, v)
-    energy = _energy(x, params, terms)
+    shape = (2, int(n_species), geom.n_sites)
+    m = 2 * int(n_species) * geom.n_sites
+    form = _action_terms(params, geom, v)
+    bufs = np.zeros((2, 2 * m + 1))
+    bufs[:, -1] = 1.0
+    # each state is (t, x, x o x): a buffer t = (x, x o x, 1) and views of its parts
+    cur, prop = ((t, t[:m], t[m:-1]) for t in bufs)
+    energy = _form_energy(cur[0], form)
     step = 1.0 / np.sqrt(params.kappa0)
     burn = max(200, steps // 5)
     accepted = window = total_acc = 0
     kept = []
     for it in range(burn + steps):
-        prop = x + step * rng.standard_normal(x.shape)
-        e_new = _energy(prop, params, terms)
+        t, x, sq = prop
+        rng.standard_normal(out=x)
+        x *= step
+        x += cur[1]
+        np.multiply(x, x, out=sq)
+        e_new = _form_energy(t, form)
         if np.log(rng.random()) < energy - e_new:
-            x, energy = prop, e_new
+            cur, prop, energy = prop, cur, e_new
             accepted += 1
             if it >= burn:
                 total_acc += 1
         window += 1
         if it >= burn:
             if (it - burn) % GIBBS_THIN == 0:
-                kept.append(x)
+                kept.append(cur[1].copy())
         elif window == 50:
             rate = accepted / window
             if rate < 0.30:
@@ -117,7 +152,7 @@ def sample_gibbs_field(params: ModelParams, geom: TorusGeometry, v,
             elif rate > 0.60:
                 step *= 1.4
             accepted = window = 0
-    kept = np.reshape(kept, (-1,) + x.shape)
+    kept = np.reshape(kept, (-1,) + shape)
     acc = total_acc / max(steps, 1)
     return FieldChain(samples=kept[:, 0] + 1j * kept[:, 1], acceptance=acc,
                       step_size=step, tuning_failed=not (0.05 <= acc <= 0.95),

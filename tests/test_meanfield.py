@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bosegas.lattice import ModelParams, TorusGeometry, delta_potential
+from bosegas.lattice import (ModelParams, TorusGeometry, delta_potential,
+                             wrapped_gaussian_potential)
 from bosegas.meanfield import (GIBBS_THIN, field_quadrature_1site,
                                sample_gibbs_field, wick_constant, z_via_eta)
 from bosegas.stats import batch_means
@@ -86,6 +87,40 @@ def test_field_action_several_species():
     assert field_action(phi, p, G2, v) == pytest.approx(want, rel=1e-12)
 
 
+def _explicit_action(phi, params, geom, v):
+    """h(phi) summed as written: kinetic form plus the shifted density's quartic."""
+    hmat = params.kappa0 * np.eye(geom.n_sites) - 0.5 * geom.laplacian_matrix()
+    kinetic = float(np.real(np.einsum("ax,xy,ay->", phi.conj(), hmat, phi)))
+    dens = (np.sum(np.abs(phi)**2, axis=0)
+            - phi.shape[0] * wick_constant(geom, params.kappa0) - params.rho)
+    return kinetic + 0.5 * params.lambda0 / (params.n_species + 1.0) * float(
+        dens @ v.matrix() @ dens)
+
+
+@pytest.mark.parametrize("geom, potential, params", [
+    (G2, delta_potential, ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, n_species=2.0, rho=0.3)),
+    (TorusGeometry(dimension=2, sites_per_side=2), wrapped_gaussian_potential,
+     ModelParams(nu=1.0, kappa0=1.0, lambda0=2.0)),
+    (TorusGeometry(dimension=3, sites_per_side=3), delta_potential,
+     ModelParams(nu=1.0, kappa0=0.2, lambda0=2.0)),
+], ids=["2sites_N2_rho0.3", "2x2_gaussian", "27sites"])
+@pytest.mark.parametrize("kind", ["zero_density", "large_field"])
+def test_field_action_where_the_expanded_quartic_cancels(geom, potential, params, kind):
+    # at |phi|^2 = N c + rho per site the quartic's expanded terms cancel to
+    # about zero; at |phi| ~ 30 they are each ~ 30^4 times the coupling
+    rng = np.random.default_rng(4)
+    n_comp, v = int(params.n_species), potential(geom)
+    phi = rng.standard_normal((n_comp, geom.n_sites)) + 1j * rng.standard_normal(
+        (n_comp, geom.n_sites))
+    phi /= np.linalg.norm(phi, axis=0)
+    if kind == "zero_density":
+        phi *= np.sqrt(n_comp * wick_constant(geom, params.kappa0) + params.rho)
+    else:
+        phi *= 30.0 * (1.0 + 0.1 * rng.standard_normal(geom.n_sites))
+    want = _explicit_action(phi, params, geom, v)
+    assert field_action(phi, params, geom, v) == pytest.approx(want, rel=1e-12)
+
+
 def _complex_state_chain(params, geom, v, steps, seed):
     """Reference Gibbs chain on the complex state phi: two standard_normal
     draws per proposal (real, then imaginary) and an einsum action."""
@@ -137,7 +172,9 @@ def _complex_state_chain(params, geom, v, steps, seed):
     # for the chain to accept a move
     (TorusGeometry(dimension=3, sites_per_side=3),
      ModelParams(nu=1.0, kappa0=0.2, lambda0=2.0), 1750),
-], ids=["1site", "2sites_N2", "2sites_rho0.3", "27sites"])
+    # the benchmark's own chain
+    (G1, ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5), 1000),
+], ids=["1site", "2sites_N2", "2sites_rho0.3", "27sites", "1site_1000steps"])
 def test_gibbs_chain_matches_the_complex_state_chain(geom, params, steps, seed):
     # the real (Re, Im) state draws the complex-state chain, bit for bit
     v = delta_potential(geom)
@@ -165,10 +202,19 @@ def test_eta_action_quadrature_matches_closed_form():
 
 
 def test_eta_action_nonnegative_real_part():
+    # Re S = log |det(1 - i R eta)| free of any branch; on 2 sites the phase of
+    # det(1 - i R eta) is minus a sum of two arctangents, so the principal
+    # angle is Im S - tr(R eta) too
     rng = np.random.default_rng(2)
+    r = _r_matrix(G2, 1.0)
     for _ in range(100):
         eta = 3.0 * rng.standard_normal(2)
-        assert action_S_eta_closed(eta, G2, 1.0).real >= -1e-12
+        s = action_S_eta_closed(eta, G2, 1.0)
+        sign, logabs = np.linalg.slogdet(np.eye(2) - 1j * r * eta)
+        assert s.real >= -1e-12
+        assert s.real == pytest.approx(logabs, rel=1e-12, abs=1e-12)
+        assert s.imag == pytest.approx(np.angle(sign) + np.trace(r * eta),
+                                       rel=1e-12, abs=1e-12)
 
 
 def test_z_via_eta_free():
