@@ -11,13 +11,17 @@ over loop number n and winding l is evaluated by direct importance sampling:
 loops are drawn from the activity, their windings stratified within each
 batch of the batch-means error, so a batch holds every winding in proportion
 to its activity and the batches stay independent.  Duhamel functions add one
-open path with fixed endpoints, its winding stratified the same way.
+open path with fixed endpoints, its winding stratified the same way.  On the
+lattice a loop is a bridge of the walk generated by Lap/2, a product of
+independent +1 / -1 jump processes, one per coordinate: each bridge is drawn
+exactly from its jumps (counts given the endpoint, then uniform times), never
+grid step by grid step.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammainc, gammaln
+from scipy.special import gammainc, gammaln, xlogy
 
 from .lattice import ModelParams, TimeGrid, TorusGeometry, check_grid_period
 from .propagators import (circle_heat_kernel, free_log_trace, heat_propagator,
@@ -33,7 +37,7 @@ __all__ = [
     "duhamel_loopgas",
 ]
 
-UNDERFLOW = 1e-300
+_JUMP_CUTOFF = 1e-17  # a jump-count table ends where its weights fall below this fraction
 
 
 def kappa_eff(params: ModelParams, v) -> float:
@@ -91,8 +95,9 @@ def _bridge_densities(geom: TorusGeometry, grid: TimeGrid, form, starts, ends, s
     phase start and belongs to group group[i]; the groups run 0..G-1 in
     non-decreasing order, none empty, and the steps agree mod n_tau, so a
     group of several paths is loops of whole periods begun on phase 0.  A
-    path's final (pinned) position is left out of its density.  Lattice: one
-    forward pass counts each site as it draws it (`_lattice_bridges`).
+    path's final (pinned) position is left out of its density.  Lattice: the
+    paths are drawn from their jumps and counted run by run between jumps
+    (`_lattice_bridges`).
     Circle: Gaussian bridges, one vectorized group per step count, written
     straight into each group's walk, its paths end to end; walks are
     bucketed by length and each bucket is one `density` call.
@@ -119,7 +124,7 @@ def _pair_form(geom: TorusGeometry, v):
     """Slice-density map and matrix M with sum_{a in A, b in B} v(a - b) = phi(A).M.phi(B).
 
     Lattice: phi is the visit count per site and M = v(x - y); the map is
-    None, because the bridge pass counts each site as it draws it
+    None, because the bridge pass writes the visit counts itself
     (`_lattice_bridges`).  Circle: density(pos, start, n_tau) maps paths pos
     (S, P), whose first position sits on phase start, to their (S, n_tau, F)
     feature sums per phase: the count and the cos / sin (2 pi k x / L) sums
@@ -200,52 +205,110 @@ def _winding_tail(geom: TorusGeometry, nu: float, kappa: float, l_max: int) -> f
 # bridge sampling
 
 
+def _jump_tables(lam: np.ndarray, m: int, delta: np.ndarray) -> np.ndarray:
+    """(k, size, size) cdfs of one coordinate's jump counts given its net move mod m.
+
+    Over a duration T a coordinate makes independent Poisson(T/2) numbers a
+    of +1 and b of -1 jumps.  Table i, for T/2 = lam[i] and net move
+    delta[i], is the cumulative weight lam^(a+b) / (a! b!) of the pairs with
+    a - b = delta mod m, in row-major (a, b) order and normalized to end at 1;
+    the count range doubles until its last row and column fall below
+    _JUMP_CUTOFF of each table's largest weight.  No such pair (T = 0,
+    delta != 0) is an unreachable endpoint; any other table is built in log
+    weights, however small p_T(x, y).
+    """
+    if np.any((lam == 0) & (delta != 0)):
+        raise ValueError("endpoint unreachable: p_T(x, y) = 0")
+    size = 32
+    while True:
+        a = np.arange(size)
+        logw = xlogy(a, lam[:, None]) - gammaln(a + 1)
+        pair = np.where((a[:, None] - a) % m == delta[:, None, None],
+                        logw[:, :, None] + logw[:, None, :], -np.inf)
+        top = pair.max(axis=(1, 2))
+        if size > lam.max() + 1 and np.all(
+                logw[:, -1] + logw.max(axis=1) < top + np.log(_JUMP_CUTOFF)):
+            break
+        size *= 2
+    cdf = np.cumsum(np.exp(pair - top[:, None, None]).reshape(len(lam), -1), axis=1)
+    return (cdf / cdf[:, -1:]).reshape(pair.shape)
+
+
 def _lattice_bridges(geom: TorusGeometry, grid: TimeGrid, starts: np.ndarray,
                      ends: np.ndarray, steps: np.ndarray, group: np.ndarray, start: int,
                      rng: np.random.Generator) -> np.ndarray:
-    """(G, n_tau, n_sites) visit counts of pinned site paths per group, one pass for all.
+    """(G, n_tau, n_sites) visit counts of pinned site paths per group, from their jumps.
 
     Exact conditional law; paths as in `_bridge_densities`, group ids in any
-    order.  The paths are sorted by length and aligned at their end: at
-    global step g every live path has k_max - g steps left, so all of them
-    draw the next site from p_eps(cur, .) p_{(k_max - g) eps}(., end) with
-    the same kernel power, and they are the leading rows [:m] of the sorted
-    batch.  The powers p_{k eps}, k = 0..k_max, come from one spectral stack.
-    No position is kept.  Global step g is phase (start + g) mod n_tau, and a
-    path of K steps begins on step k_max - K, so on phase start when the step
-    counts agree mod n_tau.  The site of each row begun by step g (its start
-    point until it draws) becomes a (group, phase, site) cell in one buffer,
-    counted by one `bincount`; the pinned final step k_max is never counted.
+    order.  The generator Lap/2 moves each coordinate by +1 and by -1 at rate
+    1/2 each, independently mod m (on m = 2 both land on the other site, the
+    doubled bond's rate-1 flip; on m = 1 nothing moves, rate 0), and a path of
+    K steps is that walk read at times k eps.  Per path and coordinate, one
+    uniform picks the jump counts from `_jump_tables` at T = K eps, and one
+    uniform u per jump, drawn path by path, coordinate by coordinate, +1
+    jumps first, puts it on step floor(u K) + 1.  After one sort by (path,
+    step), the site is constant on the runs between jumps.  The paths are
+    end-aligned: step k of a K-step path sits on global step k_max - K + k,
+    phase (start + k_max - K + k) mod n_tau, so on phase start + k when the
+    step counts agree mod n_tau.  A run over global steps [a, b) adds
+    b // n_tau - a // n_tau to every phase of its (group, site) and
+    [t >= a mod n_tau] - [t >= b mod n_tau] to phase t: one weighted
+    `bincount` of three cells per run, then a running sum over the phases.
+    The pinned final step K is never counted.
     """
-    n, n_tau = geom.n_sites, grid.n_slices
-    k_max = int(steps.max())
-    evals, evecs = _spectral_data(geom)
-    decay = np.exp(0.5 * grid.eps * np.arange(k_max + 1)[:, None] * evals)
-    ker = (evecs * decay[:, None, :]) @ evecs.T
-    order = np.argsort(-steps, kind="stable")
-    longest = -steps[order]
-    sites, ends = starts[order], ends[order]
-    if np.any(ker[-longest, sites, ends] < UNDERFLOW):
-        raise ValueError("endpoint unreachable: p_T(x, y) underflows")
-    live = np.searchsorted(longest, np.arange(k_max + 1) - k_max)
-    hop = ker[1].T.copy()  # hop[x, u] = p_eps(u, x)
-    lower = np.tril(np.ones((n, n)))  # cdf by GEMM: np.cumsum is slower
-    base = group[order] * (n_tau * n)
-    cells = np.empty(int(steps.sum()), dtype=np.intp)
-    done = 0
-    for g in range(k_max):
-        if g:
-            m = live[g]
-            probs = hop.take(sites[:m], axis=1) * ker[k_max - g].take(ends[:m], axis=1)
-            cdf = lower @ probs
-            sites[:m] = (cdf < rng.random(m) * cdf[-1]).sum(axis=0)
-        present = live[g + 1]  # every row of more than k_max - g - 1 steps
-        cell = cells[done:done + present]
-        np.add(base[:present], sites[:present], out=cell)
-        cell += (start + g) % n_tau * n
-        done += present
-    return np.bincount(cells, minlength=(int(group.max()) + 1) * n_tau * n).reshape(
-        -1, n_tau, n).astype(float)
+    n, n_tau, m, d = geom.n_sites, grid.n_slices, geom.sites_per_side, geom.dimension
+    P, k_max = len(steps), int(steps.max())
+    coords = geom.site_coords()
+    origin = coords[starts]
+    keys = ((coords[ends] - origin) % m + m * steps[:, None]).ravel()
+    present = np.bincount(keys) > 0
+    levels = np.flatnonzero(present)
+    cdf = _jump_tables((0.5 * grid.eps if m > 1 else 0.0) * (levels // m), m, levels % m)
+    inverse = (np.cumsum(present) - 1)[keys]
+    u = rng.random(P * d)
+    pick = np.empty(P * d, dtype=np.intp)
+    for i, table in enumerate(cdf.reshape(len(levels), -1)):
+        rows = inverse == i
+        pick[rows] = np.searchsorted(table, u[rows], side="right")
+    plus, minus = np.divmod(pick, cdf.shape[-1])
+    # the jumps path by path, coordinate by coordinate, +1 before -1; label 2c
+    # is a +1 move of coordinate c, 2c + 1 a -1 move
+    label = np.repeat(np.tile(np.arange(2 * d), P), np.stack([plus, minus], axis=1).ravel())
+    jumps = (plus + minus).reshape(P, d).sum(axis=1)
+    path = np.repeat(np.arange(P), jumps)
+    step = (rng.random(len(path)) * steps[path]).astype(np.intp) + 1
+    order = np.argsort(path * (k_max + 1) + step, kind="stable")
+    path, step, label = path[order], step[order], label[order]
+    # the site after each jump, each coordinate's moves summed within its path
+    sign = 1 - 2 * (label & 1)
+    net = (plus - minus).reshape(P, d)
+    base = origin - (np.cumsum(net, axis=0) - net)
+    site = np.zeros(len(path), dtype=np.intp)
+    for c in range(d):
+        moved = np.cumsum(np.where(label >> 1 == c, sign, 0))
+        site += (moved + base[path, c]) % m * m ** (d - 1 - c)
+    # runs: each path's start, then one per jump, each ending where the next
+    # begins or at the path's pinned end
+    R = P + len(path)
+    head = np.cumsum(jumps + 1) - (jumps + 1)
+    after = np.arange(len(path)) + path + 1
+    last = head + jumps
+    offset = start + k_max - steps
+    cell = np.empty(R, dtype=np.intp)
+    cell[head], cell[after] = starts, site
+    cell += np.repeat(group, jumps + 1) * (n_tau * n)
+    begin = np.empty(R, dtype=np.intp)
+    begin[head], begin[after] = offset, offset[path] + step
+    finish = np.empty_like(begin)
+    finish[:-1] = begin[1:]
+    finish[last] = offset + steps
+    from_period, from_phase = np.divmod(begin, n_tau)
+    to_period, to_phase = np.divmod(finish, n_tau)
+    counts = np.bincount(
+        np.concatenate([cell, cell + from_phase * n, cell + to_phase * n]),
+        weights=np.concatenate([to_period - from_period, np.ones(R), -np.ones(R)]),
+        minlength=(int(group.max()) + 1) * n_tau * n).reshape(-1, n_tau, n)
+    return np.cumsum(counts, axis=1, out=counts)
 
 
 def _circle_bridges(L: float, starts: np.ndarray, ends: np.ndarray, T: float,

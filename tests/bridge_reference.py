@@ -4,14 +4,18 @@ Every ensemble is drawn into one end-aligned (paths, k_max + 1) array padded
 with copies of each start point; each path's columns are cut back out and
 turned into slice densities per step count (open paths) or per group walk of
 loops laid end to end (loop groups).  It makes the same random draws as
-`loopgas._bridge_densities`, so the densities must agree bit for bit.
+`loopgas._bridge_densities`, so the densities must agree bit for bit.  The
+lattice paths are built one at a time from their jumps; `forward_bridges`
+keeps the step-by-step heat-kernel sampler as a second, independent law.
 """
 
 import numpy as np
 
-from bosegas.loopgas import (UNDERFLOW, _base_points, _circle_bridges,
-                             _inverse_cdf, _pair_form, _stratified_uniforms)
+from bosegas.loopgas import (_base_points, _circle_bridges, _inverse_cdf, _jump_tables,
+                             _pair_form, _stratified_uniforms)
 from bosegas.propagators import _spectral_data
+
+UNDERFLOW = 1e-300
 
 
 def reference_form(geom, v):
@@ -31,7 +35,43 @@ def reference_form(geom, v):
 
 
 def lattice_bridges(geom, starts, ends, steps, eps, rng):
-    """End-aligned (S, k_max + 1) site paths, rows in input order, one forward pass."""
+    """End-aligned (S, k_max + 1) site paths, rows in input order, path by path.
+
+    The draws of `loopgas._lattice_bridges`: one uniform per path and
+    coordinate picks the coordinate's +1 and -1 jump counts from its table,
+    then one uniform u per jump (path by path, coordinate by coordinate, +1
+    jumps first) moves the coordinate from step floor(u K) + 1 on.  A table
+    depends on the others in its `_jump_tables` call only through their
+    common count range, so one table per path and coordinate here is the
+    pass's table bit for bit.
+    """
+    m, d = geom.sites_per_side, geom.dimension
+    rate = 0.5 * eps if m > 1 else 0.0
+    coords = geom.site_coords()
+    k_max = int(steps.max())
+    delta = (coords[ends] - coords[starts]) % m
+    cdf = _jump_tables(rate * np.repeat(steps, d), m, delta.ravel())
+    size = cdf.shape[-1]
+    u = rng.random((len(steps), d))
+    moves = []
+    for i in range(len(steps)):
+        for c in range(d):
+            plus, minus = divmod(np.searchsorted(cdf[i * d + c].ravel(), u[i, c], side="right"),
+                                 size)
+            moves += [(i, c, 1)] * plus + [(i, c, -1)] * minus
+    pos = np.repeat(coords[starts][:, :, None], k_max + 1, axis=2)
+    for (i, c, sign), t in zip(moves, rng.random(len(moves))):
+        pos[i, c, k_max - steps[i] + int(t * steps[i]) + 1:] += sign
+    return (pos % m * m ** np.arange(d - 1, -1, -1)[:, None]).sum(axis=1)
+
+
+def forward_bridges(geom, starts, ends, steps, eps, rng):
+    """End-aligned (S, k_max + 1) site paths, one forward pass over the grid steps.
+
+    At global step g every path with steps left draws its next site from
+    p_eps(cur, .) p_{(k_max - g) eps}(., end), the powers from one spectral
+    stack; its own draws, not those of `loopgas._lattice_bridges`.
+    """
     k_max = int(steps.max())
     evals, evecs = _spectral_data(geom)
     decay = np.exp(0.5 * eps * np.arange(k_max + 1)[:, None] * evals)

@@ -198,12 +198,19 @@ def test_criterion_det_identity():
 
 
 def test_criterion_eta_positivity():
-    """Re S(eta) >= 0 everywhere sampled; eta route matches quadrature."""
+    """Re S(eta) >= 0 everywhere sampled, and S equals log det(1 - i R eta)
+    + i tr(R eta) from slogdet (on 2 sites the principal phase is exact);
+    eta route matches quadrature."""
     rng = np.random.default_rng(8)
-    s_min = np.inf
+    r = np.linalg.inv(np.eye(2) - 0.5 * G2.laplacian_matrix())
+    s_min, s_err = np.inf, 0.0
     for _ in range(1000):
         eta = 2.0 * rng.standard_normal(2)
-        s_min = min(s_min, action_S_eta_closed(eta, G2, 1.0).real)
+        s = action_S_eta_closed(eta, G2, 1.0)
+        sign, logabs = np.linalg.slogdet(np.eye(2) - 1j * r * eta)
+        want = logabs + 1j * (np.angle(sign) + np.trace(r * eta))
+        s_min = min(s_min, s.real)
+        s_err = max(s_err, abs(s - want) / max(1.0, abs(want)))
     g1 = TorusGeometry(dimension=1, sites_per_side=1)
     v1 = delta_potential(g1)
     p = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5)
@@ -211,6 +218,7 @@ def test_criterion_eta_positivity():
     want = field_quadrature_1site(p, v1)["z_rel"]
     dev = abs(est.value.real - want)
     sig = 3 * max(est.stderr_re, 1e-5)
-    ok = s_min >= -1e-12 and dev < sig
+    ok = s_min >= -1e-12 and s_err <= 1e-12 and dev < sig
     _report("eta-representation positivity", ok,
-            f"min Re S {s_min:.3e}, dev {dev:.5f} vs 3 sigma {sig:.5f}")
+            f"min Re S {s_min:.3e}, S vs slogdet {s_err:.1e}, "
+            f"dev {dev:.5f} vs 3 sigma {sig:.5f}")

@@ -15,12 +15,15 @@ from bosegas.loopgas import (_bridge_densities, _circle_bridges, _lattice_bridge
                              xi_rel_series)
 from bosegas.propagators import circle_heat_kernel, free_green, heat_propagator
 from bosegas.stats import batch_layout
-from bridge_reference import bridges, loop_densities, path_densities, reference_form
+from bridge_reference import (bridges, forward_bridges, loop_densities, path_densities,
+                              reference_form)
 from pair_reference import loop_interaction_Vnu
 
 G1 = TorusGeometry(dimension=1, sites_per_side=1)
 G2 = TorusGeometry(dimension=1, sites_per_side=2)
 G22 = TorusGeometry(dimension=2, sites_per_side=2)
+G5 = TorusGeometry(dimension=1, sites_per_side=5)
+G333 = TorusGeometry(dimension=3, sites_per_side=3)
 GRID = TimeGrid(nu=1.0, n_slices=32)
 FREE = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.0)
 BENCH = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5)
@@ -78,6 +81,88 @@ def test_bridge_midpoint_marginal():
         frac = counts[i, k_max - n_steps // 2, 0] / S
         se = np.sqrt(probs[0] * (1 - probs[0]) / S)
         assert abs(frac - probs[0]) < 5 * se
+
+
+def _assert_counts(got, expected):
+    """Multinomial cell counts within 5 sigma, sigma floored at one count."""
+    var = expected * (1.0 - expected / expected.sum())
+    z = (got - expected) / np.sqrt(np.maximum(var, 1.0))
+    assert np.max(np.abs(z)) < 5, z
+
+
+def _assert_bridge_law(geom, eps, x, y, K, pos):
+    """Sites pos (S, K) at steps 0..K-1 of S paths x -> y against heat-kernel products.
+
+    Every one-time marginal p_{k eps}(x, u) p_{(K-k) eps}(u, y) / p_{K eps}(x, y)
+    and, from three steps, the joint at steps K // 3 and 2K // 3.
+    """
+    S, n = len(pos), geom.n_sites
+    pos = pos.astype(np.intp)
+    assert np.all(pos[:, 0] == x)
+    p = [heat_propagator(geom, k * eps) for k in range(K + 1)]
+    for k in range(1, K):
+        _assert_counts(np.bincount(pos[:, k], minlength=n),
+                       S * p[k][x] * p[K - k][:, y] / p[K][x, y])
+    if K >= 3:
+        k1, k2 = K // 3, 2 * K // 3
+        joint = p[k1][x][:, None] * p[k2 - k1] * p[K - k2][:, y] / p[K][x, y]
+        _assert_counts(np.bincount(pos[:, k1] * n + pos[:, k2], minlength=n * n),
+                       S * joint.ravel())
+
+
+@pytest.mark.parametrize("sampler", ["jumps", "forward"])
+@pytest.mark.parametrize("geom, paths", [
+    (G1, [(0, 0, 3), (0, 0, 8)]),
+    (G5, [(0, 2, 1), (0, 4, 1), (0, 2, 2), (1, 3, 9), (2, 2, 16)]),
+    (G22, [(0, 3, 1), (0, 3, 5), (1, 1, 12)]),
+    (G333, [(0, 26, 1), (0, 13, 6), (4, 4, 9)]),
+], ids=["1 site", "5-site ring", "2x2 torus", "3^3 torus"])
+def test_bridges_follow_the_heat_kernel_law(geom, paths, sampler):
+    # mixed lengths in one shuffled pass, among them one-step open paths that
+    # need two jumps in one step (5 sites) or one per coordinate (tori); the
+    # jump pass gives each path its own group, and its counts, one site per
+    # counted step, are read back as sites; the forward pass, an independent
+    # sampler, returns the sites
+    S, eps = 4000, 1.0 / 16
+    rng = np.random.default_rng(11)
+    label = rng.permutation(np.repeat(np.arange(len(paths)), S))
+    starts, ends, steps = (np.array([paths[i][j] for i in label]) for j in range(3))
+    k_max = int(steps.max())
+    if sampler == "jumps":
+        grid = TimeGrid(nu=k_max * eps, n_slices=k_max)
+        counts = _lattice_bridges(geom, grid, starts, ends, steps, np.arange(len(label)), 0,
+                                  rng)
+        on_path = np.arange(k_max) >= k_max - steps[:, None]
+        assert np.array_equal(counts.sum(axis=2), on_path.astype(float))
+        sites = counts.argmax(axis=2)
+    else:
+        sites = forward_bridges(geom, starts, ends, steps, eps, rng)
+        assert np.all(sites[:, -1] == ends)
+    for i, (x, y, K) in enumerate(paths):
+        _assert_bridge_law(geom, eps, x, y, K, sites[label == i, k_max - K:k_max])
+
+
+def test_unreachable_endpoint_raises():
+    # a path of no steps cannot move
+    with pytest.raises(ValueError, match="endpoint unreachable"):
+        _lattice_bridges(G5, GRID, np.array([0]), np.array([2]), np.array([0]),
+                         np.array([0]), 0, np.random.default_rng(0))
+
+
+def test_far_endpoint_is_drawn_from_log_weights():
+    # two steps halfway round a 200-site ring: p_{2 eps}(0, 100) ~ 1e-330
+    # underflows double precision, yet the pair (100, 0) or (0, 100) of jump
+    # counts carries all but ~2e-5 of the law, so the midpoint is 0 plus or
+    # minus a Binomial(100, 1/2) count: each way round half the time, at
+    # distance 50 +- 5 from the start
+    S = 4000
+    counts = _lattice_bridges(TorusGeometry(dimension=1, sites_per_side=200), GRID,
+                              np.zeros(S, dtype=int), np.full(S, 100), np.full(S, 2),
+                              np.arange(S), 0, np.random.default_rng(12))
+    assert np.all(counts[:, 0, 0] == 1)
+    mid = counts[:, 1].argmax(axis=1)
+    assert abs(np.mean(mid > 100) - 0.5) < 5 * 0.5 / np.sqrt(S)
+    assert abs(np.mean(np.minimum(mid, 200 - mid)) - 50) < 5 * 5 / np.sqrt(S)
 
 
 def test_circle_bridge_midpoint_marginal():
