@@ -74,13 +74,11 @@ at the cost of one field each:
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .lattice import ModelParams, TimeGrid, TorusGeometry, check_grid_period
-from .propagators import (_spectral_data, free_log_trace, hartree_shift,
-                          heat_propagator, ideal_occupation, monodromy_batch)
+from .propagators import (_circulant_root, _plane_waves, _spectral_data, free_log_trace,
+                          hartree_shift, heat_propagator, ideal_occupation, monodromy_batch)
 from .stats import (ComplexEstimate, batch_means, exact_estimate, mean_estimate,
                     ratio_estimate, weight_ess)
 
@@ -92,7 +90,6 @@ __all__ = [
     "estimate_duhamel",
 ]
 
-NEGATIVE_EIG_TOL = 1e-10
 # fields per block of the control variate's quadratic form: the transformed
 # block is reused from cache instead of faulting in a stack-sized array
 CONTROL_CHUNK = 256
@@ -107,22 +104,12 @@ def wick_rho(geom: TorusGeometry, nu: float, kappa0: float) -> float:
     return nu * ideal_occupation(geom, nu, kappa0)
 
 
-def _cov_factor(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v) -> np.ndarray:
-    """Square root of the per-slice covariance (lam / (nu eps)) v(x-y)."""
-    scale = params.lam / (params.nu * grid.eps)
-    cov = scale * v.matrix()
-    evals, evecs = np.linalg.eigh(cov)
-    if evals.min() < -NEGATIVE_EIG_TOL * max(1.0, abs(evals.max())):
-        raise ValueError("slice covariance is not positive semidefinite")
-    return evecs * np.sqrt(np.clip(evals, 0.0, None))
-
-
 def sample_sigma(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
                  n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of field configurations, shape (n_samples, n_slices, n_sites)."""
-    root = _cov_factor(params, geom, grid, v)
+    root = _circulant_root(geom, params.lam / (params.nu * grid.eps) * v.values)
     noise = rng.standard_normal((n_samples, grid.n_slices, geom.n_sites))
-    return (noise.reshape(-1, geom.n_sites) @ root.T).reshape(noise.shape)
+    return (noise.reshape(-1, geom.n_sites) @ root).reshape(noise.shape)
 
 
 def _log_det_ratio(geom: TorusGeometry, nu: float, kappa0: float,
@@ -191,34 +178,6 @@ def _weight_hessian(params: ModelParams, geom: TorusGeometry, grid: TimeGrid,
     return -params.n_species * eps**2 * forward * backward
 
 
-@lru_cache(maxsize=16)
-def _plane_waves(period: int, dimension: int):
-    """Real orthonormal plane waves on a periodic grid, and their cosines.
-
-    The grid has `period` points per side in `dimension` dimensions, in the
-    lexicographic order of `TorusGeometry.site_coords`, so that point q is
-    also momentum q.  Returns the (n, n) basis, whose columns are
-    cos(2 pi q.x / period) for one of each pair q, -q and
-    sin(2 pi q.x / period) for each q != -q, normalized, and the (n, n)
-    matrix of cos(2 pi q.y / period) for the momentum q of each column.
-    Every symmetric translation-invariant M is diagonal in the basis, with
-    M[0] @ cosines its diagonal.  Both arrays are read-only.
-    """
-    axes = np.meshgrid(*([np.arange(period)] * dimension), indexing="ij")
-    coords = np.stack([a.ravel() for a in axes], axis=1)
-    n = len(coords)
-    phase = 2.0 * np.pi / period * (coords @ coords.T)
-    mirror = (-coords % period) @ period ** np.arange(dimension - 1, -1, -1)  # index of -q
-    cos_q = np.flatnonzero(np.arange(n) <= mirror)
-    sin_q = np.flatnonzero(np.arange(n) < mirror)
-    norm = np.sqrt(np.where(cos_q < mirror[cos_q], 2.0, 1.0) / n)
-    basis = np.concatenate([norm * np.cos(phase[:, cos_q]),
-                            np.sqrt(2.0 / n) * np.sin(phase[:, sin_q])], axis=1)
-    cosines = np.cos(phase[:, np.concatenate([cos_q, sin_q])])
-    basis.flags.writeable = cosines.flags.writeable = False
-    return basis, cosines
-
-
 def _zero_field_weight(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
                        shift: float) -> float:
     """w(0), the weight of the zero field, whose monodromy is U(nu)."""
@@ -235,8 +194,8 @@ def _gaussian_control(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, 
     circulant and symmetric over slices (`_weight_hessian`), and every block,
     like the slice covariance C, is translation invariant and symmetric over
     sites.  So the product of the plane waves over slices and over sites
-    (`_plane_waves`) diagonalizes H and C at once, with entries h(k, p) <= 0
-    and C(p).  With z the fields in that basis,
+    (`propagators._plane_waves`) diagonalizes H and C at once, with entries
+    h(k, p) <= 0 and C(p).  With z the fields in that basis,
 
         s.H s = sum h(k, p) z^2,   E[g] = w(0) prod (1 - C(p) h(k, p))^-1/2,
 
@@ -247,7 +206,7 @@ def _gaussian_control(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, 
     slice_basis, slice_cos = _plane_waves(n_slices, 1)
     site_basis, site_cos = _plane_waves(geom.sites_per_side, geom.dimension)
     h_modes = slice_cos.T @ _weight_hessian(params, geom, grid, shift)[:, 0, :] @ site_cos
-    cov_modes = params.lam / (params.nu * grid.eps) * v.matrix()[0] @ site_cos
+    cov_modes = params.lam / (params.nu * grid.eps) * v.values @ site_cos
     log_det = np.sum(np.log1p(-cov_modes * h_modes))
     quad = np.empty(len(sigma))
     for start in range(0, len(sigma), CONTROL_CHUNK):
@@ -274,9 +233,9 @@ def _kernel_expansion(params: ModelParams, geom: TorusGeometry, grid: TimeGrid,
     slices with blocks m[d] = G0(d eps) for d >= 1 and m[0] = G - 1/2 (the
     contact term), that is M = (1 + S Q)(1 - S Q)^-1 / 2 with Q =
     e^{-kappa eps} U(eps) and S the cyclic slice shift.  Every block is
-    diagonal in the Laplacian modes of `_spectral_data`.  Returns k0, a, L,
-    R (each of shape (n_slices, n_sites)) and the diagonals of m[d] over the
-    modes, shape (n_slices, n_sites).
+    diagonal in the plane waves (`propagators._spectral_data`).  Returns k0,
+    a, L, R (each of shape (n_slices, n_sites)) and the diagonals of m[d]
+    over the modes, shape (n_slices, n_sites).
     """
     evals, evecs = _spectral_data(geom)
     nu, eps, n_slices = params.nu, grid.eps, grid.n_slices
@@ -312,7 +271,7 @@ def _kernel_control(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
 
     Per field, (L o s).M(R o s) is a sum over the Laplacian modes, in each
     of which M is an n_slices x n_slices circulant.  For the mean, with
-    C = R_c R_c^t slice by slice (`_cov_factor`) and b = R_c^t a, one
+    C = R_c R_c^t slice by slice (`_circulant_root`) and b = R_c^t a, one
     Cholesky factor of [[1 - R_c^t (B - a a^t) R_c, b], [b^t, 1]] gives
     det(1 - C B) = det(1 - R_c^t B R_c) and q = b^t (1 - R_c^t (B - a a^t) R_c)^-1 b,
     whence a^t (1 - C B)^-1 C a = q / (1 - q).  The factor exists exactly
@@ -328,7 +287,7 @@ def _kernel_control(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
     # R_c^t (T + T^t) R_c, block (j, j') = sum over modes p of
     # lw[j, p]^t mu[j, j', p] rw[j', p] + rw[j, p]^t mu[j', j, p] lw[j', p],
     # with lw[j] = E^t diag(L_j) root and rw[j] = E^t diag(R_j) root
-    root = _cov_factor(params, geom, grid, v)
+    root = _circulant_root(geom, params.lam / (params.nu * grid.eps) * v.values)
     lw = evecs.T @ (left[..., None] * root)
     rw = evecs.T @ (right[..., None] * root)
     pairs = np.empty((n_slices, 2 * n, n_slices, n))

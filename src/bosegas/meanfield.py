@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import ModelParams, TorusGeometry
-from .propagators import _laplacian, _spectral_data
+from .propagators import _circulant_root, _laplacian, _plane_waves, _spectral_data
 from .stats import ComplexEstimate, batch_means, mean_estimate, weight_ess
 
 __all__ = [
@@ -175,18 +175,18 @@ def _resolvent_root(geom: TorusGeometry, kappa0: float) -> np.ndarray:
     return (evecs / np.sqrt(kappa0 - 0.5 * evals)) @ evecs.T
 
 
-def _gaussian_mean(q: np.ndarray, cov: np.ndarray, n_species: float,
-                   rho: float) -> float:
-    """E[exp(-(N/2) eta.Q eta) cos(rho sum eta)] for eta ~ N(0, cov).
+def _gaussian_mean(geom: TorusGeometry, q: np.ndarray, cov: np.ndarray,
+                   n_species: float, rho: float) -> float:
+    """E[exp(-(N/2) eta.Q eta) cos(rho sum eta)] for eta ~ N(0, C), C[x, y] = cov[x - y].
 
-    det(1 + N C Q)^-1/2 exp(-rho^2 1.C (1 + N Q C)^-1 1 / 2): the Gaussian
-    integral, with C never inverted (it may be singular).
+    det(1 + N C Q)^-1/2 exp(-rho^2 1.C (1 + N Q C)^-1 1 / 2) with Q[x, y] =
+    q[x - y]: a product over the plane waves, in which 1 is the constant mode.
     """
-    eye = np.eye(len(q))
-    ones = np.ones(len(q))
-    _, logdet = np.linalg.slogdet(eye + n_species * cov @ q)
-    quad_form = ones @ cov @ np.linalg.solve(eye + n_species * q @ cov, ones)
-    return float(np.exp(-0.5 * logdet - 0.5 * rho**2 * quad_form))
+    cosines = _plane_waves(geom.sites_per_side, geom.dimension)[1]
+    c0, q0 = cov.sum(), q.sum()
+    quad_form = geom.n_sites * c0 / (1.0 + n_species * c0 * q0)
+    log_det = np.sum(np.log1p(n_species * (cov @ cosines) * (q @ cosines)))
+    return float(np.exp(-0.5 * log_det - 0.5 * rho**2 * quad_form))
 
 
 def z_via_eta(params: ModelParams, geom: TorusGeometry, v, samples: int,
@@ -210,14 +210,13 @@ def z_via_eta(params: ModelParams, geom: TorusGeometry, v, samples: int,
     The ESS is that of the raw weights w.  `extra` carries E[g] as
     `gauss_mean` and the batch-means error of w alone as `weights_stderr`.
     At lambda0 = 0 every eta is 0 and every sample exactly 1.  S is analytic
-    in eta (`_s_eta`), so any N >= 0 runs on any lattice.
+    in eta (`_s_eta`), so any N >= 0 runs on any lattice; a v that is not PSD raises.
     """
     n_species = params.n_species
     rng = np.random.default_rng(seed)
-    cov = params.lambda0 / (n_species + 1.0) * v.matrix()
-    evals, evecs = np.linalg.eigh(cov)
-    root = evecs * np.sqrt(np.clip(evals, 0.0, None))
-    etas = rng.standard_normal((samples, geom.n_sites)) @ root.T
+    scale = params.lambda0 / (n_species + 1.0)
+    root = _circulant_root(geom, scale * v.values)
+    etas = rng.standard_normal((samples, geom.n_sites)) @ root
     r_root = _resolvent_root(geom, params.kappa0)
     s_vals = _s_eta(etas, r_root)
     phase = params.rho * etas.sum(axis=1)
@@ -225,7 +224,7 @@ def z_via_eta(params: ModelParams, geom: TorusGeometry, v, samples: int,
     q = (r_root @ r_root) ** 2
     control = (np.exp(-0.5 * n_species * np.sum((etas @ q) * etas, axis=1))
                * np.cos(phase))
-    gauss_mean = _gaussian_mean(q, cov, n_species, params.rho)
+    gauss_mean = _gaussian_mean(geom, q[0], scale * v.values, n_species, params.rho)
     est = mean_estimate(weights - control + gauss_mean, seed=seed)
     est.ess = weight_ess(weights)
     est.extra.update(gauss_mean=gauss_mean, weights_stderr=float(batch_means(weights)[1]))

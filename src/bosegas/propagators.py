@@ -1,4 +1,6 @@
-"""Spectral Laplacian data, heat propagators, monodromies and the free Green matrix."""
+"""The torus eigenbasis, heat propagators, monodromies and the free Green matrix.
+
+Every translation-invariant operator on the torus is diagonal in `_plane_waves`."""
 
 from __future__ import annotations
 
@@ -18,6 +20,8 @@ __all__ = [
     "hartree_shift",
 ]
 
+NEGATIVE_EIG_TOL = 1e-10
+
 
 @lru_cache(maxsize=64)
 def _laplacian(geom: TorusGeometry) -> np.ndarray:
@@ -27,10 +31,51 @@ def _laplacian(geom: TorusGeometry) -> np.ndarray:
     return lap
 
 
+@lru_cache(maxsize=16)
+def _plane_waves(period: int, dimension: int):
+    """Real orthonormal plane waves on a periodic grid, and their cosines.
+
+    The grid has `period` points per side in `dimension` dimensions, in the
+    lexicographic order of `TorusGeometry.site_coords`, so that point q is
+    also momentum q.  Returns the (n, n) basis, whose columns are
+    cos(2 pi q.x / period) for one of each pair q, -q and
+    sin(2 pi q.x / period) for each q != -q, normalized, and the (n, n)
+    matrix of cos(2 pi q.y / period) for the momentum q of each column.
+    Every symmetric translation-invariant M is diagonal in the basis, with
+    M[0] @ cosines its diagonal.  Both arrays are read-only.
+    """
+    axes = np.meshgrid(*([np.arange(period)] * dimension), indexing="ij")
+    coords = np.stack([a.ravel() for a in axes], axis=1)
+    n = len(coords)
+    phase = 2.0 * np.pi / period * (coords @ coords.T)
+    mirror = (-coords % period) @ period ** np.arange(dimension - 1, -1, -1)  # index of -q
+    cos_q = np.flatnonzero(np.arange(n) <= mirror)
+    sin_q = np.flatnonzero(np.arange(n) < mirror)
+    norm = np.sqrt(np.where(cos_q < mirror[cos_q], 2.0, 1.0) / n)
+    basis = np.concatenate([norm * np.cos(phase[:, cos_q]),
+                            np.sqrt(2.0 / n) * np.sin(phase[:, sin_q])], axis=1)
+    cosines = np.cos(phase[:, np.concatenate([cos_q, sin_q])])
+    basis.flags.writeable = cosines.flags.writeable = False
+    return basis, cosines
+
+
 @lru_cache(maxsize=64)
 def _spectral_data(geom: TorusGeometry):
-    evals, evecs = np.linalg.eigh(_laplacian(geom))
-    return evals, evecs
+    """Laplacian spectrum sum_i (2 cos q_i - 2) and eigenbasis `_plane_waves`; read-only."""
+    basis, cosines = _plane_waves(geom.sites_per_side, geom.dimension)
+    evals = _laplacian(geom)[0] @ cosines
+    evals.flags.writeable = False
+    return evals, basis
+
+
+def _circulant_root(geom: TorusGeometry, values) -> np.ndarray:
+    """Symmetric root basis diag(sqrt(values @ cosines)) basis^t of the matrix values[x - y],
+    the same in any basis of a degenerate eigenspace; ValueError if its spectrum is not PSD."""
+    basis, cosines = _plane_waves(geom.sites_per_side, geom.dimension)
+    spectrum = values @ cosines
+    if spectrum.min() < -NEGATIVE_EIG_TOL * max(1.0, abs(spectrum.max())):
+        raise ValueError(f"covariance is not positive semidefinite: mode {spectrum.min():.3g}")
+    return (basis * np.sqrt(np.clip(spectrum, 0.0, None))) @ basis.T
 
 
 def heat_propagator(geom: TorusGeometry, t: float) -> np.ndarray:
@@ -69,10 +114,6 @@ def circle_heat_kernel(circumference: float, t: float, x, y=0.0):
     if total.shape == ():
         return float(total)
     return total
-
-
-def _half_step(geom: TorusGeometry, eps: float) -> np.ndarray:
-    return heat_propagator(geom, 0.5 * eps)
 
 
 def _slice_phases(grid: TimeGrid, sigma: np.ndarray):
@@ -124,7 +165,7 @@ def monodromy_batch(geom: TorusGeometry, grid: TimeGrid, sigma: np.ndarray,
     if prefix is not None and not 0 < prefix < grid.n_slices:
         raise ValueError(f"prefix must lie in 1..{grid.n_slices - 1}, not {prefix}")
     n = geom.n_sites
-    half = _half_step(geom, grid.eps)
+    half = heat_propagator(geom, 0.5 * grid.eps)
     full = heat_propagator(geom, grid.eps)
 
     def flat(stack):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from bosegas.lattice import (ModelParams, TorusGeometry, delta_potential,
-                             wrapped_gaussian_potential)
+from bosegas.hsfield import sample_sigma
+from bosegas.lattice import (ModelParams, TimeGrid, TorusGeometry, TwoBodyPotential,
+                             delta_potential, wrapped_gaussian_potential)
 from bosegas.meanfield import (GIBBS_THIN, field_quadrature_1site,
                                sample_gibbs_field, wick_constant, z_via_eta)
 from bosegas.stats import batch_means
@@ -359,3 +360,15 @@ def test_z_via_eta_takes_non_integer_species_past_two_sites():
     p = ModelParams(nu=1.0, kappa0=0.2, lambda0=2.0, n_species=0.5)
     est = z_via_eta(p, G3, delta_potential(G3), 100)
     assert np.isfinite(est.value.real) and est.stderr_re > 0.0
+
+
+def test_both_routes_refuse_a_potential_that_is_not_positive_semidefinite():
+    # nearest-neighbour v on the 4-site ring: modes 2 cos q = 2, 0, -2, 0
+    g = TorusGeometry(dimension=1, sites_per_side=4)
+    v = TwoBodyPotential(g, [0.0, 1.0, 0.0, 1.0])
+    params = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5)
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        sample_sigma(params, g, TimeGrid(nu=1.0, n_slices=4), v, 10,
+                     np.random.default_rng(0))
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        z_via_eta(params, g, v, 1000, seed=0)

@@ -3,9 +3,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from bosegas.lattice import TimeGrid, TorusGeometry
-from bosegas.propagators import (_slice_phases, circle_heat_kernel, free_green,
-                                 heat_propagator, ideal_occupation, monodromy_batch)
+from bosegas.lattice import TimeGrid, TorusGeometry, wrapped_gaussian_potential
+from bosegas.propagators import (_circulant_root, _slice_phases, _spectral_data,
+                                 circle_heat_kernel, free_green, heat_propagator,
+                                 ideal_occupation, monodromy_batch)
 
 
 def monodromy(g, grid, sigma):
@@ -126,3 +127,30 @@ def test_slice_phases_match_the_complex_exp_bit_for_bit():
     z = sigma + 1j * rng.standard_normal(sigma.shape)
     got = np.stack([ph[..., 0].T.copy() for ph in _slice_phases(grid, z)], axis=1)
     assert np.max(np.abs(got / np.exp(-1j * grid.eps * z) - 1.0)) < 1e-13
+
+
+def test_plane_waves_diagonalize_the_laplacian():
+    # the closed-form spectrum in the basis's column order, and the dense
+    # eigvalsh as the reference; m = 1 and 2 fold the neighbours onto one site
+    for d in (1, 2, 3):
+        for m in range(1, 6):
+            if m**d > 125:
+                continue
+            g = TorusGeometry(dimension=d, sites_per_side=m)
+            lap = g.laplacian_matrix()
+            evals, basis = _spectral_data(g)
+            assert np.max(np.abs(basis.T @ basis - np.eye(g.n_sites))) <= 1e-12
+            assert np.max(np.abs(basis.T @ lap @ basis - np.diag(evals))) <= 1e-12
+            assert np.max(np.abs(np.sort(evals) - np.linalg.eigvalsh(lap))) <= 1e-12
+
+
+def test_circulant_root_squares_to_the_potential():
+    # the wrapped Gaussian has degenerate plane-wave eigenspaces on both tori;
+    # the root is symmetric and squares back to v(x - y)
+    for d, m in ((2, 4), (3, 3)):
+        g = TorusGeometry(dimension=d, sites_per_side=m)
+        for width in (0.7, 1.0):
+            v = wrapped_gaussian_potential(g, width=width)
+            root = _circulant_root(g, v.values)
+            assert np.max(np.abs(root - root.T)) <= 1e-12
+            assert np.max(np.abs(root @ root - v.matrix())) <= 1e-12
