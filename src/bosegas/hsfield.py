@@ -117,12 +117,20 @@ def _log_det_ratio(geom: TorusGeometry, nu: float, kappa0: float,
     """log det(1 - e^{-nu (kappa0 - c)} Gamma_s) - log det(1 - e^{-nu kappa0} Gamma_0).
 
     Gamma_s is the monodromy of the real field s; e^{nu c} Gamma_s is that of
-    the shifted field s + i c.  slogdet's principal branch gives the analytic
+    the shifted field s + i c.  The imaginary part is the angle of slogdet's
+    unit sign, in (-pi, pi]: its principal branch, which gives the analytic
     weight for an integer N or on at most 2 sites; ROADMAP item 12 lifts this.
     """
-    eye = np.eye(geom.n_sites)
-    sign, logabs = np.linalg.slogdet(eye - np.exp(-nu * (kappa0 - shift)) * gamma_stack)
-    return np.log(sign) + logabs + free_log_trace(geom, nu, kappa0)
+    sign, logabs = np.linalg.slogdet(_eye_minus(np.exp(-nu * (kappa0 - shift)), gamma_stack))
+    return 1j * np.angle(sign) + logabs + free_log_trace(geom, nu, kappa0)
+
+
+def _eye_minus(scale: float, gamma_stack: np.ndarray) -> np.ndarray:
+    """1 - scale Gamma per field, the bits of np.eye(n) - scale * gamma_stack
+    from one stack-sized temporary instead of two."""
+    mat = gamma_stack * -scale
+    mat += np.eye(gamma_stack.shape[-1])
+    return mat
 
 
 def contour_shift(params: ModelParams, geom: TorusGeometry, v) -> float:
@@ -390,7 +398,7 @@ def _duhamel_kernels(geom: TorusGeometry, grid: TimeGrid, sigma: np.ndarray,
         row = fug * gamma[:, x]
     unit = np.zeros((len(sigma), geom.n_sites, 1))
     unit[:, x_p] = 1.0
-    column = np.linalg.solve(np.eye(geom.n_sites) - fug * gamma, unit)[..., 0]
+    column = np.linalg.solve(_eye_minus(fug, gamma), unit)[..., 0]
     return np.einsum("si,si->s", row, column), gamma
 
 

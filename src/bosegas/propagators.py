@@ -154,6 +154,12 @@ def monodromy_batch(geom: TorusGeometry, grid: TimeGrid, sigma: np.ndarray,
     (n_sites, 2 S n_sites) each kinetic step is a single real GEMM for all S
     fields, and each phase step is a broadcast multiply by `_slice_phases`.
 
+    Phases are taken relative to site 0: D_j = e^{-i eps sigma_j(0)}
+    diag(e^{-i eps (sigma_j - sigma_j(0))}), so row 0 of the running product
+    takes no phase step.  The scalar e^{-i eps sum_j sigma_j(0)} commutes with
+    every factor: it joins the last slice's phases and multiplies row 0 once.
+    The prefix product takes the sum over its own slices, once per field.
+
     prefix, when given, is a slice count 0 < prefix < n_slices; the return is
     then (result, H R_prefix), the product over the first `prefix` slices,
     for the unequal-time kernels.
@@ -173,19 +179,28 @@ def monodromy_batch(geom: TorusGeometry, grid: TimeGrid, sigma: np.ndarray,
 
     def leading_half(stack):
         prod = (half @ flat(stack)).view(complex).reshape(n, S, n)
-        return prod.transpose(1, 0, 2).copy()
+        return prod.transpose(1, 0, 2)
 
-    phases = _slice_phases(grid, sigma)
+    def common(slices):
+        return np.exp(-1j * grid.eps * sigma[:, :slices, 0].sum(axis=1))[:, None]
+
     run = np.empty((n, S, n), dtype=complex)
-    np.multiply(next(phases), half[:, None, :], out=run)
     spare = np.empty_like(run)
-    for j, phase in enumerate(phases, start=1):
-        if j == prefix:
-            head = leading_half(run)
-        np.matmul(full, flat(run), out=flat(spare))
-        run, spare = spare, run
-        run *= phase
-    gam = leading_half(run)
+    total = common(grid.n_slices)
+    for j, phase in enumerate(_slice_phases(grid, sigma[:, :, 1:] - sigma[:, :, :1])):
+        if j == grid.n_slices - 1:
+            phase *= total
+        if j == 0:
+            run[0] = half[0]
+            np.multiply(phase, half[1:, None, :], out=run[1:])
+        else:
+            if j == prefix:
+                head = np.multiply(leading_half(run), common(prefix)[..., None], order="C")
+            np.matmul(full, flat(run), out=flat(spare))
+            run, spare = spare, run
+            run[1:] *= phase
+    run[0] *= total
+    gam = leading_half(run).copy()
     if prefix is not None:
         return gam, head
     return gam

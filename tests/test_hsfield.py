@@ -3,13 +3,13 @@ import pytest
 
 from bosegas.fock import duhamel_exact, gamma1_exact, xi_exact
 from bosegas.hsfield import (_duhamel_kernels, _field_weights, _gaussian_control,
-                             _kernel_control, _kernel_expansion, _weight_hessian,
-                             contour_shift, estimate_duhamel, estimate_xi_rel,
-                             sample_sigma, wick_rho)
+                             _kernel_control, _kernel_expansion, _log_det_ratio,
+                             _weight_hessian, contour_shift, estimate_duhamel,
+                             estimate_xi_rel, sample_sigma, wick_rho)
 from bosegas.lattice import (ModelParams, TimeGrid, TorusGeometry,
                              delta_potential, wrapped_gaussian_potential)
-from bosegas.propagators import (free_green, heat_propagator, ideal_occupation,
-                                 monodromy_batch)
+from bosegas.propagators import (free_green, free_log_trace, heat_propagator,
+                                 ideal_occupation, monodromy_batch)
 from bosegas.records import ExperimentConfig
 from bosegas.stats import ratio_estimate
 from determinant_identities import det_identity_residual, winding_exponent
@@ -74,6 +74,23 @@ def test_winding_sum_matches_logdet():
     # tail bound honest: enlarging l_max moves the sum by less than it
     w2, _ = winding_exponent(G2, 1.0, 1.0, gam, l_max=90)
     assert abs(w2 - w) <= tail
+
+
+@pytest.mark.parametrize("geom", [G2, TorusGeometry(dimension=3, sites_per_side=3)])
+def test_log_det_ratio_is_the_principal_log_of_the_determinant(geom):
+    # fields near a constant level put the phase of det(1 - f Gamma) in all
+    # four quadrants at f = e^{-nu (kappa0 - c)} near 1, on 2 sites and 3^3
+    nu, kappa0, c = 0.25, 0.3, 0.2
+    grid = TimeGrid(nu=nu, n_slices=8)
+    rng = np.random.default_rng(4)
+    level = np.linspace(-3.0, 3.0, 40) / nu
+    sigma = level[:, None, None] + 0.5 * rng.standard_normal((40, 8, geom.n_sites))
+    gamma = monodromy_batch(geom, grid, sigma)
+    det = np.linalg.det(np.eye(geom.n_sites) - np.exp(-nu * (kappa0 - c)) * gamma)
+    assert set(np.floor(np.angle(det) / (0.5 * np.pi)).astype(int)) == {-2, -1, 0, 1}
+    want = np.log(det) + free_log_trace(geom, nu, kappa0)
+    got = _log_det_ratio(geom, nu, kappa0, gamma, c)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_xi_rel_free_is_exact_one():

@@ -100,6 +100,24 @@ def test_monodromy_batch_matches_loop():
                 assert np.allclose(pref[j][s], head, rtol=0, atol=1e-13)
 
 
+def test_a_common_slice_shift_is_a_pure_phase():
+    # sigma_j + c_j on every site of slice j multiplies the product over any
+    # slices by e^{-i eps sum_j c_j} over those slices, for real and complex c_j
+    grid = TimeGrid(nu=1.0, n_slices=8)
+    rng = np.random.default_rng(2)
+    for dim, m in [(1, 1), (1, 2), (1, 4), (3, 3)]:
+        g = TorusGeometry(dimension=dim, sites_per_side=m)
+        sig = 2.0 * rng.standard_normal((3, 8, g.n_sites))
+        base, head = monodromy_batch(g, grid, sig, prefix=3)
+        for c in (3.0 * rng.standard_normal((3, 8)),
+                  rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))):
+            shifted, shifted_head = monodromy_batch(g, grid, sig + c[:, :, None], prefix=3)
+            for got, want, slices in [(shifted, base, 8), (shifted_head, head, 3)]:
+                phase = np.exp(-1j * grid.eps * c[:, :slices].sum(axis=1))
+                want = phase[:, None, None] * want
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_free_green_single_site():
     # one site: Green function is the geometric sum e^-1 / (1 - e^-1)
     g = TorusGeometry(dimension=1, sites_per_side=1)
