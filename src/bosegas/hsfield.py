@@ -15,7 +15,7 @@ Observables are reweighted averages over this ensemble; at lam = 0 the field
 is identically zero and every estimator collapses to its exact free value
 with zero variance.
 
-The estimators take the same Gaussian integral in four exact ways at once,
+The estimators take the same Gaussian integral in five exact ways at once,
 at the cost of one field each:
 
 - Shifted contour (Rom, Charutz & Neuhauser, Chem. Phys. Lett. 270, 382
@@ -70,17 +70,28 @@ at the cost of one field each:
   the second derivative of a single phase.  E[g_n] = k0 w(0)
   det(1 - C B)^-1/2 exp(-a^t (1 - C B)^-1 C a / 2) takes one Cholesky factor
   (`_kernel_control`); E[g_n] / E[g_d] is the one-loop Green function.
+- Stratified constant mode (Glasserman, sec. 4.3), in `sample_sigma`.  The
+  field's mean t over slices and sites enters the monodromy only as a
+  phase, Gamma(s + t) = e^{-i nu t} Gamma(s), and is Gaussian and
+  independent of the rest of the field, since the constant vector is an
+  eigenvector of the covariance.  It is drawn by inversion from uniforms
+  stratified within each error batch, so every batch holds one constant
+  mode per equal-probability stratum: each field keeps its law, each batch
+  stays an independent estimate, and at the benchmark point the error of
+  `estimate_xi_rel` falls by about half and that of `estimate_duhamel` by
+  about 60 %.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import ndtri
 
 from .lattice import ModelParams, TimeGrid, TorusGeometry, check_grid_period
 from .propagators import (_circulant_root, _plane_waves, _spectral_data, free_log_trace,
                           hartree_shift, heat_propagator, ideal_occupation, monodromy_batch)
-from .stats import (ComplexEstimate, batch_means, exact_estimate, mean_estimate,
-                    ratio_estimate, weight_ess)
+from .stats import (ComplexEstimate, _stratified_uniforms, batch_means, exact_estimate,
+                    mean_estimate, ratio_estimate, weight_ess)
 
 __all__ = [
     "wick_rho",
@@ -106,9 +117,24 @@ def wick_rho(geom: TorusGeometry, nu: float, kappa0: float) -> float:
 
 def sample_sigma(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
                  n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of field configurations, shape (n_samples, n_slices, n_sites)."""
+    """Stack of field configurations, shape (n_samples, n_slices, n_sites).
+
+    Each field is white noise times the slice covariance's circulant root,
+    whose eigenvector the unit constant vector u = 1 / sqrt(n_slices n_sites)
+    is.  The noise's component along u is replaced by ndtri of a uniform
+    from `stats._stratified_uniforms`, so it is still N(0, 1) and independent
+    of the rest, and every field keeps its exact Gaussian law; but within
+    each `stats.batch_layout` batch of rows (and within the remainder) the
+    constant modes fall one per equal-probability stratum.  The rows are
+    therefore not independent: batch means are, so errors of averages over
+    the rows hold only under that partition, in row order.
+    """
     root = _circulant_root(geom, params.lam / (params.nu * grid.eps) * v.values)
     noise = rng.standard_normal((n_samples, grid.n_slices, geom.n_sites))
+    flat = noise.reshape(n_samples, -1)
+    scale = 1.0 / np.sqrt(flat.shape[1])
+    constant = ndtri(_stratified_uniforms(rng, (n_samples,)))
+    flat += ((constant - flat @ np.full(flat.shape[1], scale)) * scale)[:, None]
     return (noise.reshape(-1, geom.n_sites) @ root).reshape(noise.shape)
 
 
@@ -359,7 +385,8 @@ def estimate_xi_rel(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, v,
     one-loop value of Xi_rel; 1 at lam = 0) and c ("contour_shift").  The
     ESS is that of w.  The stream is for callers only: a record keeps the
     estimate's count, mean and batch-means error, never the stream
-    (`records.record_from_estimate`).
+    (`records.record_from_estimate`).  Its rows are stratified like the fields
+    (`sample_sigma`), so an error taken from it must use the same batches.
     """
     check_grid_period(grid, params)
     shift = contour_shift(params, geom, v)

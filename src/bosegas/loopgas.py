@@ -26,7 +26,7 @@ from scipy.special import gammainc, gammaln, xlogy
 from .lattice import ModelParams, TimeGrid, TorusGeometry, check_grid_period
 from .propagators import (circle_heat_kernel, free_log_trace, heat_propagator,
                           _spectral_data)
-from .stats import (ComplexEstimate, batch_layout, exact_estimate, mean_estimate,
+from .stats import (ComplexEstimate, _stratified_uniforms, exact_estimate, mean_estimate,
                     ratio_estimate)
 
 __all__ = [
@@ -342,28 +342,6 @@ def _circle_bridges(L: float, starts: np.ndarray, ends: np.ndarray, T: float,
 # loop ensemble (batched): one bridge pass draws every path of an ensemble
 # straight into the slice densities phi of shape (..., n_tau, F) of its groups,
 # and a pair sum is (eps/2) sum_t phi_t . M . phi'_t
-
-
-def _stratified_uniforms(rng, shape) -> np.ndarray:
-    """Uniforms on [0, 1) of the given shape, stratified along the last axis.
-
-    The last axis of length m is cut as `stats.batch_layout(m)`: in each batch
-    of b entries, entry j is (perm[j] + U) / b for a random permutation perm
-    of 0..b-1, drawn afresh per batch and leading index, so the batch holds
-    one uniform in each stratum [k / b, (k + 1) / b) and the batches stay
-    independent.  The r remainder entries, which no error batch sees, are
-    stratified the same way as one block of r.
-    """
-    *lead, m = shape
-    n_batches, b = batch_layout(m)
-    r = m - n_batches * b
-
-    def strata(block_shape):
-        keys = rng.random(block_shape)
-        return (np.argsort(keys, axis=-1) + rng.random(block_shape)) / block_shape[-1]
-
-    return np.concatenate([strata((*lead, n_batches, b)).reshape(*lead, m - r),
-                           strata((*lead, r))], axis=-1)
 
 
 def _inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:

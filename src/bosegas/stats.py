@@ -1,6 +1,7 @@
 """Estimate containers: batch-means errors and effective sample size.
 
-Every error bar is made here.  `records.merge_chains` pools chains from the
+Every error bar is made here, and so are the uniforms stratified within its
+batches (`_stratified_uniforms`).  `records.merge_chains` pools chains from the
 count, value and batch-means error that these estimates report.
 """
 
@@ -52,6 +53,29 @@ def batch_layout(n: int) -> tuple[int, int]:
         raise ValueError("no samples")
     n_batches = min(MIN_BATCHES, n)
     return n_batches, n // n_batches
+
+
+def _stratified_uniforms(rng, shape) -> np.ndarray:
+    """Uniforms on [0, 1) of the given shape, stratified along the last axis.
+
+    The last axis of length m is cut as `batch_layout(m)`: in each batch of b
+    entries, entry j is (perm[j] + U) / b for a random permutation perm of
+    0..b-1, drawn afresh per batch and leading index, so the batch holds one
+    uniform in each stratum [k / b, (k + 1) / b) and the batches stay
+    independent.  The r remainder entries, which no error batch sees, are
+    stratified the same way as one block of r.  The loop gas draws its
+    windings from these, the auxiliary field its constant mode.
+    """
+    *lead, m = shape
+    n_batches, b = batch_layout(m)
+    r = m - n_batches * b
+
+    def strata(block_shape):
+        keys = rng.random(block_shape)
+        return (np.argsort(keys, axis=-1) + rng.random(block_shape)) / block_shape[-1]
+
+    return np.concatenate([strata((*lead, n_batches, b)).reshape(*lead, m - r),
+                           strata((*lead, r))], axis=-1)
 
 
 def _batches(samples: np.ndarray) -> np.ndarray:
