@@ -87,7 +87,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
-from .lattice import ModelParams, TimeGrid, TorusGeometry, check_grid_period
+from .lattice import (ModelParams, TimeGrid, TorusGeometry, _circulant_spectrum,
+                      check_grid_period)
 from .propagators import (_circulant_root, _plane_waves, _spectral_data, free_log_trace,
                           hartree_shift, heat_propagator, ideal_occupation, monodromy_batch)
 from .stats import (ComplexEstimate, _stratified_uniforms, batch_means, exact_estimate,
@@ -229,7 +230,8 @@ def _gaussian_control(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, 
     like the slice covariance C, is translation invariant and symmetric over
     sites.  So the product of the plane waves over slices and over sites
     (`propagators._plane_waves`) diagonalizes H and C at once, with entries
-    h(k, p) <= 0 and C(p).  With z the fields in that basis,
+    h(k, p) <= 0 and C(p), the Fourier transforms of their first rows over
+    slices and sites.  With z the fields in that basis,
 
         s.H s = sum h(k, p) z^2,   E[g] = w(0) prod (1 - C(p) h(k, p))^-1/2,
 
@@ -237,10 +239,11 @@ def _gaussian_control(params: ModelParams, geom: TorusGeometry, grid: TimeGrid, 
     """
     n_slices, n = grid.n_slices, geom.n_sites
     w0 = _zero_field_weight(params, geom, grid, v, shift)
-    slice_basis, slice_cos = _plane_waves(n_slices, 1)
-    site_basis, site_cos = _plane_waves(geom.sites_per_side, geom.dimension)
-    h_modes = slice_cos.T @ _weight_hessian(params, geom, grid, shift)[:, 0, :] @ site_cos
-    cov_modes = params.lam / (params.nu * grid.eps) * v.values @ site_cos
+    slice_basis = _plane_waves(n_slices, 1)
+    site_basis = _plane_waves(geom.sites_per_side, geom.dimension)
+    h_rows = _circulant_spectrum(geom, _weight_hessian(params, geom, grid, shift)[:, 0, :])
+    h_modes = np.real(np.fft.fft(h_rows, axis=0))
+    cov_modes = _circulant_spectrum(geom, params.lam / (params.nu * grid.eps) * v.values)
     log_det = np.sum(np.log1p(-cov_modes * h_modes))
     quad = np.empty(len(sigma))
     for start in range(0, len(sigma), CONTROL_CHUNK):

@@ -72,13 +72,6 @@ class TorusGeometry:
         grids = np.meshgrid(*([np.arange(m)] * d), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
 
-    def site_index(self, coord) -> int:
-        m, d = self.sites_per_side, self.dimension
-        idx = 0
-        for c in coord:
-            idx = idx * m + (int(c) % m)
-        return idx
-
     def displacement_table(self) -> np.ndarray:
         """(n, n) table of site indices of x - y (mod m per coordinate)."""
         coords = self.site_coords()
@@ -90,22 +83,35 @@ class TorusGeometry:
         return flat
 
     def laplacian_matrix(self) -> np.ndarray:
-        """Nearest-neighbour lattice Laplacian with periodic wrap-around."""
+        """Nearest-neighbour lattice Laplacian with periodic wrap-around.
+
+        One stencil, -2d at displacement 0 and +1 at each of the 2d unit
+        steps, gathered through `displacement_table`.  For m = 1 and m = 2 the
+        wrapped steps land on the same displacement and add up there.
+        """
         if self.mode != "lattice":
             raise UnsupportedModeError("no Laplacian matrix in circle mode")
-        n, m, d = self.n_sites, self.sites_per_side, self.dimension
-        lap = np.zeros((n, n))
-        coords = self.site_coords()
-        for i in range(n):
-            lap[i, i] = -2.0 * d
-            for k in range(d):
-                for step in (-1, 1):
-                    c = coords[i].copy()
-                    c[k] = (c[k] + step) % m
-                    lap[i, self.site_index(c)] += 1.0
-        # m=1 and m=2 come out right automatically: wrapped steps land on the
-        # same site/neighbour twice, matching 2*sum_i(cos(2 pi k_i / m) - 1).
-        return lap
+        m, d = self.sites_per_side, self.dimension
+        stencil = np.zeros((m,) * d)
+        stencil[(0,) * d] = -2.0 * d
+        for unit in np.eye(d, dtype=int):
+            for step in (1, -1):
+                stencil[tuple(step * unit % m)] += 1.0
+        return stencil.ravel()[self.displacement_table()]
+
+
+def _circulant_spectrum(geom: TorusGeometry, rows) -> np.ndarray:
+    """Spectrum sum_x r(x) cos(2 pi q.x / m) of the symmetric matrix r[x - y], per momentum q.
+
+    rows has shape (..., n_sites), one first row r per leading index, in the
+    order of `site_coords`; so has the result, entry q for momentum q.  It is
+    the real part of the discrete Fourier transform of r, and for an even r
+    the diagonal of r[x - y] in the plane waves `propagators._plane_waves`.
+    """
+    rows = np.asarray(rows, dtype=float)
+    d = geom.dimension
+    cube = rows.reshape(rows.shape[:-1] + (geom.sites_per_side,) * d)
+    return np.real(np.fft.fftn(cube, axes=tuple(range(-d, 0)))).reshape(rows.shape)
 
 
 @dataclass(frozen=True)
@@ -158,9 +164,7 @@ class TwoBodyPotential:
 
     def fourier_coefficients(self) -> np.ndarray:
         """DFT coefficients v̂(k) = (1/|Λ|) Σ_x v(x) e^{-ik·x}, real for even v."""
-        m, d = self.geometry.sites_per_side, self.geometry.dimension
-        cube = self.values.reshape((m,) * d)
-        return np.real(np.fft.fftn(cube)).ravel() / self.geometry.n_sites
+        return _circulant_spectrum(self.geometry, self.values) / self.geometry.n_sites
 
     def matrix(self) -> np.ndarray:
         """(n, n) matrix v(x - y)."""

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ModelParams, TorusGeometry
-from .propagators import _circulant_root, _laplacian, _plane_waves, _spectral_data
+from .lattice import ModelParams, TorusGeometry, _circulant_spectrum
+from .propagators import _circulant_root, _spectral_data
 from .stats import ComplexEstimate, batch_means, mean_estimate, weight_ess
 
 __all__ = [
@@ -58,7 +58,7 @@ def _action_terms(params: ModelParams, geom: TorusGeometry, v) -> np.ndarray:
     """
     n_comp, n = int(params.n_species), geom.n_sites
     m = 2 * n_comp * n
-    hmat = -0.5 * _laplacian(geom) + params.kappa0 * np.eye(n)
+    hmat = -0.5 * geom.laplacian_matrix() + params.kappa0 * np.eye(n)
     shift = n_comp * wick_constant(geom, params.kappa0) + params.rho
     fold = np.hstack([np.tile(np.eye(n), 2 * n_comp), np.full((n, 1), -shift)])
     form = np.zeros((2 * m + 1, 2 * m + 1))
@@ -182,10 +182,10 @@ def _gaussian_mean(geom: TorusGeometry, q: np.ndarray, cov: np.ndarray,
     det(1 + N C Q)^-1/2 exp(-rho^2 1.C (1 + N Q C)^-1 1 / 2) with Q[x, y] =
     q[x - y]: a product over the plane waves, in which 1 is the constant mode.
     """
-    cosines = _plane_waves(geom.sites_per_side, geom.dimension)[1]
     c0, q0 = cov.sum(), q.sum()
     quad_form = geom.n_sites * c0 / (1.0 + n_species * c0 * q0)
-    log_det = np.sum(np.log1p(n_species * (cov @ cosines) * (q @ cosines)))
+    log_det = np.sum(np.log1p(n_species * _circulant_spectrum(geom, cov)
+                              * _circulant_spectrum(geom, q)))
     return float(np.exp(-0.5 * log_det - 0.5 * rho**2 * quad_form))
 
 

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import TimeGrid, TorusGeometry, UnsupportedModeError
+from .lattice import TimeGrid, TorusGeometry, UnsupportedModeError, _circulant_spectrum
 
 __all__ = [
     "heat_propagator",
@@ -23,58 +23,50 @@ __all__ = [
 NEGATIVE_EIG_TOL = 1e-10
 
 
-@lru_cache(maxsize=64)
-def _laplacian(geom: TorusGeometry) -> np.ndarray:
-    """The lattice Laplacian, built once per geometry; read-only."""
-    lap = geom.laplacian_matrix()
-    lap.flags.writeable = False
-    return lap
-
-
 @lru_cache(maxsize=16)
-def _plane_waves(period: int, dimension: int):
-    """Real orthonormal plane waves on a periodic grid, and their cosines.
+def _plane_waves(period: int, dimension: int) -> np.ndarray:
+    """Real orthonormal plane waves on a periodic grid; read-only.
 
     The grid has `period` points per side in `dimension` dimensions, in the
     lexicographic order of `TorusGeometry.site_coords`, so that point q is
-    also momentum q.  Returns the (n, n) basis, whose columns are
-    cos(2 pi q.x / period) for one of each pair q, -q and
-    sin(2 pi q.x / period) for each q != -q, normalized, and the (n, n)
-    matrix of cos(2 pi q.y / period) for the momentum q of each column.
-    Every symmetric translation-invariant M is diagonal in the basis, with
-    M[0] @ cosines its diagonal.  Both arrays are read-only.
+    also momentum q.  Column q of the (n, n) basis is cos(2 pi q.x / period)
+    if q comes no later than -q in that order, and sin(2 pi q.x / period)
+    otherwise, normalized.  Every symmetric translation-invariant matrix
+    r[x - y] is diagonal in it, with `lattice._circulant_spectrum` of r its
+    diagonal.
     """
     axes = np.meshgrid(*([np.arange(period)] * dimension), indexing="ij")
     coords = np.stack([a.ravel() for a in axes], axis=1)
     n = len(coords)
-    phase = 2.0 * np.pi / period * (coords @ coords.T)
+    basis = 2.0 * np.pi / period * (coords @ coords.T)  # the phases, made the basis in place
     mirror = (-coords % period) @ period ** np.arange(dimension - 1, -1, -1)  # index of -q
-    cos_q = np.flatnonzero(np.arange(n) <= mirror)
-    sin_q = np.flatnonzero(np.arange(n) < mirror)
-    norm = np.sqrt(np.where(cos_q < mirror[cos_q], 2.0, 1.0) / n)
-    basis = np.concatenate([norm * np.cos(phase[:, cos_q]),
-                            np.sqrt(2.0 / n) * np.sin(phase[:, sin_q])], axis=1)
-    cosines = np.cos(phase[:, np.concatenate([cos_q, sin_q])])
-    basis.flags.writeable = cosines.flags.writeable = False
-    return basis, cosines
+    sin_q = np.flatnonzero(mirror < np.arange(n))
+    sines = np.sin(basis[:, sin_q])
+    np.cos(basis, out=basis)
+    basis[:, sin_q] = sines
+    basis *= np.sqrt(np.where(mirror == np.arange(n), 1.0, 2.0) / n)
+    basis.flags.writeable = False
+    return basis
 
 
 @lru_cache(maxsize=64)
 def _spectral_data(geom: TorusGeometry):
-    """Laplacian spectrum sum_i (2 cos q_i - 2) and eigenbasis `_plane_waves`; read-only."""
-    basis, cosines = _plane_waves(geom.sites_per_side, geom.dimension)
-    evals = _laplacian(geom)[0] @ cosines
+    """Laplacian spectrum sum_i (2 cos(2 pi q_i / m) - 2) per momentum q, and the
+    eigenbasis `_plane_waves`; read-only."""
+    phases = 2.0 * np.pi / geom.sites_per_side * geom.site_coords()
+    evals = np.sum(2.0 * np.cos(phases) - 2.0, axis=1)
     evals.flags.writeable = False
-    return evals, basis
+    return evals, _plane_waves(geom.sites_per_side, geom.dimension)
 
 
 def _circulant_root(geom: TorusGeometry, values) -> np.ndarray:
-    """Symmetric root basis diag(sqrt(values @ cosines)) basis^t of the matrix values[x - y],
-    the same in any basis of a degenerate eigenspace; ValueError if its spectrum is not PSD."""
-    basis, cosines = _plane_waves(geom.sites_per_side, geom.dimension)
-    spectrum = values @ cosines
+    """Symmetric root basis diag(sqrt(spectrum)) basis^t of the matrix values[x - y], with
+    `_circulant_spectrum` its spectrum; the same in any basis of a degenerate
+    eigenspace; ValueError if the spectrum is not PSD."""
+    spectrum = _circulant_spectrum(geom, values)
     if spectrum.min() < -NEGATIVE_EIG_TOL * max(1.0, abs(spectrum.max())):
         raise ValueError(f"covariance is not positive semidefinite: mode {spectrum.min():.3g}")
+    basis = _plane_waves(geom.sites_per_side, geom.dimension)
     return (basis * np.sqrt(np.clip(spectrum, 0.0, None))) @ basis.T
 
 

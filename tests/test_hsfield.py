@@ -92,10 +92,10 @@ def test_stratified_draw_keeps_the_field_law(geom, potential, n_slices):
     v = potential(geom)
     grid = TimeGrid(nu=1.0, n_slices=n_slices)
     sig = sample_sigma(BENCH, geom, grid, v, 4000, np.random.default_rng(3))
-    slice_basis = _plane_waves(n_slices, 1)[0]
-    site_basis, site_cos = _plane_waves(geom.sites_per_side, geom.dimension)
+    slice_basis = _plane_waves(n_slices, 1)
+    site_basis = _plane_waves(geom.sites_per_side, geom.dimension)
     modes = slice_basis.T @ sig @ site_basis
-    cov = BENCH.lam / (BENCH.nu * grid.eps) * v.values @ site_cos
+    cov = BENCH.lam / (BENCH.nu * grid.eps) * np.diagonal(site_basis.T @ v.matrix() @ site_basis)
     for k, p in [(0, 0), (1, geom.n_sites - 1)]:
         second = np.mean(modes[:, k, p] ** 2)
         assert abs(second - cov[p]) < 5 * cov[p] * np.sqrt(2 / len(sig)), (k, p, second, cov[p])
@@ -455,12 +455,13 @@ def test_gaussian_control_matches_dense_forms(geom, n_slices):
 @pytest.mark.parametrize("geom, n_max", [(G2, 20), (G22, 10)],
                          ids=["2 sites", "2x2 torus"])
 def test_control_variate_errors_are_honest(geom, n_max):
-    # seeds 0-29 at the benchmark point: the quoted batch-means error of the
+    # seeds 0-119 at the benchmark point: the quoted batch-means error of the
     # corrected mean matches the spread over seeds, and the seed mean sits on
-    # the exact trace
+    # the exact trace.  Over 30 seeds a correct estimator fell outside the
+    # 25 % window in about 8.5 % of windows; over 120 seeds in none of 166
     v = delta_potential(geom)
     exact = xi_exact(BENCH, geom, v, n_max=n_max)
-    ests = [estimate_xi_rel(BENCH, geom, GRID, v, 2000, seed=s) for s in range(30)]
+    ests = [estimate_xi_rel(BENCH, geom, GRID, v, 2000, seed=s) for s in range(120)]
     values = np.array([e.value.real for e in ests])
     spread = values.std(ddof=1)
     quoted = np.sqrt(np.mean([e.stderr**2 for e in ests]))

@@ -14,9 +14,6 @@ def test_geometry_counts_and_coords():
     assert g.n_sites == 9
     coords = g.site_coords()
     assert coords.shape == (9, 2)
-    assert g.site_index(coords[5]) == 5
-    # wrap-around indexing
-    assert g.site_index([-1, 4]) == g.site_index([2, 1])
 
 
 def test_laplacian_spectrum_formula():

@@ -3,10 +3,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from bosegas.lattice import TimeGrid, TorusGeometry, wrapped_gaussian_potential
+from bosegas.lattice import (ModelParams, TimeGrid, TorusGeometry, TwoBodyPotential,
+                             _circulant_spectrum, wrapped_gaussian_potential)
+from bosegas.meanfield import wick_constant, z_via_eta
 from bosegas.propagators import (_circulant_root, _slice_phases, _spectral_data,
-                                 circle_heat_kernel, free_green, heat_propagator,
-                                 ideal_occupation, monodromy_batch)
+                                 circle_heat_kernel, free_green, free_log_trace,
+                                 heat_propagator, ideal_occupation, monodromy_batch)
 
 
 def monodromy(g, grid, sigma):
@@ -149,7 +151,10 @@ def test_slice_phases_match_the_complex_exp_bit_for_bit():
 
 def test_plane_waves_diagonalize_the_laplacian():
     # the closed-form spectrum in the basis's column order, and the dense
-    # eigvalsh as the reference; m = 1 and 2 fold the neighbours onto one site
+    # eigvalsh as the reference; m = 1 and 2 fold the neighbours onto one site.
+    # A random even row r: r[x - y] is diagonal in the same basis, with the
+    # Fourier transform of r, and n times the potential's coefficients, its diagonal
+    rng = np.random.default_rng(0)
     for d in (1, 2, 3):
         for m in range(1, 6):
             if m**d > 125:
@@ -160,6 +165,36 @@ def test_plane_waves_diagonalize_the_laplacian():
             assert np.max(np.abs(basis.T @ basis - np.eye(g.n_sites))) <= 1e-12
             assert np.max(np.abs(basis.T @ lap @ basis - np.diag(evals))) <= 1e-12
             assert np.max(np.abs(np.sort(evals) - np.linalg.eigvalsh(lap))) <= 1e-12
+            table = g.displacement_table()
+            row = rng.standard_normal(g.n_sites)
+            row = 0.5 * (row + row[table[0]])  # table[0] is the index of -x
+            diag = basis.T @ row[table] @ basis
+            spectrum = _circulant_spectrum(g, row)
+            assert np.max(np.abs(spectrum - np.diagonal(diag))) <= 1e-12
+            assert np.max(np.abs(diag - np.diag(np.diagonal(diag)))) <= 1e-12
+            v = TwoBodyPotential(g, row)
+            assert np.max(np.abs(g.n_sites * v.fourier_coefficients() - spectrum)) <= 1e-12
+
+
+def test_spectra_never_build_the_dense_laplacian(monkeypatch):
+    # the 7x7 torus, which no other test builds, so no cache is warm: the
+    # spectrum, its consumers, the circulant root and the eta route all run
+    # without the dense Laplacian
+    def refuse(self):
+        raise AssertionError("dense Laplacian built")
+
+    monkeypatch.setattr(TorusGeometry, "laplacian_matrix", refuse)
+    g = TorusGeometry(dimension=2, sites_per_side=7)
+    evals, _ = _spectral_data(g)
+    assert evals.max() == 0.0
+    assert np.isfinite(free_log_trace(g, 1.0, 1.0))
+    assert wick_constant(g, 1.0) > 0
+    assert ideal_occupation(g, 1.0, 1.0) > 0
+    v = wrapped_gaussian_potential(g, width=0.7)
+    root = _circulant_root(g, v.values)
+    assert np.max(np.abs(root @ root - v.matrix())) <= 1e-12
+    est = z_via_eta(ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5), g, v, 64, seed=0)
+    assert np.isfinite(est.value.real)
 
 
 def test_circulant_root_squares_to_the_potential():
