@@ -1,4 +1,4 @@
-"""Pool many seeds of each auxiliary-field estimate against the exact trace.
+"""Pool many seeds of each estimate against its exact referee.
 
 A per-point test at 4 sigma sees a bias only once it is near an error bar;
 the pooled offset mean(x - exact) over S seeds, with its error sd(x) /
@@ -9,18 +9,24 @@ z of an unbiased HS row to about -0.03.  Each quoted error comes from 16
 batch means, so honest errors give z the t law with 15 degrees of freedom,
 sd sqrt(15 / 13) = 1.07.
 
-Rows: `estimate_xi_rel` against `xi_exact`, and `estimate_duhamel`
-G(0.25, 0; 0, 1) against `duhamel_exact`, on 2 sites at n_tau 32 and N 1,
-at (kappa0, lambda0) = (1, 0.5) and (0.5, 2).  For each row it prints the
-pooled offset with its error, sd z, max |z|, corr(error, quoted error) and
-the fraction of estimates flagged `unreliable`, and it writes all rows as
-one JSON record.
+Rows, at N 1 and (kappa0, lambda0) = (1, 0.5) and (0.5, 2):
+
+- `estimate_xi_rel` (2000 fields) against `xi_exact`, and
+  `estimate_duhamel` G(0.25, 0; 0, 1) (2000 fields) against
+  `duhamel_exact`, on 2 sites at n_tau 32;
+- the Gibbs chain's <|phi|^2> (`sample_gibbs_field`, 1000 steps, the
+  `mean_estimate` of its samples) and `z_via_eta`'s z_rel (4000 samples)
+  against `field_quadrature_1site`, on 1 site.
+
+For each row it prints the pooled offset with its error, sd z, max |z|,
+corr(error, quoted error) and the fraction of estimates flagged
+`unreliable`, and it writes all rows as one JSON record.
 
     PYTHONPATH=src python demos/bias_audit.py --seeds 30 --out bias_audit.json
 
 CI runs 30 seeds per row; run the default 300 by hand before claiming a
-change to either estimator.  Exits 1 when a row's |offset| exceeds 4 of its
-errors or its sd z lies outside [0.7, 1.5].
+change to any of these estimators.  Exits 1 when a row's |offset| exceeds 4
+of its errors or its sd z lies outside [0.7, 1.5].
 """
 
 import argparse
@@ -32,6 +38,8 @@ import numpy as np
 from bosegas.fock import duhamel_exact, xi_exact
 from bosegas.hsfield import estimate_duhamel, estimate_xi_rel
 from bosegas.lattice import ModelParams, TimeGrid, TorusGeometry, delta_potential
+from bosegas.meanfield import field_quadrature_1site, sample_gibbs_field, z_via_eta
+from bosegas.stats import mean_estimate
 
 T15_SD = np.sqrt(15 / 13)
 OFFSET_ERRORS = 4.0
@@ -39,11 +47,21 @@ SD_Z_RANGE = (0.7, 1.5)
 N_MAX = 24
 TAU = 0.25
 SAMPLES = 2000
+GIBBS_STEPS = 1000
+ETA_SAMPLES = 4000
 
 GEOM = TorusGeometry(dimension=1, sites_per_side=2)
 V = delta_potential(GEOM)
 GRID = TimeGrid(nu=1.0, n_slices=32)
+SITE = TorusGeometry(dimension=1, sites_per_side=1)
+V_SITE = delta_potential(SITE)
 POINTS = [(1.0, 0.5), (0.5, 2.0)]
+
+
+def gibbs_phi2(p: ModelParams, seed: int):
+    """<|phi|^2> of one Gibbs chain on one site, with its batch-means error."""
+    chain = sample_gibbs_field(p, SITE, V_SITE, GIBBS_STEPS, seed=seed)
+    return mean_estimate(np.sum(np.abs(chain.samples) ** 2, axis=(1, 2)), seed=seed)
 
 
 def rows():
@@ -55,6 +73,11 @@ def rows():
         yield (f"HS G({TAU}, 0; 0, 1)", p, duhamel_exact(p, GEOM, V, N_MAX, TAU, 0, 0.0, 1),
                lambda s, p=p: estimate_duhamel(p, GEOM, GRID, V, 0, 1, tau=TAU,
                                                n_samples=SAMPLES, seed=s))
+        quadrature = field_quadrature_1site(p, V_SITE)
+        yield ("Gibbs |phi|^2", p, quadrature["phi2"],
+               lambda s, p=p: gibbs_phi2(p, s))
+        yield ("eta z_rel", p, quadrature["z_rel"],
+               lambda s, p=p: z_via_eta(p, SITE, V_SITE, ETA_SAMPLES, seed=s))
 
 
 def audit(route, p, exact, estimate, seeds: int) -> dict:
@@ -82,8 +105,9 @@ def main(argv=None) -> int:
     if args.seeds < 2:
         ap.error("need at least 2 seeds for a spread")
 
-    print(f"2 sites, n_tau {GRID.n_slices}, {SAMPLES} fields, seeds 0-{args.seeds - 1}; "
-          f"an unbiased row has offset 0 and sd z {T15_SD:.2f} (t_15)")
+    print(f"HS: 2 sites, n_tau {GRID.n_slices}, {SAMPLES} fields; Gibbs: 1 site, "
+          f"{GIBBS_STEPS} steps; eta: 1 site, {ETA_SAMPLES} samples; seeds "
+          f"0-{args.seeds - 1}; an unbiased row has offset 0 and sd z {T15_SD:.2f} (t_15)")
     results = []
     for route, p, exact, estimate in rows():
         row = audit(route, p, exact, estimate, args.seeds)
@@ -94,8 +118,9 @@ def main(argv=None) -> int:
               f"corr {row['corr_error_quoted']:+.2f}  "
               f"flagged {row['flagged_frac']:.3f}  {'ok' if row['ok'] else 'FAIL'}")
     passed = all(r["ok"] for r in results)
-    record = {"kind": "bias_audit", "geometry": "2 sites", "n_tau": GRID.n_slices,
-              "n_species": 1.0, "samples": SAMPLES, "seeds": args.seeds,
+    record = {"kind": "bias_audit", "n_tau": GRID.n_slices, "n_species": 1.0,
+              "samples": SAMPLES, "gibbs_steps": GIBBS_STEPS, "eta_samples": ETA_SAMPLES,
+              "seeds": args.seeds,
               "t15_sd": float(T15_SD), "offset_errors": OFFSET_ERRORS,
               "sd_z_range": list(SD_Z_RANGE), "rows": results, "passed": passed}
     with open(args.out, "w") as fh:

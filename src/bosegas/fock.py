@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .lattice import CapacityError, ModelParams, TorusGeometry, TwoBodyPotential
-from .propagators import _spectral_data, free_log_trace
+from .lattice import CapacityError, ModelParams, TorusGeometry, TwoBodyPotential, _spectral_data
+from .propagators import free_log_trace
 
 __all__ = [
     "OccupationBasis",
@@ -170,7 +170,7 @@ def xi_exact(params: ModelParams, geom: TorusGeometry, v: TwoBodyPotential,
                        for s in op.basis.sectors])
     xi = xi_free = float(traces.sum())
     if params.lam != 0.0:
-        levels = params.nu * (params.kappa0 - 0.5 * _spectral_data(geom)[0])
+        levels = params.nu * (params.kappa0 - 0.5 * _spectral_data(geom))
         xi_free = float(np.exp(-states @ np.tile(levels, op.basis.n_species)).sum())
     top = [states[s.start].sum() == n_max for s in op.basis.sectors]
     drift = float(traces[top].sum() / xi) if n_max >= 1 else 0.0

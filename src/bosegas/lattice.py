@@ -1,8 +1,15 @@
-"""Periodic geometry, two-body potentials, imaginary-time grids and model parameters.
+"""Periodic geometry, the torus Fourier transform, two-body potentials,
+imaginary-time grids and model parameters.
 
 Everything downstream (exact traces, auxiliary-field sampling, loop ensembles)
 shares the discretization defined here: a unit-spacing torus in d = 1..3, or a
 continuous circle of circumference L_c for the d = 1 continuum experiments.
+
+Every translation-invariant operator on the torus is diagonal in the real
+plane waves `_plane_waves`.  `_spectral_data` is the Laplacian's spectrum in
+closed form, `_circulant_spectrum` that of any symmetric r[x - y] from its
+first row, and `_circulant_matrix` turns spectra back into matrices; a
+caller that needs only a spectrum never builds the basis.
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,18 +108,79 @@ class TorusGeometry:
         return stencil.ravel()[self.displacement_table()]
 
 
+# ---------------------------------------------------------------------------
+# the torus Fourier transform
+
+
+@lru_cache(maxsize=16)
+def _plane_waves(period: int, dimension: int) -> np.ndarray:
+    """Real orthonormal plane waves on a periodic grid; read-only.
+
+    The grid has `period` points per side in `dimension` dimensions, in the
+    lexicographic order of `TorusGeometry.site_coords`, so that point q is
+    also momentum q.  Column q of the (n, n) basis is cos(2 pi q.x / period)
+    if q comes no later than -q in that order, and sin(2 pi q.x / period)
+    otherwise, normalized.  Every symmetric translation-invariant matrix
+    r[x - y] is diagonal in it, with `_circulant_spectrum` of r its diagonal.
+    """
+    axes = np.meshgrid(*([np.arange(period)] * dimension), indexing="ij")
+    coords = np.stack([a.ravel() for a in axes], axis=1)
+    n = len(coords)
+    basis = 2.0 * np.pi / period * (coords @ coords.T)  # the phases, made the basis in place
+    mirror = (-coords % period) @ period ** np.arange(dimension - 1, -1, -1)  # index of -q
+    sin_q = np.flatnonzero(mirror < np.arange(n))
+    sines = np.sin(basis[:, sin_q])
+    np.cos(basis, out=basis)
+    basis[:, sin_q] = sines
+    basis *= np.sqrt(np.where(mirror == np.arange(n), 1.0, 2.0) / n)
+    basis.flags.writeable = False
+    return basis
+
+
+@lru_cache(maxsize=64)
+def _spectral_data(geom: TorusGeometry) -> np.ndarray:
+    """Laplacian spectrum sum_i (2 cos(2 pi q_i / m) - 2) per momentum q; read-only."""
+    phases = 2.0 * np.pi / geom.sites_per_side * geom.site_coords()
+    evals = np.sum(2.0 * np.cos(phases) - 2.0, axis=1)
+    evals.flags.writeable = False
+    return evals
+
+
 def _circulant_spectrum(geom: TorusGeometry, rows) -> np.ndarray:
     """Spectrum sum_x r(x) cos(2 pi q.x / m) of the symmetric matrix r[x - y], per momentum q.
 
     rows has shape (..., n_sites), one first row r per leading index, in the
     order of `site_coords`; so has the result, entry q for momentum q.  It is
     the real part of the discrete Fourier transform of r, and for an even r
-    the diagonal of r[x - y] in the plane waves `propagators._plane_waves`.
+    the diagonal of r[x - y] in `_plane_waves`; `_circulant_matrix` inverts it.
     """
     rows = np.asarray(rows, dtype=float)
     d = geom.dimension
     cube = rows.reshape(rows.shape[:-1] + (geom.sites_per_side,) * d)
     return np.real(np.fft.fftn(cube, axes=tuple(range(-d, 0)))).reshape(rows.shape)
+
+
+def _circulant_matrix(geom: TorusGeometry, spectra) -> np.ndarray:
+    """Symmetric translation-invariant matrices basis diag(spectrum) basis^t, shape (..., n, n).
+
+    spectra has shape (..., n_sites), one spectrum per leading index, entry q
+    for momentum q; basis is `_plane_waves`.  The inverse of `_circulant_spectrum`.
+    """
+    basis = _plane_waves(geom.sites_per_side, geom.dimension)
+    return (basis * spectra[..., None, :]) @ basis.T
+
+
+NEGATIVE_EIG_TOL = 1e-10
+
+
+def _circulant_root(geom: TorusGeometry, values) -> np.ndarray:
+    """Symmetric root of the matrix values[x - y]: `_circulant_matrix` of the root of
+    its `_circulant_spectrum`, the same in any basis of a degenerate eigenspace;
+    ValueError if the spectrum is not PSD."""
+    spectrum = _circulant_spectrum(geom, values)
+    if spectrum.min() < -NEGATIVE_EIG_TOL * max(1.0, abs(spectrum.max())):
+        raise ValueError(f"covariance is not positive semidefinite: mode {spectrum.min():.3g}")
+    return _circulant_matrix(geom, np.sqrt(np.clip(spectrum, 0.0, None)))
 
 
 @dataclass(frozen=True)

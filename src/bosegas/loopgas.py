@@ -23,9 +23,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammainc, gammaln, xlogy
 
-from .lattice import ModelParams, TimeGrid, TorusGeometry, check_grid_period
-from .propagators import (circle_heat_kernel, free_log_trace, heat_propagator,
-                          _spectral_data)
+from .lattice import ModelParams, TimeGrid, TorusGeometry, _spectral_data, check_grid_period
+from .propagators import circle_heat_kernel, free_log_trace, heat_propagator
 from .stats import (ComplexEstimate, _stratified_uniforms, exact_estimate, mean_estimate,
                     ratio_estimate)
 
@@ -68,8 +67,7 @@ def _volume(geom: TorusGeometry) -> float:
 def _diag_heat(geom: TorusGeometry, t: float) -> float:
     """Return-probability density p_t(u, u), site independent."""
     if geom.mode == "lattice":
-        evals, _ = _spectral_data(geom)
-        return float(np.mean(np.exp(0.5 * t * evals)))
+        return float(np.mean(np.exp(0.5 * t * _spectral_data(geom))))
     return circle_heat_kernel(geom.circumference, t, 0.0, 0.0)
 
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ModelParams, TorusGeometry, _circulant_spectrum
-from .propagators import _circulant_root, _spectral_data
+from .lattice import (ModelParams, TorusGeometry, _circulant_matrix, _circulant_root,
+                      _circulant_spectrum, _spectral_data)
 from .stats import ComplexEstimate, batch_means, mean_estimate, weight_ess
 
 __all__ = [
@@ -44,8 +44,7 @@ def wick_constant(geom: TorusGeometry, kappa0: float) -> float:
     """Free covariance diagonal c = [(-Lap/2 + kappa0)^-1]_{xx}, site independent."""
     if kappa0 <= 0:
         raise ValueError("kappa0 must be positive")
-    evals, _ = _spectral_data(geom)
-    return float(np.mean(1.0 / (kappa0 - 0.5 * evals)))
+    return float(np.mean(1.0 / (kappa0 - 0.5 * _spectral_data(geom))))
 
 
 def _action_terms(params: ModelParams, geom: TorusGeometry, v) -> np.ndarray:
@@ -71,15 +70,6 @@ def _action_terms(params: ModelParams, geom: TorusGeometry, v) -> np.ndarray:
 def _form_energy(t: np.ndarray, form: np.ndarray):
     """h at the state vector t = (x, x o x, 1)."""
     return np.dot(t, np.dot(form, t))
-
-
-def _energy(x: np.ndarray, params: ModelParams, terms) -> float:
-    """h(phi) for the real state x = (Re phi, Im phi) of shape (2, N, n_sites).
-
-    terms is `_action_terms`'s form, which already carries params.
-    """
-    x = x.ravel()
-    return float(_form_energy(np.concatenate([x, x * x, [1.0]]), terms))
 
 
 @dataclass
@@ -170,9 +160,8 @@ def _s_eta(etas: np.ndarray, root: np.ndarray):
 
 
 def _resolvent_root(geom: TorusGeometry, kappa0: float) -> np.ndarray:
-    """R^1/2 with R = (-Lap/2 + kappa0)^-1, from the Laplacian's eigenbasis."""
-    evals, evecs = _spectral_data(geom)
-    return (evecs / np.sqrt(kappa0 - 0.5 * evals)) @ evecs.T
+    """R^1/2 with R = (-Lap/2 + kappa0)^-1, from the Laplacian's spectrum."""
+    return _circulant_matrix(geom, 1.0 / np.sqrt(kappa0 - 0.5 * _spectral_data(geom)))
 
 
 def _gaussian_mean(geom: TorusGeometry, q: np.ndarray, cov: np.ndarray,

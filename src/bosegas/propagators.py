@@ -1,6 +1,7 @@
-"""The torus eigenbasis, heat propagators, monodromies and the free Green matrix.
+"""Heat propagators, monodromies, the free Green matrix, the free traces and the Hartree root.
 
-Every translation-invariant operator on the torus is diagonal in `_plane_waves`."""
+Each kinetic operator here is a function of the Laplacian's spectrum,
+turned into a matrix by `lattice._circulant_matrix`."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import TimeGrid, TorusGeometry, UnsupportedModeError, _circulant_spectrum
+from .lattice import (TimeGrid, TorusGeometry, UnsupportedModeError, _circulant_matrix,
+                      _spectral_data)
 
 __all__ = [
     "heat_propagator",
@@ -20,64 +22,13 @@ __all__ = [
     "hartree_shift",
 ]
 
-NEGATIVE_EIG_TOL = 1e-10
-
-
-@lru_cache(maxsize=16)
-def _plane_waves(period: int, dimension: int) -> np.ndarray:
-    """Real orthonormal plane waves on a periodic grid; read-only.
-
-    The grid has `period` points per side in `dimension` dimensions, in the
-    lexicographic order of `TorusGeometry.site_coords`, so that point q is
-    also momentum q.  Column q of the (n, n) basis is cos(2 pi q.x / period)
-    if q comes no later than -q in that order, and sin(2 pi q.x / period)
-    otherwise, normalized.  Every symmetric translation-invariant matrix
-    r[x - y] is diagonal in it, with `lattice._circulant_spectrum` of r its
-    diagonal.
-    """
-    axes = np.meshgrid(*([np.arange(period)] * dimension), indexing="ij")
-    coords = np.stack([a.ravel() for a in axes], axis=1)
-    n = len(coords)
-    basis = 2.0 * np.pi / period * (coords @ coords.T)  # the phases, made the basis in place
-    mirror = (-coords % period) @ period ** np.arange(dimension - 1, -1, -1)  # index of -q
-    sin_q = np.flatnonzero(mirror < np.arange(n))
-    sines = np.sin(basis[:, sin_q])
-    np.cos(basis, out=basis)
-    basis[:, sin_q] = sines
-    basis *= np.sqrt(np.where(mirror == np.arange(n), 1.0, 2.0) / n)
-    basis.flags.writeable = False
-    return basis
-
-
-@lru_cache(maxsize=64)
-def _spectral_data(geom: TorusGeometry):
-    """Laplacian spectrum sum_i (2 cos(2 pi q_i / m) - 2) per momentum q, and the
-    eigenbasis `_plane_waves`; read-only."""
-    phases = 2.0 * np.pi / geom.sites_per_side * geom.site_coords()
-    evals = np.sum(2.0 * np.cos(phases) - 2.0, axis=1)
-    evals.flags.writeable = False
-    return evals, _plane_waves(geom.sites_per_side, geom.dimension)
-
-
-def _circulant_root(geom: TorusGeometry, values) -> np.ndarray:
-    """Symmetric root basis diag(sqrt(spectrum)) basis^t of the matrix values[x - y], with
-    `_circulant_spectrum` its spectrum; the same in any basis of a degenerate
-    eigenspace; ValueError if the spectrum is not PSD."""
-    spectrum = _circulant_spectrum(geom, values)
-    if spectrum.min() < -NEGATIVE_EIG_TOL * max(1.0, abs(spectrum.max())):
-        raise ValueError(f"covariance is not positive semidefinite: mode {spectrum.min():.3g}")
-    basis = _plane_waves(geom.sites_per_side, geom.dimension)
-    return (basis * np.sqrt(np.clip(spectrum, 0.0, None))) @ basis.T
-
-
 def heat_propagator(geom: TorusGeometry, t: float) -> np.ndarray:
     """exp(t * Laplacian / 2) as a dense symmetric stochastic matrix."""
     if t < 0:
         raise ValueError("negative time in heat propagator")
     if geom.mode != "lattice":
         raise UnsupportedModeError("use circle_heat_kernel in circle mode")
-    evals, evecs = _spectral_data(geom)
-    return (evecs * np.exp(0.5 * t * evals)) @ evecs.T
+    return _circulant_matrix(geom, np.exp(0.5 * t * _spectral_data(geom)))
 
 
 def circle_heat_kernel(circumference: float, t: float, x, y=0.0):
@@ -206,9 +157,8 @@ def free_green(geom: TorusGeometry, nu: float, kappa0: float) -> np.ndarray:
     """
     if kappa0 <= 0:
         raise ValueError("free Green series diverges unless kappa0 > 0")
-    evals, evecs = _spectral_data(geom)
-    occ = np.exp(-nu * kappa0 + 0.5 * nu * evals)
-    return (evecs * (occ / (1.0 - occ))) @ evecs.T
+    occ = np.exp(-nu * kappa0 + 0.5 * nu * _spectral_data(geom))
+    return _circulant_matrix(geom, occ / (1.0 - occ))
 
 
 def free_log_trace(geom: TorusGeometry, nu: float, kappa: float) -> float:
@@ -218,7 +168,7 @@ def free_log_trace(geom: TorusGeometry, nu: float, kappa: float) -> float:
     every k above rounding.  Infinite when a mode has kappa - l_k / 2 <= 0.
     """
     if geom.mode == "lattice":
-        evals, _ = _spectral_data(geom)
+        evals = _spectral_data(geom)
     else:
         k_max = int(geom.circumference / (2.0 * np.pi)
                     * np.sqrt(2.0 * (50.0 / nu + max(-kappa, 0.0)))) + 1
@@ -230,8 +180,7 @@ def free_log_trace(geom: TorusGeometry, nu: float, kappa: float) -> float:
 
 def ideal_occupation(geom: TorusGeometry, nu: float, kappa: float) -> float:
     """Per-site ideal-gas occupation (1/|Λ|) Σ_k (e^{nu(ε_k + kappa)} - 1)^-1."""
-    evals, _ = _spectral_data(geom)
-    eps_k = -0.5 * evals
+    eps_k = -0.5 * _spectral_data(geom)
     return float(np.mean(1.0 / (np.exp(nu * (eps_k + kappa)) - 1.0)))
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from bosegas.loopgas import (_base_points, _circle_bridges, _inverse_cdf, _jump_tables,
                              _pair_form, _stratified_uniforms)
-from bosegas.propagators import _spectral_data
+from bosegas.lattice import _circulant_matrix, _spectral_data
 
 UNDERFLOW = 1e-300
 
@@ -73,9 +73,8 @@ def forward_bridges(geom, starts, ends, steps, eps, rng):
     stack; its own draws, not those of `loopgas._lattice_bridges`.
     """
     k_max = int(steps.max())
-    evals, evecs = _spectral_data(geom)
-    decay = np.exp(0.5 * eps * np.arange(k_max + 1)[:, None] * evals)
-    ker = (evecs * decay[:, None, :]) @ evecs.T
+    decay = np.exp(0.5 * eps * np.arange(k_max + 1)[:, None] * _spectral_data(geom))
+    ker = _circulant_matrix(geom, decay)
     order = np.argsort(-steps, kind="stable")
     longest = -steps[order]
     starts, ends = starts[order], ends[order]

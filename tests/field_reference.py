@@ -2,14 +2,21 @@
 
 import numpy as np
 
-from bosegas.meanfield import _action_terms, _energy
+from bosegas.meanfield import _action_terms, _form_energy
 from bosegas.stats import batch_means
+
+
+def _energy(x: np.ndarray, terms) -> float:
+    """h(phi) for the real state x = (Re phi, Im phi) of shape (2, N, n_sites),
+    with terms `_action_terms`'s form."""
+    x = x.ravel()
+    return float(_form_energy(np.concatenate([x, x * x, [1.0]]), terms))
 
 
 def field_action(phi, params, geom, v) -> float:
     """Energy functional h(phi); phi has shape (N, n_sites), complex."""
     phi = np.atleast_2d(np.asarray(phi, dtype=complex))
-    return _energy(np.stack([phi.real, phi.imag]), params, _action_terms(params, geom, v))
+    return _energy(np.stack([phi.real, phi.imag]), _action_terms(params, geom, v))
 
 
 def two_point(samples):

@@ -7,10 +7,10 @@ from bosegas.hsfield import (_duhamel_kernels, _field_weights, _gaussian_control
                              _kernel_control, _kernel_expansion, _log_det_ratio,
                              _weight_hessian, contour_shift, estimate_duhamel,
                              estimate_xi_rel, sample_sigma, wick_rho)
-from bosegas.lattice import (ModelParams, TimeGrid, TorusGeometry,
+from bosegas.lattice import (ModelParams, TimeGrid, TorusGeometry, _plane_waves,
                              delta_potential, wrapped_gaussian_potential)
-from bosegas.propagators import (_plane_waves, free_green, free_log_trace, heat_propagator,
-                                 ideal_occupation, monodromy_batch)
+from bosegas.propagators import (free_green, free_log_trace, heat_propagator, ideal_occupation,
+                                 monodromy_batch)
 from bosegas.records import ExperimentConfig
 from bosegas.stats import batch_layout, ratio_estimate
 from determinant_identities import det_identity_residual, winding_exponent

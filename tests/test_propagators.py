@@ -3,11 +3,15 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
+from bosegas import lattice
+from bosegas.hsfield import contour_shift, wick_rho
 from bosegas.lattice import (ModelParams, TimeGrid, TorusGeometry, TwoBodyPotential,
-                             _circulant_spectrum, wrapped_gaussian_potential)
+                             _circulant_matrix, _circulant_root, _circulant_spectrum,
+                             _plane_waves, _spectral_data, delta_potential,
+                             wrapped_gaussian_potential)
+from bosegas.loopgas import activity_table
 from bosegas.meanfield import wick_constant, z_via_eta
-from bosegas.propagators import (_circulant_root, _slice_phases, _spectral_data,
-                                 circle_heat_kernel, free_green, free_log_trace,
+from bosegas.propagators import (_slice_phases, circle_heat_kernel, free_green, free_log_trace,
                                  heat_propagator, ideal_occupation, monodromy_batch)
 
 
@@ -153,7 +157,8 @@ def test_plane_waves_diagonalize_the_laplacian():
     # the closed-form spectrum in the basis's column order, and the dense
     # eigvalsh as the reference; m = 1 and 2 fold the neighbours onto one site.
     # A random even row r: r[x - y] is diagonal in the same basis, with the
-    # Fourier transform of r, and n times the potential's coefficients, its diagonal
+    # Fourier transform of r, and n times the potential's coefficients, its diagonal.
+    # _circulant_matrix inverts the spectrum, one matrix per stacked spectrum
     rng = np.random.default_rng(0)
     for d in (1, 2, 3):
         for m in range(1, 6):
@@ -161,7 +166,7 @@ def test_plane_waves_diagonalize_the_laplacian():
                 continue
             g = TorusGeometry(dimension=d, sites_per_side=m)
             lap = g.laplacian_matrix()
-            evals, basis = _spectral_data(g)
+            evals, basis = _spectral_data(g), _plane_waves(m, d)
             assert np.max(np.abs(basis.T @ basis - np.eye(g.n_sites))) <= 1e-12
             assert np.max(np.abs(basis.T @ lap @ basis - np.diag(evals))) <= 1e-12
             assert np.max(np.abs(np.sort(evals) - np.linalg.eigvalsh(lap))) <= 1e-12
@@ -174,6 +179,13 @@ def test_plane_waves_diagonalize_the_laplacian():
             assert np.max(np.abs(diag - np.diag(np.diagonal(diag)))) <= 1e-12
             v = TwoBodyPotential(g, row)
             assert np.max(np.abs(g.n_sites * v.fourier_coefficients() - spectrum)) <= 1e-12
+            assert np.max(np.abs(_circulant_matrix(g, evals) - lap)) <= 1e-12
+            again = _circulant_spectrum(g, _circulant_matrix(g, spectrum)[0])
+            assert np.max(np.abs(again - spectrum)) <= 1e-12
+            stack = _circulant_matrix(g, np.stack([evals, spectrum, 2.0 * spectrum]))
+            assert stack.shape == (3, g.n_sites, g.n_sites)
+            want = np.stack([lap, row[table], 2.0 * row[table]])
+            assert np.max(np.abs(stack - want)) <= 1e-12
 
 
 def test_spectra_never_build_the_dense_laplacian(monkeypatch):
@@ -185,7 +197,7 @@ def test_spectra_never_build_the_dense_laplacian(monkeypatch):
 
     monkeypatch.setattr(TorusGeometry, "laplacian_matrix", refuse)
     g = TorusGeometry(dimension=2, sites_per_side=7)
-    evals, _ = _spectral_data(g)
+    evals = _spectral_data(g)
     assert evals.max() == 0.0
     assert np.isfinite(free_log_trace(g, 1.0, 1.0))
     assert wick_constant(g, 1.0) > 0
@@ -195,6 +207,25 @@ def test_spectra_never_build_the_dense_laplacian(monkeypatch):
     assert np.max(np.abs(root @ root - v.matrix())) <= 1e-12
     est = z_via_eta(ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5), g, v, 64, seed=0)
     assert np.isfinite(est.value.real)
+
+
+def test_spectra_never_build_the_plane_waves(monkeypatch):
+    # the 6x6 torus, which no other test builds, so no cache is warm: every
+    # caller that reads only the spectrum runs without the dense basis
+    def refuse(period, dimension):
+        raise AssertionError("plane-wave basis built")
+
+    monkeypatch.setattr(lattice, "_plane_waves", refuse)
+    g = TorusGeometry(dimension=2, sites_per_side=6)
+    evals = _spectral_data(g)
+    assert evals.shape == (36,) and evals.max() == 0.0
+    assert np.isfinite(free_log_trace(g, 1.0, 1.0))
+    assert wick_constant(g, 1.0) > 0
+    assert ideal_occupation(g, 1.0, 1.0) > 0
+    params = ModelParams(nu=1.0, kappa0=1.0, lambda0=0.5, rho=0.3)
+    assert contour_shift(params, g, delta_potential(g)) != 0.0
+    assert wick_rho(g, 1.0, 1.0) > 0
+    assert np.all(activity_table(g, 1.0, 1.0, 4) > 0)
 
 
 def test_circulant_root_squares_to_the_potential():
